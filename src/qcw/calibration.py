@@ -113,11 +113,12 @@ class IngestResult:
 
 
 def _sample_values(samples) -> np.ndarray:
-    values = np.asarray(
+    if isinstance(samples, np.ndarray):
+        return samples.astype(float, copy=False)
+    return np.asarray(
         [s.value if isinstance(s, SpreadSample) else float(s) for s in samples],
         dtype=float,
     )
-    return values
 
 
 def moment_init(values: np.ndarray) -> tuple[float, float]:

@@ -315,10 +315,10 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
     phash = _params_hash(effective)
 
     log.info("fit: %d usable samples from %d rows", len(ingest.samples), ingest.n_rows)
-    fit = fit_spread_params(ingest.samples, init=init)
+    values = np.array([s.value for s in ingest.samples])
+    fit = fit_spread_params(values, init=init)
     law = SpreadLaw(xi1=fit.xi1_hat, kappa1=fit.kappa1_hat)
 
-    values = np.array([s.value for s in ingest.samples])
     hist = Histogram.from_samples(values, bins=bins, value_range=(0.0, float(values.max())))
     centers = hist.centers()
     model = spread_pdf(centers, law)
@@ -425,6 +425,8 @@ def main(argv=None) -> int:
         config_dir = Path(args.config).resolve().parent
         out_dir = Path(args.out) if args.out is not None else Path(_get(cfg, "out_dir", "."))
         seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "simulate":

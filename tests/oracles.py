@@ -67,3 +67,42 @@ def rayleigh_pdf(x, scale):
 def rayleigh_cdf(x, scale):
     x = np.asarray(x, dtype=float)
     return 1.0 - np.exp(-0.5 * (x / scale) ** 2)
+
+
+def adaptive_simpson(f, lo, hi, tol, max_depth=50):
+    """Adaptive Simpson quadrature of scalar ``f`` on [lo, hi], with
+    Richardson correction, to absolute tolerance ``tol``."""
+
+    def simpson(a, fa, b, fb, fm):
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        left = simpson(a, fa, m, fm, flm)
+        right = simpson(m, fm, b, fb, frm)
+        err = left + right - whole
+        if depth <= 0 or abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        return recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + recurse(
+            m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1
+        )
+
+    if hi <= lo:
+        return 0.0
+    m = 0.5 * (lo + hi)
+    fa, fb, fm = f(lo), f(hi), f(m)
+    return recurse(lo, fa, hi, fb, m, fm, simpson(lo, fa, hi, fb, fm), tol, max_depth)
+
+
+def cdf_by_simpson(pdf, x, scale, tol=1e-12):
+    """integral_0^x pdf by adaptive Simpson, split into at most 64 panels of
+    about ``scale`` each so that a peak of that width is resolved."""
+    panels = max(1, min(64, math.ceil(x / scale)))
+    edges = np.linspace(0.0, x, panels + 1)
+    return sum(
+        adaptive_simpson(pdf, float(a), float(b), tol / panels)
+        for a, b in zip(edges[:-1], edges[1:])
+    )

@@ -121,6 +121,16 @@ def test_simulate_validation_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+def test_negative_seed_is_validation_error(tmp_path, capsys):
+    cfg = simulate_config(tmp_path)
+    for command in ("simulate", "imbalance"):
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+    cfg = imbalance_config(tmp_path, seed=-1)
+    assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_code():
     assert main(["frobnicate", "--config", "x.json"]) == 2
 

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcw
 from qcw import (
     Histogram,
     SpreadCdfCache,
@@ -20,7 +27,21 @@ from qcw import (
     tabulate_law,
 )
 
-from oracles import i0_quadrature, i0_scaled_quadrature, rayleigh_cdf, rayleigh_pdf
+from oracles import (
+    cdf_by_simpson,
+    i0_quadrature,
+    i0_scaled_quadrature,
+    rayleigh_cdf,
+    rayleigh_pdf,
+)
+
+# Laws with scales from 1e-3 to 1e3 and ratios up to 100:1, either way round.
+scales = st.floats(min_value=1e-3, max_value=1e3)
+ratios = st.floats(min_value=1.0, max_value=100.0)
+laws = st.builds(
+    lambda s, q, swap: SpreadLaw(xi1=s / q, kappa1=s) if swap else SpreadLaw(xi1=s, kappa1=s / q),
+    scales, ratios, st.booleans(),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +89,15 @@ def test_i0_even_and_monotone():
 def test_i0_rejects_non_finite():
     with pytest.raises(ValidationError):
         bessel_i0(math.nan)
+
+
+@given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300))
+def test_i0_scaled_bounded_and_nonincreasing(x, y):
+    lo, hi = sorted((x, y))
+    f_lo, f_hi = bessel_i0_scaled(lo), bessel_i0_scaled(hi)
+    assert 0.0 < f_hi <= 1.0 and 0.0 < f_lo <= 1.0
+    # scipy's Chebyshev pieces meet one ulp out of order at x = 8
+    assert f_hi <= f_lo * (1.0 + 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +195,61 @@ def test_cdf_input_validation():
     assert spread_cdf(-1.0, law) == 0.0
     with pytest.raises(ValidationError):
         spread_cdf(math.nan, law)
+
+
+def test_cdf_closed_form_matches_simpson_integral_of_pdf():
+    cases = [SpreadLaw(xi1=0.1, kappa1=0.1 / q) for q in (1, 2, 20, 100)]
+    rng = np.random.default_rng(404)  # the 20 random laws of acceptance criterion 3
+    for _ in range(20):
+        xi1, kappa1 = np.exp(rng.uniform(np.log(0.02), np.log(0.5), 2))
+        cases.append(SpreadLaw(xi1=float(xi1), kappa1=float(kappa1)))
+    for law in cases:
+        smin = min(law.xi1, law.kappa1)
+        for frac in (0.02, 0.1, 0.25, 0.5, 1.0):
+            x = frac * law.tail_cutoff()
+            ref = cdf_by_simpson(lambda d: spread_pdf(d, law), x, smin)
+            assert abs(spread_cdf(x, law) - ref) <= 1e-12
+    s = 0.1
+    xs = np.linspace(0.0, 12 * s, 1001)
+    rayleigh = SpreadLaw(xi1=s, kappa1=s)
+    assert np.max(np.abs(spread_cdf(xs, rayleigh) - rayleigh_cdf(xs, s))) <= 1e-15
+
+
+def test_cdf_rejects_ratio_beyond_convergence():
+    with pytest.raises(ValidationError):
+        spread_cdf(10.0, SpreadLaw(xi1=1.0, kappa1=1e-5))
+
+
+@given(laws, st.floats(allow_nan=False, allow_infinity=False))
+def test_cdf_within_unit_interval(law, r):
+    assert 0.0 <= spread_cdf(r, law) <= 1.0
+
+
+@given(laws, st.floats(min_value=0.0, max_value=1.2))
+def test_cdf_symmetric_under_parameter_swap(law, frac):
+    r = frac * law.tail_cutoff()
+    assert spread_cdf(r, law) == spread_cdf(r, SpreadLaw(xi1=law.kappa1, kappa1=law.xi1))
+
+
+@given(laws, st.floats(min_value=0.0, max_value=1.2), st.floats(min_value=1e-3, max_value=1e3))
+def test_cdf_scale_equivariant(law, frac, c):
+    r = frac * law.tail_cutoff()
+    scaled = SpreadLaw(xi1=c * law.xi1, kappa1=c * law.kappa1)
+    assert spread_cdf(c * r, scaled) == pytest.approx(spread_cdf(r, law), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(laws)
+def test_cdf_cache_nondecreasing(law):
+    assert np.all(np.diff(SpreadCdfCache(law).cdf) >= 0.0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s and 20 MB at import; the package needs
+    # only scipy.special and scipy.optimize.
+    code = "import sys, qcw; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(qcw.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 # ---------------------------------------------------------------------------
