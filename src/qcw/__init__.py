@@ -13,9 +13,6 @@ __version__ = "0.1.0"
 from .calibration import (
     FitResult,
     IngestResult,
-    OhlcBar,
-    QuoteRecord,
-    SpreadSample,
     fit_spread_params,
     read_ohlc_csv,
     read_quotes_csv,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,7 @@ from .spread_stats import SpreadLaw, spread_log_pdf
 
 __all__ = [
     "MIN_FIT_SAMPLES",
-    "SpreadSample",
     "FitResult",
-    "QuoteRecord",
-    "OhlcBar",
     "IngestResult",
     "fit_spread_params",
     "spreads_from_quotes",
@@ -50,21 +48,6 @@ _CV_HALF_NORMAL = math.sqrt(math.pi / 2.0 - 1.0)
 
 
 @dataclass(frozen=True)
-class SpreadSample:
-    """One positive spread observation (price units, or dimensionless in
-    relative OHLC mode)."""
-
-    value: float
-    timestamp: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.value, (int, float)) or not math.isfinite(self.value) \
-                or self.value <= 0:
-            raise ValidationError("spread sample must be a finite number > 0")
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
 class FitResult:
     """MLE output, canonically ordered so that xi1_hat >= kappa1_hat."""
 
@@ -77,26 +60,10 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class QuoteRecord:
-    timestamp: str
-    bid: float
-    ask: float
-
-
-@dataclass(frozen=True)
-class OhlcBar:
-    timestamp: str
-    open: float
-    high: float
-    low: float
-    close: float
-
-
-@dataclass(frozen=True)
 class IngestResult:
-    """Extracted samples plus counters for every dropped input row."""
+    """Extracted spread samples plus counters for every dropped input row."""
 
-    samples: list
+    values: np.ndarray
     n_rows: int
     dropped_crossed: int
     dropped_zero: int
@@ -105,20 +72,11 @@ class IngestResult:
     def drop_counts(self) -> dict:
         return {
             "rows": self.n_rows,
-            "kept": len(self.samples),
+            "kept": int(self.values.size),
             "dropped_crossed": self.dropped_crossed,
             "dropped_zero": self.dropped_zero,
             "dropped_nonpositive": self.dropped_nonpositive,
         }
-
-
-def _sample_values(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples.astype(float, copy=False)
-    return np.asarray(
-        [s.value if isinstance(s, SpreadSample) else float(s) for s in samples],
-        dtype=float,
-    )
 
 
 def moment_init(values: np.ndarray) -> tuple[float, float]:
@@ -144,13 +102,13 @@ def fit_spread_params(
 ) -> FitResult:
     """Maximum-likelihood estimate of (xi1, kappa1) from spread samples.
 
-    ``samples`` may be :class:`SpreadSample` objects or plain positive
-    floats; at least :data:`MIN_FIT_SAMPLES` are required. Optimizes the
+    ``samples`` is any array-like of positive floats; at least
+    :data:`MIN_FIT_SAMPLES` are required. Optimizes the
     summed log-density with Nelder-Mead on (log xi1, log kappa1), converging
     at 1e-8 in log-likelihood; if the iteration cap is hit, the best point
     so far is returned with ``converged=False``.
     """
-    values = _sample_values(samples)
+    values = np.asarray(samples, dtype=float)
     if values.size < MIN_FIT_SAMPLES:
         raise ValidationError(
             f"need at least {MIN_FIT_SAMPLES} spread samples, got {values.size}"
@@ -188,36 +146,48 @@ def fit_spread_params(
     )
 
 
-def spreads_from_quotes(rows) -> IngestResult:
-    """Spread samples ask - bid from quote rows.
+def _spreads(low, high, denom=None) -> IngestResult:
+    """Spread samples ``high - low`` (divided by ``denom`` if given).
 
-    Crossed rows (bid > ask), zero spreads (the law has zero density at zero,
-    so they cannot enter the likelihood) and rows with nonpositive prices are
-    dropped and counted rather than raising.
+    Each row is dropped under the first rule it breaks: a nonpositive or
+    non-finite price (``denom`` included), then crossed (``low > high``),
+    then zero (``low == high``; the law has zero density at zero, so such
+    spreads cannot enter the likelihood).
     """
-    samples: list[SpreadSample] = []
-    crossed = zero = nonpositive = 0
-    n_rows = 0
-    for row in rows:
-        n_rows += 1
-        if not (
-            math.isfinite(row.bid) and math.isfinite(row.ask)
-            and row.bid > 0 and row.ask > 0
-        ):
-            nonpositive += 1
-            continue
-        if row.bid > row.ask:
-            crossed += 1
-            continue
-        if row.bid == row.ask:
-            zero += 1
-            continue
-        samples.append(SpreadSample(value=row.ask - row.bid, timestamp=row.timestamp))
-    return IngestResult(samples, n_rows, crossed, zero, nonpositive)
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    nonpositive = ~(np.isfinite(low) & np.isfinite(high) & (low > 0) & (high > 0))
+    if denom is not None:
+        denom = np.asarray(denom, dtype=float)
+        nonpositive |= ~(np.isfinite(denom) & (denom > 0))
+    crossed = ~nonpositive & (low > high)
+    zero = ~nonpositive & (low == high)
+    keep = ~(nonpositive | crossed | zero)
+    values = high[keep] - low[keep]
+    if denom is not None:
+        # Over- or underflow here gives inf or 0, which the fit rejects.
+        with np.errstate(over="ignore", under="ignore"):
+            values /= denom[keep]
+    return IngestResult(
+        values,
+        int(low.size),
+        int(np.count_nonzero(crossed)),
+        int(np.count_nonzero(zero)),
+        int(np.count_nonzero(nonpositive)),
+    )
 
 
-def spreads_from_ohlc(rows, mode: str = OHLC_MODE_ABSOLUTE) -> IngestResult:
-    """Spread samples from OHLC bars: high - low, or (high - low)/close.
+def spreads_from_quotes(bid, ask) -> IngestResult:
+    """Spread samples ask - bid from quote columns.
+
+    Crossed rows (bid > ask), zero spreads and rows with nonpositive prices
+    are dropped and counted rather than raising.
+    """
+    return _spreads(bid, ask)
+
+
+def spreads_from_ohlc(high, low, close, mode: str = OHLC_MODE_ABSOLUTE) -> IngestResult:
+    """Spread samples from OHLC columns: high - low, or (high - low)/close.
 
     The bar high stands in for the ask and the low for the bid. Bars with
     high < low are dropped as crossed; flat bars (high == low) give a zero
@@ -226,36 +196,28 @@ def spreads_from_ohlc(rows, mode: str = OHLC_MODE_ABSOLUTE) -> IngestResult:
     """
     if mode not in (OHLC_MODE_ABSOLUTE, OHLC_MODE_RELATIVE):
         raise ValidationError(f"unknown OHLC mode {mode!r}")
-    samples: list[SpreadSample] = []
-    crossed = zero = nonpositive = 0
-    n_rows = 0
-    for bar in rows:
-        n_rows += 1
-        if not (
-            math.isfinite(bar.high) and math.isfinite(bar.low)
-            and bar.high > 0 and bar.low > 0
-        ):
-            nonpositive += 1
-            continue
-        if mode == OHLC_MODE_RELATIVE and not (math.isfinite(bar.close) and bar.close > 0):
-            nonpositive += 1
-            continue
-        if bar.high < bar.low:
-            crossed += 1
-            continue
-        if bar.high == bar.low:
-            zero += 1
-            continue
-        value = bar.high - bar.low
-        if mode == OHLC_MODE_RELATIVE:
-            value /= bar.close
-        samples.append(SpreadSample(value=value, timestamp=bar.timestamp))
-    return IngestResult(samples, n_rows, crossed, zero, nonpositive)
+    return _spreads(low, high, close if mode == OHLC_MODE_RELATIVE else None)
 
 
-def _read_csv(path, expected_header: list[str], builder):
-    """Shared CSV reader: UTF-8, comma-separated, '#' comment lines skipped."""
-    out = []
+# Where a column of each kind accumulates while the file streams past.
+_COLUMN_STORES = {float: lambda: array("d"), int: lambda: array("q"), str: list}
+
+
+def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
+    """The package's CSV reader: UTF-8, comma-separated, '#' comment lines
+    and blank lines skipped, header matched after strip/lower.
+
+    ``columns`` maps the names of the columns to keep to their type (float,
+    int or str). Rows are streamed, so only the kept columns are held: float
+    and int columns come back as float64 and int64 arrays, str columns as
+    string arrays.
+    """
+    wanted_header = [name.lower() for name in expected_header]
+    stores = {name: _COLUMN_STORES[kind]() for name, kind in columns.items()}
+    sinks = [
+        (stores[name].append, expected_header.index(name), kind)
+        for name, kind in columns.items()
+    ]
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -263,45 +225,52 @@ def _read_csv(path, expected_header: list[str], builder):
     with handle:
         reader = csv.reader(handle)
         header_seen = False
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if not header_seen:
-                header = [cell.strip().lower() for cell in row]
-                if header != expected_header:
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if not header_seen:
+                    header = [cell.strip().lower() for cell in row]
+                    if header != wanted_header:
+                        raise ValidationError(
+                            f"{path}: line {lineno}: expected header "
+                            f"{','.join(expected_header)!r}, got {','.join(header)!r}"
+                        )
+                    header_seen = True
+                    continue
+                if len(row) != len(expected_header):
                     raise ValidationError(
-                        f"{path}: line {lineno}: expected header "
-                        f"{','.join(expected_header)!r}, got {','.join(header)!r}"
+                        f"{path}: line {lineno}: expected {len(expected_header)} fields, "
+                        f"got {len(row)}"
                     )
-                header_seen = True
-                continue
-            if len(row) != len(expected_header):
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                out.append(builder(row))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+                try:
+                    for append, index, kind in sinks:
+                        append(kind(row[index]))
+                except (ValueError, OverflowError) as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: unreadable CSV: {exc}") from exc
         if not header_seen:
             raise ValidationError(f"{path}: missing header row")
-    return out
+    return {
+        name: np.array(store) if isinstance(store, list)
+        else np.frombuffer(store, dtype=store.typecode)
+        for name, store in stores.items()
+    }
 
 
-def read_quotes_csv(path) -> list[QuoteRecord]:
-    """Read a quote CSV with header ``timestamp,bid,ask``."""
-    return _read_csv(
-        path,
-        ["timestamp", "bid", "ask"],
-        lambda row: QuoteRecord(row[0], float(row[1]), float(row[2])),
-    )
+def read_quotes_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a quote CSV with header ``timestamp,bid,ask``; returns ``bid, ask``."""
+    cols = _read_csv(path, ["timestamp", "bid", "ask"], {"bid": float, "ask": float})
+    return cols["bid"], cols["ask"]
 
 
-def read_ohlc_csv(path) -> list[OhlcBar]:
-    """Read an OHLC CSV with header ``timestamp,open,high,low,close``."""
-    return _read_csv(
+def read_ohlc_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read an OHLC CSV with header ``timestamp,open,high,low,close``;
+    returns ``high, low, close``."""
+    cols = _read_csv(
         path,
         ["timestamp", "open", "high", "low", "close"],
-        lambda row: OhlcBar(row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4])),
+        {"high": float, "low": float, "close": float},
     )
+    return cols["high"], cols["low"], cols["close"]

@@ -13,6 +13,7 @@ guard), 4 I/O error. ``QCW_LOG_LEVEL`` controls log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    _read_csv,
     fit_spread_params,
     read_ohlc_csv,
     read_quotes_csv,
@@ -59,6 +61,17 @@ PDF_CSV_HEADER = "delta,empirical_density,model_density"
 log = logging.getLogger("qcw")
 
 _REQUIRED = object()
+
+_MODEL_KEYS = {"sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt", "complex_coupling"}
+_SIM_KEYS = _MODEL_KEYS | {
+    "n_steps", "initial_price", "mode", "c_i", "post_trade", "initial_imbalance",
+}
+_RUN_KEYS = {"seed", "out_dir"}
+_CONFIG_KEYS = {
+    "simulate": _SIM_KEYS | _RUN_KEYS,
+    "fit": {"input", "format", "ohlc_mode", "bins", "init"} | _RUN_KEYS,
+    "imbalance": _SIM_KEYS | {"n_paths", "bins"} | _RUN_KEYS,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,14 @@ def _sim_config(cfg: dict, seed) -> SimConfig:
     )
 
 
+def _check_keys(cfg: dict, command: str) -> None:
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
+    if unknown:
+        raise ValidationError(
+            f"unknown config key(s) for {command}: {', '.join(map(repr, unknown))}"
+        )
+
+
 def _load_config(path: str) -> dict:
     cfg_path = Path(path)
     if not cfg_path.is_file():
@@ -168,9 +189,23 @@ def _meta_line(seed, params_hash: str) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    The temp file gets a fresh name and is created with O_EXCL, so concurrent
+    runs into one directory never share one; mode 0o666 lets the umask set
+    the permissions, as for any file the process creates. On failure the
+    temp file is removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -183,57 +218,33 @@ def _write_csv(path: Path, meta: str, header: str, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_tool_csv(path, header: str) -> list[list[str]]:
-    """Read back a tool-written CSV, skipping '#' metadata lines."""
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        header_seen = False
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.lstrip().startswith("#"):
-                continue
-            if not header_seen:
-                if line != header:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: expected header {header!r}, got {line!r}"
-                    )
-                header_seen = True
-                continue
-            rows.append(line.split(","))
-        if not header_seen:
-            raise ValidationError(f"{path}: missing header row")
-    return rows
-
-
 def read_path_csv(path) -> dict:
     """Round-trip reader for path.csv; returns column arrays."""
-    rows = _read_tool_csv(path, PATH_CSV_HEADER)
-    return {
-        "t": np.array([int(r[0]) for r in rows]),
-        "s_bid": np.array([float(r[1]) for r in rows]),
-        "s_ask": np.array([float(r[2]) for r in rows]),
-        "s_trade": np.array([float(r[3]) for r in rows]),
-        "side": np.array([r[4] for r in rows]),
-        "I": np.array([float(r[5]) for r in rows]),
-    }
+    return _read_csv(
+        path,
+        PATH_CSV_HEADER.split(","),
+        {"t": int, "s_bid": float, "s_ask": float, "s_trade": float, "side": str, "I": float},
+    )
 
 
 def read_qi_csv(path) -> Histogram:
     """Round-trip reader for the Q(I) histogram CSV."""
-    rows = _read_tool_csv(path, QI_CSV_HEADER)
-    edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
-    masses = [float(r[2]) for r in rows]
-    return Histogram(edges=np.array(edges), masses=np.array(masses), count=0)
+    cols = _read_csv(
+        path, QI_CSV_HEADER.split(","), {"bin_left": float, "bin_right": float, "mass": float}
+    )
+    if cols["mass"].size == 0:
+        raise ValidationError(f"{path}: histogram has no rows")
+    edges = np.append(cols["bin_left"], cols["bin_right"][-1])
+    return Histogram(edges=edges, masses=cols["mass"], count=0)
 
 
 def read_pdf_csv(path) -> dict:
     """Round-trip reader for the fitted-density table."""
-    rows = _read_tool_csv(path, PDF_CSV_HEADER)
-    return {
-        "delta": np.array([float(r[0]) for r in rows]),
-        "empirical_density": np.array([float(r[1]) for r in rows]),
-        "model_density": np.array([float(r[2]) for r in rows]),
-    }
+    return _read_csv(
+        path,
+        PDF_CSV_HEADER.split(","),
+        {"delta": float, "empirical_density": float, "model_density": float},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +295,11 @@ def _ingest_fit_input(cfg: dict, config_dir: Path):
     if not input_path.is_file():
         raise ValidationError(f"config key 'input': file not found: {input_path}")
     if fmt == "quotes":
-        ingest = spreads_from_quotes(read_quotes_csv(input_path))
+        ingest = spreads_from_quotes(*read_quotes_csv(input_path))
         metadata = {"format": "quotes", "input": input_name}
     else:
         mode = _choice(cfg, "ohlc_mode", ("absolute", "relative"), "absolute")
-        ingest = spreads_from_ohlc(read_ohlc_csv(input_path), mode=mode)
+        ingest = spreads_from_ohlc(*read_ohlc_csv(input_path), mode=mode)
         metadata = {"format": "ohlc", "input": input_name, "ohlc_mode": mode}
         if mode == "relative":
             metadata["denominator"] = "close"
@@ -314,8 +325,8 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
     effective = dict(cfg, seed=seed)
     phash = _params_hash(effective)
 
-    log.info("fit: %d usable samples from %d rows", len(ingest.samples), ingest.n_rows)
-    values = np.array([s.value for s in ingest.samples])
+    values = ingest.values
+    log.info("fit: %d usable samples from %d rows", values.size, ingest.n_rows)
     fit = fit_spread_params(values, init=init)
     law = SpreadLaw(xi1=fit.xi1_hat, kappa1=fit.kappa1_hat)
 
@@ -422,6 +433,7 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, args.command)
         config_dir = Path(args.config).resolve().parent
         out_dir = Path(args.out) if args.out is not None else Path(_get(cfg, "out_dir", "."))
         seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)

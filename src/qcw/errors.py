@@ -13,7 +13,9 @@ class PricePositivityError(RuntimeError):
     (clamping would silently bias the recorded statistics).
     """
 
-    def __init__(self, step: int, price: float):
-        super().__init__(f"trade price {price:.6g} <= 0 at step {step}")
+    def __init__(self, step: int, price: float, path: int | None = None):
+        where = f"step {step}" if path is None else f"step {step} of path {path}"
+        super().__init__(f"trade price {price:.6g} <= 0 at {where}")
         self.step = step
         self.price = price
+        self.path = path

@@ -273,15 +273,19 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
 
     Path k uses the k-th child of the master seed, so the ensemble is
     reproducible as a whole and each member individually; merging statistics
-    across members is order-independent.
+    across members is order-independent. A :class:`PricePositivityError`
+    names the path index ``k`` that aborted.
     """
     if not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
     root = _seed_sequence(config.seed)
-    return [
-        simulate_path(replace(config, seed=_child_seed(root, k)), params)
-        for k in range(n_paths)
-    ]
+    paths = []
+    for k in range(n_paths):
+        try:
+            paths.append(simulate_path(replace(config, seed=_child_seed(root, k)), params))
+        except PricePositivityError as exc:
+            raise PricePositivityError(exc.step, exc.price, path=k) from exc
+    return paths
 
 
 def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:

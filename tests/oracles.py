@@ -106,3 +106,33 @@ def cdf_by_simpson(pdf, x, scale, tol=1e-12):
         adaptive_simpson(pdf, float(a), float(b), tol / panels)
         for a, b in zip(edges[:-1], edges[1:])
     )
+
+
+def spreads_by_row(low, high, denom=None):
+    """Scalar per-row reference for the masked spread extraction.
+
+    Returns ``(values, n_rows, crossed, zero, nonpositive)``. A row is
+    dropped under the first rule it breaks: nonpositive or non-finite price
+    (``denom`` included), crossed (``low > high``), zero (``low == high``).
+    """
+    values = []
+    crossed = zero = nonpositive = 0
+    for k in range(len(low)):
+        lo, hi = float(low[k]), float(high[k])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0 and hi > 0):
+            nonpositive += 1
+            continue
+        if denom is not None and not (math.isfinite(denom[k]) and denom[k] > 0):
+            nonpositive += 1
+            continue
+        if lo > hi:
+            crossed += 1
+            continue
+        if lo == hi:
+            zero += 1
+            continue
+        value = hi - lo
+        if denom is not None:
+            value /= float(denom[k])
+        values.append(value)
+    return values, len(low), crossed, zero, nonpositive

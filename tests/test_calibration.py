@@ -1,14 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import spreads_by_row
 from qcw import (
     FitResult,
-    OhlcBar,
-    QuoteRecord,
     SpreadLaw,
-    SpreadSample,
     ValidationError,
     fit_spread_params,
     read_ohlc_csv,
@@ -44,10 +46,9 @@ def test_recovers_rayleigh_case():
     assert abs(fit.kappa1_hat - 0.08) / 0.08 < 0.05
 
 
-def test_accepts_spread_sample_objects_and_floats():
+def test_accepts_float_lists_and_arrays():
     values = synthetic_samples(0.1, 0.06, 500, seed=9)
-    as_objects = [SpreadSample(value=float(v)) for v in values]
-    fit_a = fit_spread_params(as_objects)
+    fit_a = fit_spread_params([float(v) for v in values])
     fit_b = fit_spread_params(values)
     assert fit_a == fit_b
 
@@ -59,11 +60,10 @@ def test_sample_count_gate():
 
 def test_rejects_nonpositive_samples():
     values = list(synthetic_samples(0.1, 0.05, 100, seed=2))
-    values[3] = -0.01
-    with pytest.raises(ValidationError):
-        fit_spread_params(values)
-    with pytest.raises(ValidationError):
-        SpreadSample(value=0.0)
+    for bad in (-0.01, 0.0, math.inf, math.nan):
+        values[3] = bad
+        with pytest.raises(ValidationError):
+            fit_spread_params(values)
 
 
 def test_loglik_symmetric_under_parameter_swap():
@@ -113,22 +113,17 @@ def test_nonconvergence_is_reported_not_raised():
 # ---------------------------------------------------------------------------
 
 def test_quote_spread_example():
-    result = spreads_from_quotes([QuoteRecord("t0", bid=27.83, ask=27.87)])
-    assert len(result.samples) == 1
-    assert result.samples[0].value == pytest.approx(0.04, abs=1e-12)
-    assert result.samples[0].timestamp == "t0"
+    result = spreads_from_quotes([27.83], [27.87])
+    assert result.values.shape == (1,)
+    assert result.values[0] == pytest.approx(0.04, abs=1e-12)
 
 
 def test_quote_drop_rules():
-    rows = [
-        QuoteRecord("a", 27.83, 27.87),
-        QuoteRecord("b", 27.85, 27.85),  # zero spread
-        QuoteRecord("c", 27.90, 27.80),  # crossed
-        QuoteRecord("d", -1.0, 27.80),  # nonpositive
-        QuoteRecord("e", 27.80, math.nan),  # non-finite
-    ]
-    result = spreads_from_quotes(rows)
-    assert len(result.samples) == 1
+    bid = [27.83, 27.85, 27.90, -1.0, 27.80]
+    ask = [27.87, 27.85, 27.80, 27.80, math.nan]
+    # kept, zero spread, crossed, nonpositive, non-finite
+    result = spreads_from_quotes(bid, ask)
+    assert result.values.size == 1
     assert result.n_rows == 5
     assert result.dropped_zero == 1
     assert result.dropped_crossed == 1
@@ -142,32 +137,54 @@ def test_quote_drop_rules():
 # ---------------------------------------------------------------------------
 
 def test_ohlc_relative_example():
-    result = spreads_from_ohlc(
-        [OhlcBar("d1", open=101.0, high=102.0, low=100.0, close=101.0)], mode="relative"
-    )
-    assert result.samples[0].value == pytest.approx(2.0 / 101.0, abs=1e-12)
+    result = spreads_from_ohlc([102.0], [100.0], [101.0], mode="relative")
+    assert result.values[0] == pytest.approx(2.0 / 101.0, abs=1e-12)
 
 
 def test_ohlc_absolute_and_drop_rules():
-    rows = [
-        OhlcBar("d1", 101.0, 102.0, 100.0, 101.0),
-        OhlcBar("d2", 101.0, 100.0, 100.0, 100.5),  # flat bar
-        OhlcBar("d3", 101.0, 99.0, 100.0, 100.0),  # inverted
-    ]
-    result = spreads_from_ohlc(rows, mode="absolute")
-    assert len(result.samples) == 1
-    assert result.samples[0].value == pytest.approx(2.0, abs=1e-15)
+    high = [102.0, 100.0, 99.0]
+    low = [100.0, 100.0, 100.0]
+    close = [101.0, 100.5, 100.0]
+    # kept, flat bar, inverted
+    result = spreads_from_ohlc(high, low, close, mode="absolute")
+    assert result.values.size == 1
+    assert result.values[0] == pytest.approx(2.0, abs=1e-15)
     assert result.dropped_zero == 1
     assert result.dropped_crossed == 1
     with pytest.raises(ValidationError):
-        spreads_from_ohlc(rows, mode="percentage")
+        spreads_from_ohlc(high, low, close, mode="percentage")
 
 
 def test_ohlc_relative_requires_positive_close():
-    result = spreads_from_ohlc(
-        [OhlcBar("d1", 1.0, 2.0, 1.0, 0.0)], mode="relative"
-    )
-    assert result.dropped_nonpositive == 1 and not result.samples
+    result = spreads_from_ohlc([2.0], [1.0], [0.0], mode="relative")
+    assert result.dropped_nonpositive == 1 and result.values.size == 0
+
+
+_PRICE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0]),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(),
+)
+_ROW = st.one_of(
+    st.tuples(_PRICE, _PRICE, _PRICE),
+    st.builds(lambda price, close: (price, price, close), _PRICE, _PRICE),  # equal prices
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW, max_size=40))
+def test_masked_extraction_matches_row_oracle(rows):
+    low, high, close = np.array(rows, dtype=float).reshape(-1, 3).T
+    for result, denom in (
+        (spreads_from_quotes(low, high), None),
+        (spreads_from_ohlc(high, low, close, mode="absolute"), None),
+        (spreads_from_ohlc(high, low, close, mode="relative"), close),
+    ):
+        values, n_rows, crossed, zero, nonpositive = spreads_by_row(low, high, denom)
+        assert result.values.dtype == np.float64
+        assert result.values.tobytes() == np.array(values, dtype=float).tobytes()
+        assert (result.n_rows, result.dropped_crossed, result.dropped_zero,
+                result.dropped_nonpositive) == (n_rows, crossed, zero, nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +198,10 @@ def test_read_quotes_csv(tmp_path):
         "2019-06-03T09:30:01,27.84,27.88\n",
         encoding="utf-8",
     )
-    rows = read_quotes_csv(path)
-    assert rows == [
-        QuoteRecord("2019-06-03T09:30:00", 27.83, 27.87),
-        QuoteRecord("2019-06-03T09:30:01", 27.84, 27.88),
-    ]
+    bid, ask = read_quotes_csv(path)
+    assert bid.dtype == ask.dtype == np.float64
+    assert bid.tolist() == [27.83, 27.84]
+    assert ask.tolist() == [27.87, 27.88]
 
 
 def test_read_quotes_csv_reports_bad_row_number(tmp_path):
@@ -215,10 +231,41 @@ def test_read_ohlc_csv(tmp_path):
         "timestamp,open,high,low,close\n2019-02-25,300.0,305.0,298.0,301.0\n",
         encoding="utf-8",
     )
-    bars = read_ohlc_csv(path)
-    assert bars == [OhlcBar("2019-02-25", 300.0, 305.0, 298.0, 301.0)]
+    high, low, close = read_ohlc_csv(path)
+    assert (high.tolist(), low.tolist(), close.tolist()) == ([305.0], [298.0], [301.0])
 
 
 def test_read_csv_missing_file():
     with pytest.raises(ValidationError):
         read_quotes_csv("/nonexistent/quotes.csv")
+
+
+def test_read_csv_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(b"timestamp,bid,ask\nt0,1.0,\xff2.0\n")
+    with pytest.raises(ValidationError, match="quotes.csv"):
+        read_quotes_csv(path)
+
+
+_JUNK_LINE = st.sampled_from(["", "# comment", "  # indented, with commas"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(_JUNK_LINE, max_size=2),
+              st.tuples(*[st.floats(allow_nan=False)] * 4)),
+    max_size=30,
+))
+def test_csv_round_trip_is_bit_exact(rows):
+    lines = ["# written by the test", "timestamp,open,high,low,close"]
+    for k, (junk, prices) in enumerate(rows):
+        lines += junk
+        lines.append(",".join([f"t{k}", *map(repr, prices)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        high, low, close = read_ohlc_csv(path)
+    for got, column in zip((high, low, close), (1, 2, 3)):
+        want = np.array([prices[column] for _, prices in rows], dtype=float)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()

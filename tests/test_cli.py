@@ -1,10 +1,15 @@
 import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcw import SpreadLaw, sample_spread
-from qcw.cli import main, read_path_csv, read_pdf_csv, read_qi_csv
+from qcw import SpreadLaw, ValidationError, sample_spread
+from qcw.cli import _atomic_write, _check_keys, main, read_path_csv, read_pdf_csv, read_qi_csv
+
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 BALANCED_MODEL = {
     "sigma": 0.001,
@@ -135,6 +140,49 @@ def test_unknown_command_exit_code():
     assert main(["frobnicate", "--config", "x.json"]) == 2
 
 
+def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = simulate_config(tmp_path, post_trad="collapse")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'post_trad'" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "path.csv").exists()
+
+
+def test_shipped_config_keys_are_accepted():
+    commands = {"simulate": "simulate", "fit": "fit", "imbalance": "imbalance"}
+    paths = sorted(CONFIGS_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        _check_keys(cfg, commands[path.stem.split("_")[0]])
+    _check_keys({"bins": 50, "format": "ohlc", "input": "x.csv", "ohlc_mode": "relative",
+                 "out_dir": "o", "seed": 1, "init": [0.1, 0.05]}, "fit")
+
+
+def test_atomic_write_cleans_up_when_replace_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        _atomic_write(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert target.read_text(encoding="utf-8") == "old\n"
+
+
+def test_atomic_write_uses_umask_mode_and_leaves_no_temp(tmp_path):
+    reference = tmp_path / "reference.txt"
+    reference.write_text("x", encoding="utf-8")
+    target = tmp_path / "out.csv"
+    _atomic_write(target, "a,b\n1,2\n")
+    _atomic_write(target, "a,b\n3,4\n")
+    assert target.read_text(encoding="utf-8") == "a,b\n3,4\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "reference.txt"]
+    assert target.stat().st_mode == reference.stat().st_mode
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -194,6 +242,28 @@ def test_fit_ohlc_relative_records_denominator(tmp_path):
     fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
     assert fit["metadata"]["denominator"] == "close"
     assert fit["metadata"]["ohlc_mode"] == "relative"
+
+
+def test_fit_rejects_unknown_config_key(tmp_path, capsys):
+    quotes_file(tmp_path, n=100)
+    cfg = write_config(tmp_path, "fit.json", {"input": "quotes.csv", "format": "quotes",
+                                              "bin": 20})
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'bin'" in capsys.readouterr().err
+
+
+def test_fit_relative_overflow_is_validation_error(tmp_path, capsys):
+    good = [f"d{k},100.0,{101.0 + k / 100.0!r},100.0,100.0" for k in range(60)]
+    # (high - low)/close overflows to inf, or underflows to 0
+    for bad in ("huge,1e300,1e300,1e299,1e-300", "tiny,2e-300,2e-300,1e-300,1e300"):
+        lines = ["timestamp,open,high,low,close", *good, bad]
+        (tmp_path / "bars.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "fit.json",
+                           {"input": "bars.csv", "format": "ohlc", "ohlc_mode": "relative"})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "spread samples must all be finite and > 0" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
 
 
 def test_fit_rerun_is_byte_identical(tmp_path):
@@ -273,3 +343,22 @@ def test_imbalance_rerun_is_byte_identical(tmp_path):
     assert main(["imbalance", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "qi.csv").read_bytes() == (out_b / "qi.csv").read_bytes()
     assert (out_a / "moments.json").read_bytes() == (out_b / "moments.json").read_bytes()
+
+
+def test_imbalance_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = imbalance_config(tmp_path, n_path=5)
+    assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'n_path'" in capsys.readouterr().err
+
+
+def test_imbalance_positivity_abort_names_path(tmp_path, capsys):
+    cfg = imbalance_config(tmp_path, sigma=0.5)
+    assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert re.search(r"<= 0 at step \d+ of path \d+$", capsys.readouterr().err.strip())
+
+
+def test_read_qi_csv_rejects_empty_table(tmp_path):
+    path = tmp_path / "qi.csv"
+    path.write_text("# qcw=0.1.0\nbin_left,bin_right,mass\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="no rows"):
+        read_qi_csv(path)
