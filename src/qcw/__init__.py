@@ -23,13 +23,11 @@ from .errors import PricePositivityError, ValidationError
 from .market_sim import (
     BookLevel,
     CrashReport,
-    PathPoint,
     PathSeries,
     SimConfig,
     effective_levels,
     imbalance_summary,
     q_of_i,
-    select_trade,
     simulate_crash,
     simulate_ensemble,
     simulate_path,
@@ -56,7 +54,7 @@ from .spread_stats import (
     tabulate_law,
     write_law_csv,
 )
-from .stochastic_model import ElementDraw, ModelParams, draw_elements, step_operator
+from .stochastic_model import ModelParams
 from .wave_dynamics import (
     StateVector,
     imbalance,

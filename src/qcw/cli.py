@@ -54,6 +54,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# Size limits, checked before anything is allocated: the histogram bins of
+# `fit`/`imbalance`, the steps of one path, and the steps of a whole ensemble.
+MAX_BINS = 10**6
+MAX_STEPS = 10**8
+MAX_ENSEMBLE_STEPS = 10**8
+
 PATH_CSV_HEADER = "t,s_bid,s_ask,s_trade,side,I"
 QI_CSV_HEADER = "bin_left,bin_right,mass"
 PDF_CSV_HEADER = "delta,empirical_density,model_density"
@@ -86,20 +92,39 @@ def _get(cfg: dict, key: str, default=_REQUIRED):
     return default
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, that a finite float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _number(cfg: dict, key: str, default=_REQUIRED) -> float:
     value = _get(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config key {key!r}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if not _is_finite_number(value):
         raise ValidationError(f"config key {key!r}: must be finite")
     return float(value)
 
 
-def _integer(cfg: dict, key: str, default=_REQUIRED) -> int:
+def _integer(cfg: dict, key: str, default=_REQUIRED, limit: int | None = None) -> int:
     value = _get(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"config key {key!r}: expected an integer, got {value!r}")
+    if limit is not None and value > limit:
+        raise ValidationError(f"config key {key!r}: {value} exceeds the limit {limit}")
     return value
+
+
+def _bins(cfg: dict, default: int) -> int:
+    bins = _integer(cfg, "bins", default, limit=MAX_BINS)
+    if bins < 1:
+        raise ValidationError("config key 'bins': must be >= 1")
+    return bins
 
 
 def _choice(cfg: dict, key: str, choices: tuple, default=_REQUIRED) -> str:
@@ -136,7 +161,7 @@ def _model_params(cfg: dict) -> ModelParams:
 def _sim_config(cfg: dict, seed) -> SimConfig:
     initial_imbalance = _number(cfg, "initial_imbalance", 0.0)
     return SimConfig(
-        n_steps=_integer(cfg, "n_steps"),
+        n_steps=_integer(cfg, "n_steps", limit=MAX_STEPS),
         initial_price=_number(cfg, "initial_price"),
         initial_state=StateVector.from_imbalance(initial_imbalance),
         mode=_choice(cfg, "mode", (MODE_BALANCED, MODE_IMBALANCE_COUPLED), MODE_BALANCED),
@@ -307,18 +332,16 @@ def _ingest_fit_input(cfg: dict, config_dir: Path):
 
 
 def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
-    bins = _integer(cfg, "bins", 50)
-    if bins < 1:
-        raise ValidationError("config key 'bins': must be >= 1")
+    bins = _bins(cfg, 50)
     init_cfg = _get(cfg, "init", None)
     init = None
     if init_cfg is not None:
         if (
             not isinstance(init_cfg, (list, tuple))
             or len(init_cfg) != 2
-            or not all(isinstance(v, (int, float)) and v > 0 for v in init_cfg)
+            or not all(_is_finite_number(v) and v > 0 for v in init_cfg)
         ):
-            raise ValidationError("config key 'init': expected two positive numbers")
+            raise ValidationError("config key 'init': expected two finite positive numbers")
         init = (float(init_cfg[0]), float(init_cfg[1]))
 
     ingest, metadata = _ingest_fit_input(cfg, config_dir)
@@ -363,9 +386,9 @@ def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     params = _model_params(cfg)
     sim = _sim_config(cfg, seed)
     n_paths = _integer(cfg, "n_paths")
-    bins = _integer(cfg, "bins", 41)
-    if bins < 1:
-        raise ValidationError("config key 'bins': must be >= 1")
+    if n_paths * sim.n_steps > MAX_ENSEMBLE_STEPS:
+        raise ValidationError(f"config keys 'n_paths' x 'n_steps' exceed the limit {MAX_ENSEMBLE_STEPS}")
+    bins = _bins(cfg, 41)
     effective = dict(cfg, seed=seed)
     phash = _params_hash(effective)
 

@@ -15,16 +15,17 @@ when the path starts far from balance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PricePositivityError, ValidationError
-from .operator_core import PriceLevels, eigenprices
 from .spread_stats import Histogram
-from .stochastic_model import ModelParams, draw_elements, step_operator
-from .wave_dynamics import StateVector, imbalance, probabilities, propagate, randomize_phase
+from .stochastic_model import ModelParams
+# ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
+from .wave_dynamics import StateVector, _propagate_pair, propagate  # noqa: F401
 
 __all__ = [
     "MODE_BALANCED",
@@ -32,11 +33,9 @@ __all__ = [
     "POST_TRADE_SCRAMBLE",
     "POST_TRADE_COLLAPSE",
     "SimConfig",
-    "PathPoint",
     "PathSeries",
     "BookLevel",
     "CrashReport",
-    "select_trade",
     "simulate_path",
     "simulate_ensemble",
     "simulate_crash",
@@ -50,8 +49,9 @@ MODE_IMBALANCE_COUPLED = "imbalance-coupled"
 POST_TRADE_SCRAMBLE = "phase-scramble"
 POST_TRADE_COLLAPSE = "collapse"
 
-_ASK_STATE = StateVector(1.0, 0.0)
-_BID_STATE = StateVector(0.0, 1.0)
+#: Steps per bulk draw of the random sub-streams. Bounds the kernel's working
+#: memory beyond its output arrays; the draws do not depend on it.
+_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ class SimConfig:
     """Run configuration for a single simulated path.
 
     ``seed`` may be an int or a numpy SeedSequence; either way the run is
-    fully deterministic. Three independent sub-streams are derived from it
-    (element draws, trade selection, phase scrambles) so that disabling one
-    consumer cannot shift the draws seen by another.
+    fully deterministic. Four independent sub-streams are derived from it
+    (element draws, trade selection, phase scrambles, and the coupling
+    phases of ``complex_coupling``) so that disabling one consumer cannot
+    shift the draws seen by another.
     """
 
     n_steps: int
@@ -92,23 +93,6 @@ class SimConfig:
         object.__setattr__(self, "c_i", float(self.c_i))
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """One recorded step: quoted levels, the executed trade and the imbalance.
-
-    Invariant: s_bid <= s_trade <= s_ask, with ``side`` naming the executed
-    level. ``imbalance`` is sampled after propagation, before the post-trade
-    rule is applied.
-    """
-
-    t: int
-    s_bid: float
-    s_ask: float
-    s_trade: float
-    side: str
-    imbalance: float
-
-
 @dataclass(eq=False)
 class PathSeries:
     """Column-oriented record of one simulated path.
@@ -133,16 +117,6 @@ class PathSeries:
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    def point(self, k: int) -> PathPoint:
-        return PathPoint(
-            t=int(self.t[k]),
-            s_bid=float(self.s_bid[k]),
-            s_ask=float(self.s_ask[k]),
-            s_trade=float(self.s_trade[k]),
-            side=str(self.side[k]),
-            imbalance=float(self.imbalance[k]),
-        )
 
     def bid_fraction(self) -> float:
         return float(np.mean(self.side == "bid"))
@@ -186,79 +160,97 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed))
 
 
-def select_trade(
-    levels: PriceLevels, state: StateVector, rng: np.random.Generator
-) -> tuple[float, str]:
-    """Execute at the ask with probability |psi_ask|^2, else at the bid."""
-    p_ask, _ = probabilities(state)
-    if rng.random() < p_ask:
-        return levels.s_ask, "ask"
-    return levels.s_bid, "bid"
-
-
 def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     """Generate one coordinated bid/ask/trade path.
 
     Deterministic given (config, params): the same seed yields an identical
-    series. Raises :class:`PricePositivityError` if a trade price reaches
+    series. The step loop runs on plain floats over sub-stream draws made in
+    bulk, chunk by chunk, which are bitwise those of one draw per step.
+    Raises :class:`ValidationError` if a level or the propagation phase is
+    not finite, and :class:`PricePositivityError` if a trade price reaches
     zero or below (the arithmetic price formulation permits it; aborting
     keeps recorded statistics unbiased).
     """
+    coupled = config.mode == MODE_IMBALANCE_COUPLED
+    collapse = config.post_trade == POST_TRADE_COLLAPSE
+    complex_coupling = params.complex_coupling
     root = _seed_sequence(config.seed)
     rng_elem = np.random.default_rng(_child_seed(root, 0))
     rng_trade = np.random.default_rng(_child_seed(root, 1))
-    rng_phase = np.random.default_rng(_child_seed(root, 2))
+    if not collapse:
+        rng_phase = np.random.default_rng(_child_seed(root, 2))
+    if complex_coupling:
+        rng_coupling = np.random.default_rng(_child_seed(root, 3))
 
     n = config.n_steps
-    t = np.arange(n, dtype=np.int64)
-    s_bid = np.empty(n)
-    s_ask = np.empty(n)
-    s_trade_arr = np.empty(n)
-    side_arr = np.empty(n, dtype="U3")
-    imb = np.empty(n)
-    xi_arr = np.empty(n)
-    kappa_arr = np.empty(n, dtype=complex if params.complex_coupling else float)
+    s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty(n) for _ in range(5))
+    at_ask = np.empty(n, dtype=bool)
+    kappa_arr = np.empty(n, dtype=complex if complex_coupling else float)
+    columns = (s_bid, s_ask, s_trade_arr, at_ask, imb, xi_arr, kappa_arr)
 
-    coupled = config.mode == MODE_IMBALANCE_COUPLED
-    collapse = config.post_trade == POST_TRADE_COLLAPSE
-    state = config.initial_state
+    sigma, xi0, xi1 = params.sigma, params.xi0, params.xi1
+    kappa0, kappa1, c_i = params.kappa0, params.kappa1, config.c_i
+    dt, scale = params.dt, params.tau * params.s0
+    hypot, isfinite, exp = math.hypot, math.isfinite, cmath.exp
+    a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
     s_trade = config.initial_price
     resid_max = 0.0
 
-    for k in range(n):
-        if coupled:
-            draw = draw_elements(params, rng_elem, kappa_mean=config.c_i * imbalance(state))
-        else:
-            draw = draw_elements(params, rng_elem)
-        levels = eigenprices(step_operator(s_trade, params, draw))
-        state = propagate(state, draw.xi, draw.kappa, levels.s_mid, params)
-        i_k = imbalance(state)
-        price, side = select_trade(levels, state, rng_trade)
-        if price <= 0.0:
-            raise PricePositivityError(step=k, price=price)
-        if collapse:
-            state = _ASK_STATE if side == "ask" else _BID_STATE
-        else:
-            state = randomize_phase(state, rng_phase)
+    for k0 in range(0, n, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n - k0)
+        uniforms = rng_trade.random(m).tolist()
+        if not collapse:
+            thetas = rng_phase.uniform(0.0, 2.0 * math.pi, m).tolist()
+        if complex_coupling:
+            coupling_phases = rng_coupling.uniform(0.0, 2.0 * math.pi, m).tolist()
+        rows = []
+        for j, (dz, nx, nk) in enumerate(rng_elem.standard_normal((m, 3)).tolist()):
+            xi = xi0 + xi1 * nx
+            if coupled:
+                i_now = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+                kappa = c_i * min(1.0, max(-1.0, i_now)) + kappa1 * nk
+            else:
+                kappa = kappa0 + kappa1 * nk
+            if complex_coupling:
+                kappa = kappa * exp(1j * coupling_phases[j])
 
-        s_bid[k] = levels.s_bid
-        s_ask[k] = levels.s_ask
-        s_trade_arr[k] = price
-        side_arr[k] = side
-        imb[k] = i_k
-        xi_arr[k] = draw.xi
-        kappa_arr[k] = draw.kappa
-        resid = abs(levels.delta - math.hypot(draw.xi, abs(draw.kappa)))
-        if resid > resid_max:
-            resid_max = resid
-        s_trade = price
+            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+            common = s_trade + s_trade * sigma * dz
+            s11 = common + 0.5 * xi
+            s22 = common - 0.5 * xi
+            half_delta = hypot(0.5 * (s11 - s22), abs(0.5 * kappa))
+            s_mid = 0.5 * (s11 + s22)
+            ask = s_mid + half_delta
+            bid = s_mid - half_delta
+            if not (isfinite(ask) and isfinite(bid)):
+                raise ValidationError(f"price levels are not finite at step {k0 + j}")
+
+            a, b = _propagate_pair(a, b, xi, kappa, s_mid, dt, scale)
+            p_ask = a.real * a.real + a.imag * a.imag
+            i_k = min(1.0, max(-1.0, p_ask - (b.real * b.real + b.imag * b.imag)))
+            side = uniforms[j] < p_ask
+            price = ask if side else bid
+            if price <= 0.0:
+                raise PricePositivityError(step=k0 + j, price=price)
+            if collapse:
+                a, b = (1 + 0j, 0j) if side else (0j, 1 + 0j)
+            else:
+                a = a * exp(1j * thetas[j])
+
+            rows.append((bid, ask, price, side, i_k, xi, kappa))
+            resid = abs(2.0 * half_delta - hypot(xi, abs(kappa)))
+            if resid > resid_max:
+                resid_max = resid
+            s_trade = price
+        for column, values in zip(columns, zip(*rows)):
+            column[k0 : k0 + m] = values
 
     return PathSeries(
-        t=t,
+        t=np.arange(n, dtype=np.int64),
         s_bid=s_bid,
         s_ask=s_ask,
         s_trade=s_trade_arr,
-        side=side_arr,
+        side=np.where(at_ask, "ask", "bid"),
         imbalance=imb,
         xi=xi_arr,
         kappa=kappa_arr,

@@ -1,4 +1,4 @@
-"""Stochastic generation of the price-operator elements.
+"""Parameters of the stochastic price-operator elements.
 
 Each step the matrix elements are rebuilt around the last trade price:
 
@@ -12,21 +12,18 @@ multiplicative random walk, xi splits the diagonal (spread without level
 interaction) and kappa couples the levels, so the implied levels satisfy
 s_mid = s_trade*(1 + sigma*dz) and delta = sqrt(xi^2 + kappa^2). With
 xi = kappa = 0 the trade price reduces to the classical Wiener recursion
-s -> s + s*sigma*dz.
+s -> s + s*sigma*dz. ``market_sim.simulate_path`` draws the elements and
+forms the levels; this module holds their parameters.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .operator_core import PriceOperator2
 
-__all__ = ["ModelParams", "ElementDraw", "draw_elements", "step_operator"]
+__all__ = ["ModelParams"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,9 @@ class ModelParams:
     are free configuration inputs.
 
     With ``complex_coupling`` set, each kappa draw gets a uniform random
-    phase; the operator stays Hermitian and the spread depends on |kappa|
-    only, so the default (real) mode is statistically equivalent for spreads.
+    phase, drawn from a sub-stream of its own; the operator stays Hermitian
+    and the spread depends on |kappa| only, so the default (real) mode is
+    statistically equivalent for spreads.
     """
 
     sigma: float
@@ -68,46 +66,3 @@ class ModelParams:
             raise ValidationError("tau and s0 must be > 0")
         if self.dt <= 0:
             raise ValidationError("dt must be > 0")
-
-
-@dataclass(frozen=True)
-class ElementDraw:
-    """One step's random inputs: the common shock dz and the pair (xi, kappa)."""
-
-    dz: float
-    xi: float
-    kappa: complex  # real-valued float unless complex coupling is enabled
-
-
-def draw_elements(
-    params: ModelParams,
-    rng: np.random.Generator,
-    kappa_mean: float | None = None,
-) -> ElementDraw:
-    """Draw (dz, xi, kappa) for one step from ``rng``.
-
-    Consumes exactly three standard normals in the order dz, xi-noise,
-    kappa-noise (plus one uniform when complex coupling is on), so a fixed
-    seed reproduces the draw sequence exactly. ``kappa_mean`` overrides
-    params.kappa0 for this draw; the imbalance-coupled simulation mode uses
-    it to recentre the coupling on the current execution imbalance.
-    """
-    dz, nx, nk = rng.standard_normal(3)
-    xi = params.xi0 + params.xi1 * float(nx)
-    mean_k = params.kappa0 if kappa_mean is None else float(kappa_mean)
-    kappa: complex | float = mean_k + params.kappa1 * float(nk)
-    if params.complex_coupling:
-        kappa = kappa * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    return ElementDraw(dz=float(dz), xi=float(xi), kappa=kappa)
-
-
-def step_operator(s_trade: float, params: ModelParams, draw: ElementDraw) -> PriceOperator2:
-    """Price operator for the step following a trade at ``s_trade``."""
-    if not isinstance(s_trade, (int, float)) or not math.isfinite(s_trade):
-        raise ValidationError("s_trade must be a finite number")
-    common = s_trade + s_trade * params.sigma * draw.dz
-    return PriceOperator2(
-        s11=common + 0.5 * draw.xi,
-        s22=common - 0.5 * draw.xi,
-        s12=0.5 * draw.kappa,
-    )

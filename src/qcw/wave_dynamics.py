@@ -144,17 +144,31 @@ def propagate(
     by zero occurs.
 
     When ``renormalize`` is set (the default), the output is rescaled to unit
-    norm whenever floating-point drift exceeds :data:`RENORM_TRIGGER`.
+    norm whenever floating-point drift exceeds :data:`RENORM_TRIGGER`. A
+    phase s_mid*dt/(tau*s0) that is not finite raises :class:`ValidationError`.
     """
     scale = params.tau * params.s0
+    return StateVector(*_propagate_pair(
+        state.psi_ask, state.psi_bid, xi, kappa, s_mid, params.dt, scale, renormalize
+    ))
+
+
+def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=True):
+    """:func:`propagate` on a bare amplitude pair, with ``scale`` = tau*s0.
+
+    The simulation kernel calls it directly. Raises :class:`ValidationError`
+    if the phase s_mid*dt/scale is not finite.
+    """
+    if not math.isfinite(s_mid * dt / scale):
+        raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
     kappa = complex(kappa)
     delta = math.hypot(xi, abs(kappa))
-    global_phase = cmath.exp(-1j * s_mid * params.dt / scale)
+    global_phase = cmath.exp(-1j * s_mid * dt / scale)
 
     if delta == 0.0:
-        return StateVector(global_phase * state.psi_ask, global_phase * state.psi_bid)
+        return global_phase * psi_ask, global_phase * psi_bid
 
-    phi = 0.5 * delta * params.dt / scale
+    phi = 0.5 * delta * dt / scale
     c = math.cos(phi)
     s = math.sin(phi)
     u11 = complex(c, -s * (xi / delta))
@@ -162,8 +176,8 @@ def propagate(
     u21 = -1j * s * (kappa.conjugate() / delta)
     u22 = complex(c, s * (xi / delta))
 
-    a = global_phase * (u11 * state.psi_ask + u12 * state.psi_bid)
-    b = global_phase * (u21 * state.psi_ask + u22 * state.psi_bid)
+    a = global_phase * (u11 * psi_ask + u12 * psi_bid)
+    b = global_phase * (u21 * psi_ask + u22 * psi_bid)
 
     if renormalize:
         n = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
@@ -171,4 +185,4 @@ def propagate(
             r = 1.0 / math.sqrt(n)
             a *= r
             b *= r
-    return StateVector(a, b)
+    return a, b

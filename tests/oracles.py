@@ -5,11 +5,25 @@ different precision, or an external library) so each check has two routes to
 the same number.
 """
 
+import cmath
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
+
+from qcw import (
+    PathSeries,
+    PricePositivityError,
+    PriceOperator2,
+    StateVector,
+    eigenprices,
+    imbalance,
+    probabilities,
+    propagate,
+    randomize_phase,
+)
+from qcw.market_sim import MODE_IMBALANCE_COUPLED, POST_TRADE_COLLAPSE, _child_seed, _seed_sequence
 
 
 def eig_2x2_hermitian_extended(s11, s22, s12):
@@ -136,3 +150,63 @@ def spreads_by_row(low, high, denom=None):
             value /= float(denom[k])
         values.append(value)
     return values, len(low), crossed, zero, nonpositive
+
+
+def simulate_path_by_steps(config, params):
+    """Per-step reference for ``simulate_path``.
+
+    One draw call per step on each sub-stream (elements, trade, phase, and
+    coupling phase) and the public scalar API on state objects: the operator
+    as a ``PriceOperator2``, its levels from ``eigenprices``, ``propagate``,
+    ``probabilities``/``imbalance`` and ``randomize_phase``.
+    """
+    root = _seed_sequence(config.seed)
+    rng_elem, rng_trade, rng_phase, rng_coupling = (
+        np.random.default_rng(_child_seed(root, i)) for i in range(4)
+    )
+    coupled = config.mode == MODE_IMBALANCE_COUPLED
+    collapse = config.post_trade == POST_TRADE_COLLAPSE
+    cols = {name: [] for name in ("s_bid", "s_ask", "s_trade", "side", "imbalance", "xi", "kappa")}
+    state = config.initial_state
+    s_trade = config.initial_price
+    resid_max = 0.0
+
+    for k in range(config.n_steps):
+        dz, nx, nk = (float(v) for v in rng_elem.standard_normal(3))
+        xi = params.xi0 + params.xi1 * nx
+        mean_k = config.c_i * imbalance(state) if coupled else params.kappa0
+        kappa = mean_k + params.kappa1 * nk
+        if params.complex_coupling:
+            kappa = kappa * cmath.exp(1j * rng_coupling.uniform(0.0, 2.0 * math.pi))
+        common = s_trade + s_trade * params.sigma * dz
+        levels = eigenprices(PriceOperator2(common + 0.5 * xi, common - 0.5 * xi, 0.5 * kappa))
+        state = propagate(state, xi, kappa, levels.s_mid, params)
+        i_k = imbalance(state)
+        p_ask, _ = probabilities(state)
+        side = "ask" if rng_trade.random() < p_ask else "bid"
+        price = levels.s_ask if side == "ask" else levels.s_bid
+        if price <= 0.0:
+            raise PricePositivityError(step=k, price=price)
+        if collapse:
+            state = StateVector(1.0, 0.0) if side == "ask" else StateVector(0.0, 1.0)
+        else:
+            state = randomize_phase(state, rng_phase)
+
+        for name, value in zip(cols, (levels.s_bid, levels.s_ask, price, side, i_k, xi, kappa)):
+            cols[name].append(value)
+        resid_max = max(resid_max, abs(levels.delta - math.hypot(xi, abs(kappa))))
+        s_trade = price
+
+    return PathSeries(
+        t=np.arange(config.n_steps, dtype=np.int64),
+        s_bid=np.array(cols["s_bid"]),
+        s_ask=np.array(cols["s_ask"]),
+        s_trade=np.array(cols["s_trade"]),
+        side=np.array(cols["side"]),
+        imbalance=np.array(cols["imbalance"]),
+        xi=np.array(cols["xi"]),
+        kappa=np.array(cols["kappa"], dtype=complex if params.complex_coupling else float),
+        initial_price=config.initial_price,
+        seed=config.seed,
+        spread_residual_max=resid_max,
+    )

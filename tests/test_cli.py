@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcw import SpreadLaw, ValidationError, sample_spread
+from qcw import SpreadLaw, ValidationError, cli, sample_spread
 from qcw.cli import _atomic_write, _check_keys, main, read_path_csv, read_pdf_csv, read_qi_csv
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -187,6 +188,12 @@ def test_atomic_write_uses_umask_mode_and_leaves_no_temp(tmp_path):
 # fit
 # ---------------------------------------------------------------------------
 
+def fit_config(tmp_path, **overrides):
+    return write_config(
+        tmp_path, "fit.json", dict({"input": "quotes.csv", "format": "quotes"}, **overrides)
+    )
+
+
 def test_fit_round_trip_recovers_parameters(tmp_path):
     quotes_file(tmp_path, n=20_000)
     cfg = write_config(
@@ -362,3 +369,77 @@ def test_read_qi_csv_rejects_empty_table(tmp_path):
     path.write_text("# qcw=0.1.0\nbin_left,bin_right,mass\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="no rows"):
         read_qi_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# numeric edges and size limits
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any simulation or fit input read fail loudly: the size checks
+    must reject a config before anything is allocated or started."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started despite an over-limit config")
+
+    for name in ("simulate_path", "simulate_ensemble", "_ingest_fit_input"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def test_simulate_level_overflow_is_validation_error(tmp_path, capsys):
+    cfg = simulate_config(tmp_path, initial_price=1e300, sigma=1e10)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_phase_config_is_validation_error(tmp_path, capsys):
+    # the shipped config's seed at a price of 1e308: the mid price overflows,
+    # and with it the propagation phase s_mid*dt/(tau*s0); it used to end in
+    # a "math domain error" traceback
+    cfg = simulate_config(
+        tmp_path, initial_price=1e308, sigma=1.0, tau=0.0008, s0=100.0, seed=20190925
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_huge_integer_parameter_is_validation_error(tmp_path, capsys):
+    cfg = simulate_config(tmp_path, sigma=10**400)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'sigma'" in capsys.readouterr().err
+
+
+def test_size_limits_reject_before_allocating(tmp_path, capsys, no_work):
+    cases = [
+        ("simulate", simulate_config, {"n_steps": 100_000_000_000_000}, "'n_steps'"),
+        ("simulate", simulate_config, {"n_steps": cli.MAX_STEPS + 1}, "'n_steps'"),
+        ("imbalance", imbalance_config, {"n_paths": 10**4, "n_steps": 10**4 + 1}, "'n_paths'"),
+        ("imbalance", imbalance_config, {"bins": cli.MAX_BINS + 1}, "'bins'"),
+        ("fit", fit_config, {"bins": 1_000_000_000_000}, "'bins'"),
+    ]
+    assert 10**4 * (10**4 + 1) > cli.MAX_ENSEMBLE_STEPS
+    for command, make_config, overrides, key in cases:
+        cfg = make_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_size_limits_admit_the_limit_itself(tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "simulate_ensemble", reached)
+    cfg = imbalance_config(tmp_path, n_paths=10**4, n_steps=10**4, bins=cli.MAX_BINS)
+    with pytest.raises(Reached):
+        main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("init", [[math.inf, 0.1], [True, 0.1], [0.1, 10**400]])
+def test_fit_init_must_be_finite_positive_numbers(tmp_path, capsys, no_work, init):
+    cfg = fit_config(tmp_path, init=init)
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'init'" in capsys.readouterr().err

@@ -1,13 +1,17 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from oracles import simulate_path_by_steps
 
+import qcw.market_sim
 from qcw import (
     BookLevel,
     ModelParams,
-    PriceLevels,
     PricePositivityError,
     SimConfig,
     StateVector,
@@ -15,11 +19,15 @@ from qcw import (
     effective_levels,
     imbalance_summary,
     q_of_i,
-    select_trade,
     simulate_crash,
     simulate_ensemble,
     simulate_path,
 )
+from qcw.cli import _model_params, _sim_config
+from qcw.market_sim import _child_seed
+
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+PATH_FIELDS = ("t", "s_bid", "s_ask", "s_trade", "side", "imbalance", "xi", "kappa")
 
 # Scenario defaults (illustrative parameter choices, not calibrated values).
 # Balanced: moderate per-step rotation so the imbalance mixes quickly.
@@ -55,23 +63,30 @@ def crash_config(n_steps=400, seed=0, initial_imbalance=-0.9):
 # trade selection
 # ---------------------------------------------------------------------------
 
+# kappa = 0 leaves the moduli of the amplitude pair alone (the step unitary
+# is diagonal and the phase scramble touches phases only), so the execution
+# probability stays at its initial value along the whole path.
+NO_TRANSFER_PARAMS = replace(BALANCED_PARAMS, kappa1=0.0)
+
+
 def test_select_trade_certain_states():
-    rng = np.random.default_rng(1)
-    levels = PriceLevels(s_ask=100.2, s_bid=99.8, s_mid=100.0, delta=0.4)
-    for _ in range(50):
-        price, side = select_trade(levels, StateVector(1.0, 0.0), rng)
-        assert (price, side) == (100.2, "ask")
-        price, side = select_trade(levels, StateVector(0.0, 1.0), rng)
-        assert (price, side) == (99.8, "bid")
+    ask = simulate_path(balanced_config(n_steps=50, seed=1, initial_state=StateVector(1.0, 0.0)),
+                        NO_TRANSFER_PARAMS)
+    assert np.all(ask.side == "ask") and np.array_equal(ask.s_trade, ask.s_ask)
+    bid = simulate_path(balanced_config(n_steps=50, seed=1, initial_state=StateVector(0.0, 1.0)),
+                        NO_TRANSFER_PARAMS)
+    assert np.all(bid.side == "bid") and np.array_equal(bid.s_trade, bid.s_bid)
+    assert np.all(bid.s_bid < bid.s_ask)
 
 
 @pytest.mark.parametrize("p_ask", [0.5, 0.75])
 def test_select_trade_frequencies(p_ask):
-    rng = np.random.default_rng(2)
-    levels = PriceLevels(s_ask=100.2, s_bid=99.8, s_mid=100.0, delta=0.4)
     state = StateVector(math.sqrt(p_ask), math.sqrt(1.0 - p_ask))
     n = 100_000
-    hits = sum(select_trade(levels, state, rng)[1] == "ask" for _ in range(n))
+    config = balanced_config(n_steps=n, seed=2, initial_state=state)
+    path = simulate_path(config, NO_TRANSFER_PARAMS)
+    assert np.max(np.abs(path.imbalance - (2.0 * p_ask - 1.0))) < 1e-9
+    hits = int(np.sum(path.side == "ask"))
     assert abs(hits / n - p_ask) < 0.005
 
 
@@ -84,8 +99,7 @@ def test_step_count_contract():
         balanced_config(n_steps=0)
     path = simulate_path(balanced_config(n_steps=1), BALANCED_PARAMS)
     assert len(path) == 1
-    point = path.point(0)
-    assert point.s_bid <= point.s_trade <= point.s_ask
+    assert path.s_bid[0] <= path.s_trade[0] <= path.s_ask[0]
 
 
 def test_zero_spread_limit_collapses_levels():
@@ -183,6 +197,69 @@ def test_ensemble_seeds_are_disjoint_and_reproducible():
     assert len(set(flat)) == 8
     with pytest.raises(ValidationError):
         simulate_ensemble(balanced_config(), BALANCED_PARAMS, 0)
+
+
+# ---------------------------------------------------------------------------
+# kernel against the per-step oracle
+# ---------------------------------------------------------------------------
+
+def assert_bit_equal(path, ref):
+    for field in PATH_FIELDS:
+        a, b = getattr(path, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert np.float64(path.spread_residual_max).tobytes() == np.float64(
+        ref.spread_residual_max
+    ).tobytes()
+
+
+def shipped(name):
+    cfg = json.loads((CONFIGS_DIR / name).read_text())
+    return _sim_config(cfg, cfg["seed"]), _model_params(cfg)
+
+
+def kernel_cases():
+    config, params = shipped("simulate_balanced.json")
+    return {
+        "simulate_balanced": (config, params),
+        "collapse": (replace(config, n_steps=3000, post_trade="collapse"), params),
+        "nonzero_mean": (
+            replace(config, n_steps=3000),
+            replace(params, xi0=0.02, kappa0=-0.03),
+        ),
+        "complex_coupling": (
+            replace(config, n_steps=3000),
+            replace(params, complex_coupling=True),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_kernel_matches_per_step_oracle(case):
+    config, params = kernel_cases()[case]
+    assert_bit_equal(simulate_path(config, params), simulate_path_by_steps(config, params))
+
+
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_ensemble_paths_match_per_step_oracle(name):
+    config, params = shipped(name)
+    root = np.random.SeedSequence(config.seed)
+    for k, path in enumerate(simulate_ensemble(config, params, 3)):
+        ref = simulate_path_by_steps(replace(config, seed=_child_seed(root, k)), params)
+        assert_bit_equal(path, ref)
+
+
+def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
+    config, params = shipped("imbalance_crash.json")
+    ref = simulate_path_by_steps(config, params)
+    monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", 7)
+    assert_bit_equal(simulate_path(config, params), ref)
+
+
+def test_kernel_rejects_non_finite_propagation_phase():
+    # finite levels near 1e300, but s_mid*dt/(tau*s0) overflows
+    params = replace(BALANCED_PARAMS, tau=1e-9, s0=1.0)
+    with pytest.raises(ValidationError, match="phase"):
+        simulate_path(balanced_config(n_steps=10, initial_price=1e300), params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcw import (
     PriceOperator2,
@@ -90,6 +92,33 @@ def test_batch_agrees_with_scalar():
         assert levels.s_bid == pytest.approx(bid[k], rel=1e-15)
         assert levels.s_mid == mid[k]
         assert levels.delta == pytest.approx(delta[k], rel=1e-15)
+
+
+elements = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, elements, elements, elements)
+def test_eigenprices_identities_and_batch_property(s11, s22, re12, im12):
+    s12 = complex(re12, im12)
+    levels = eigenprices(PriceOperator2(s11, s22, s12))
+    ulp = np.spacing(max(abs(levels.s_ask), abs(levels.s_bid), levels.delta))
+    assert levels.s_ask >= levels.s_bid and levels.delta >= 0.0
+    assert levels.s_mid == 0.5 * (s11 + s22)
+    assert abs(0.5 * (levels.s_ask + levels.s_bid) - levels.s_mid) <= 2.0 * ulp
+    assert abs((levels.s_ask - levels.s_bid) - levels.delta) <= 4.0 * ulp
+    assert abs(levels.delta - math.hypot(s11 - s22, 2.0 * abs(s12))) <= 4.0 * np.spacing(
+        levels.delta
+    )
+    # The batch forms the same expressions in numpy. The mid is bit-equal;
+    # the spread may differ in the last bits, because math.hypot (CPython's
+    # own algorithm) and np.hypot (libm), and Python's and numpy's complex
+    # abs, round differently on a fraction of inputs.
+    ask, bid, mid, delta = (float(v[0]) for v in eigenprices_batch([s11], [s22], [s12]))
+    assert mid == levels.s_mid
+    assert abs(delta - levels.delta) <= 4.0 * np.spacing(levels.delta)
+    assert abs(ask - levels.s_ask) <= 4.0 * ulp
+    assert abs(bid - levels.s_bid) <= 4.0 * ulp
 
 
 def test_delta_invariant_under_coupling_phase():

@@ -1,17 +1,26 @@
+"""Element draws and the levels they imply, checked on simulated paths.
+
+A path records each step's (xi, kappa) and the levels formed from them, so
+the element model is observed through ``simulate_path``. The common shock
+dz is not recorded; where a check needs it, it is redrawn from the element
+sub-stream (child 0 of the seed), which yields (dz, xi-noise, kappa-noise)
+per step.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 from qcw import (
-    ElementDraw,
     ModelParams,
+    PriceOperator2,
+    SimConfig,
+    StateVector,
     ValidationError,
-    draw_elements,
-    eigenprices,
-    eigenprices_batch,
-    step_operator,
+    simulate_path,
 )
+from qcw.market_sim import _child_seed
 
 
 def make_params(**overrides):
@@ -22,65 +31,71 @@ def make_params(**overrides):
     return ModelParams(**base)
 
 
+def run(params, n_steps, seed=0, initial_price=100.0, **config):
+    # The moment tests start long walks at a high price so that they stay far
+    # from zero; neither the price nor sigma enters the element draws.
+    return simulate_path(
+        SimConfig(n_steps=n_steps, initial_price=initial_price, seed=seed, **config), params
+    )
+
+
+def element_normals(seed, n_steps):
+    """The (dz, xi-noise, kappa-noise) rows the path of ``seed`` consumed."""
+    rng = np.random.default_rng(_child_seed(np.random.SeedSequence(seed), 0))
+    return rng.standard_normal((n_steps, 3))
+
+
+def previous_trades(path):
+    return np.concatenate([[path.initial_price], path.s_trade[:-1]])
+
+
 def test_all_zero_draw_is_trivial():
-    params = make_params(sigma=0.0)
-    op = step_operator(100.0, params, ElementDraw(dz=0.0, xi=0.0, kappa=0.0))
-    assert op.s11 == op.s22 == 100.0 and op.s12 == 0.0
-    levels = eigenprices(op)
-    assert levels.delta == 0.0 and levels.s_mid == 100.0
+    path = run(make_params(sigma=0.0, xi1=0.0, kappa1=0.0), n_steps=1)
+    assert path.xi[0] == 0.0 and path.kappa[0] == 0.0
+    assert path.s_bid[0] == path.s_ask[0] == path.s_trade[0] == 100.0
 
 
 def test_decomposition_example():
-    params = make_params(sigma=0.0)
-    levels = eigenprices(step_operator(100.0, params, ElementDraw(dz=0.0, xi=0.06, kappa=0.08)))
-    assert levels.delta == pytest.approx(0.10, rel=1e-12)
-    assert levels.s_mid == pytest.approx(100.0, rel=1e-12)
+    path = run(make_params(sigma=0.0, xi0=0.06, xi1=0.0, kappa0=0.08, kappa1=0.0), n_steps=1)
+    assert path.s_ask[0] - path.s_bid[0] == pytest.approx(0.10, rel=1e-12)
+    assert 0.5 * (path.s_ask[0] + path.s_bid[0]) == pytest.approx(100.0, rel=1e-12)
 
 
 def test_mid_and_spread_identities_random_draws():
     # mid identity is relative to the price; the spread identity is checked
     # against the price scale because the diagonal difference is rounded at
     # that scale before the spread is formed.
-    rng = np.random.default_rng(31)
     params = make_params(sigma=0.02)
-    s_trade = 100.0
-    for _ in range(2000):
-        draw = draw_elements(params, rng)
-        levels = eigenprices(step_operator(s_trade, params, draw))
-        mid_expected = s_trade + s_trade * params.sigma * draw.dz
-        assert abs(levels.s_mid - mid_expected) <= 1e-12 * abs(mid_expected)
-        delta_expected = math.hypot(draw.xi, abs(draw.kappa))
-        assert abs(levels.delta - delta_expected) <= 1e-12 * s_trade
+    path = run(params, n_steps=2000, seed=31)
+    dz = element_normals(31, 2000)[:, 0]
+    s_prev = previous_trades(path)
+    mid_expected = s_prev + s_prev * params.sigma * dz
+    mid = 0.5 * (path.s_ask + path.s_bid)
+    assert np.all(np.abs(mid - mid_expected) <= 1e-12 * np.abs(mid_expected))
+    delta_expected = np.hypot(path.xi, np.abs(path.kappa))
+    assert np.all(np.abs((path.s_ask - path.s_bid) - delta_expected) <= 1e-12 * s_prev)
 
 
 def test_wiener_recursion_matches_bitwise():
     # with xi = kappa = 0 the decomposition collapses and the trade price
     # follows s -> s + s*sigma*dz exactly, bit for bit
     params = make_params(sigma=0.02, xi1=0.0, kappa1=0.0)
-    rng_model = np.random.default_rng(777)
-    rng_oracle = np.random.default_rng(777)
-    s_model = 100.0
+    path = run(params, n_steps=2000, seed=777)
+    assert np.array_equal(path.s_ask, path.s_bid)
+    assert np.array_equal(path.s_trade, path.s_bid)
+    rng_oracle = np.random.default_rng(_child_seed(np.random.SeedSequence(777), 0))
     s_oracle = 100.0
-    for _ in range(2000):
-        draw = draw_elements(params, rng_model)
-        levels = eigenprices(step_operator(s_model, params, draw))
-        assert levels.s_ask == levels.s_bid == levels.s_mid
-        s_model = levels.s_mid
+    for k in range(2000):
         dz = float(rng_oracle.standard_normal(3)[0])
         s_oracle = s_oracle + s_oracle * params.sigma * dz
-        assert s_model == s_oracle
+        assert path.s_trade[k] == s_oracle
 
 
 def test_draw_moments():
-    params = make_params(xi0=0.3, xi1=0.05, kappa0=-0.1, kappa1=0.08)
-    rng = np.random.default_rng(41)
+    params = make_params(sigma=0.0, xi0=0.3, xi1=0.05, kappa0=-0.1, kappa1=0.08)
     n = 1_000_000
-    xs = np.empty(n)
-    ks = np.empty(n)
-    for i in range(n):
-        draw = draw_elements(params, rng)
-        xs[i] = draw.xi
-        ks[i] = draw.kappa
+    path = run(params, n_steps=n, seed=41, initial_price=1e6)
+    xs, ks = path.xi, path.kappa
     assert abs(xs.mean() - params.xi0) < 4.0 * params.xi1 / 1000.0
     assert abs(xs.var() - params.xi1**2) < 0.01 * params.xi1**2
     assert abs(ks.mean() - params.kappa0) < 4.0 * params.kappa1 / 1000.0
@@ -89,61 +104,63 @@ def test_draw_moments():
 
 def test_mean_square_spread_moment():
     params = make_params(sigma=0.0, xi0=0.02, xi1=0.05, kappa0=-0.03, kappa1=0.04)
-    rng = np.random.default_rng(43)
-    n = 200_000
-    s11 = np.empty(n)
-    s22 = np.empty(n)
-    s12 = np.empty(n)
-    for i in range(n):
-        draw = draw_elements(params, rng)
-        op = step_operator(100.0, params, draw)
-        s11[i], s22[i], s12[i] = op.s11, op.s22, op.s12.real
-    _, _, _, delta = eigenprices_batch(s11, s22, s12)
+    path = run(params, n_steps=200_000, seed=43, initial_price=1e6)
+    delta = path.s_ask - path.s_bid
     expected = params.xi0**2 + params.xi1**2 + params.kappa0**2 + params.kappa1**2
     assert abs(np.mean(delta**2) - expected) < 0.01 * expected
 
 
 def test_deterministic_for_fixed_seed():
     params = make_params()
-    rng1 = np.random.default_rng(9)
-    rng2 = np.random.default_rng(9)
-    seq1 = [draw_elements(params, rng1) for _ in range(5)]
-    seq2 = [draw_elements(params, rng2) for _ in range(5)]
-    assert seq1 == seq2
-    assert len({d.dz for d in seq1}) == 5  # and the stream does advance
+    a = run(params, n_steps=5, seed=9)
+    b = run(params, n_steps=5, seed=9)
+    assert np.array_equal(a.xi, b.xi) and np.array_equal(a.kappa, b.kappa)
+    assert len(set(a.xi.tolist())) == 5  # and the stream does advance
 
 
 def test_zero_variance_pins_the_mean():
-    params = make_params(xi1=0.0)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        assert draw_elements(params, rng).xi == params.xi0
+    params = make_params(xi0=0.02, xi1=0.0)
+    assert np.all(run(params, n_steps=10, seed=5).xi == params.xi0)
 
 
 def test_kappa_mean_override():
-    params = make_params(kappa1=0.0)
-    rng = np.random.default_rng(6)
-    assert draw_elements(params, rng).kappa == params.kappa0
-    assert draw_elements(params, rng, kappa_mean=0.7).kappa == 0.7
+    params = make_params(kappa0=0.01, kappa1=0.0)
+    assert np.all(run(params, n_steps=10, seed=6).kappa == params.kappa0)
+    # in coupled mode the mean is c_i * I of the state the step starts from
+    coupled = run(
+        params,
+        n_steps=1,
+        seed=6,
+        mode="imbalance-coupled",
+        c_i=0.7,
+        initial_state=StateVector.from_imbalance(1.0),
+    )
+    assert coupled.kappa[0] == 0.7
 
 
 def test_complex_coupling_mode():
     params = make_params(kappa0=0.0, kappa1=0.06, complex_coupling=True)
-    rng = np.random.default_rng(51)
-    mods = []
-    for _ in range(20_000):
-        draw = draw_elements(params, rng)
-        assert isinstance(draw.kappa, complex)
-        mods.append(abs(draw.kappa))
+    path = run(params, n_steps=20_000, seed=51)
+    assert path.kappa.dtype == complex
+    assert np.all(path.kappa.imag != 0.0)
     # the random phase must not touch the modulus statistics
-    assert np.mean(np.square(mods)) == pytest.approx(params.kappa1**2, rel=0.03)
+    assert np.mean(np.abs(path.kappa) ** 2) == pytest.approx(params.kappa1**2, rel=0.03)
     # operator stays Hermitian and the spread still sees only |kappa|
-    draw = draw_elements(params, rng)
-    op = step_operator(100.0, params, draw)
-    mat = op.matrix()
+    mid = 0.5 * (path.s_ask[-1] + path.s_bid[-1])
+    xi, kappa = float(path.xi[-1]), complex(path.kappa[-1])
+    mat = PriceOperator2(mid + 0.5 * xi, mid - 0.5 * xi, 0.5 * kappa).matrix()
     assert np.allclose(mat, mat.conj().T)
-    levels = eigenprices(op)
-    assert levels.delta == pytest.approx(math.hypot(draw.xi, abs(draw.kappa)), abs=1e-10)
+    recomputed = np.hypot(path.xi, np.abs(path.kappa))
+    assert np.max(np.abs((path.s_ask - path.s_bid) - recomputed)) <= 1e-10
+
+
+def test_complex_coupling_keeps_xi_and_kappa_noise():
+    # the coupling phase has its own sub-stream: switching it on changes
+    # neither the xi draws nor the modulus of kappa (kappa0 = 0 here)
+    real = run(make_params(kappa0=0.0), n_steps=3000, seed=61)
+    rotated = run(make_params(kappa0=0.0, complex_coupling=True), n_steps=3000, seed=61)
+    assert np.array_equal(real.xi, rotated.xi)
+    assert np.allclose(np.abs(rotated.kappa), np.abs(real.kappa), rtol=1e-15, atol=0.0)
 
 
 def test_parameter_validation():
@@ -159,5 +176,9 @@ def test_parameter_validation():
         make_params(dt=0.0)
     with pytest.raises(ValidationError):
         make_params(kappa0=math.nan)
-    with pytest.raises(ValidationError):
-        step_operator(math.inf, make_params(), ElementDraw(0.0, 0.0, 0.0))
+    # a level that overflows is rejected, not carried along: through the
+    # common shock, or through the coupling (seed 0 draws kappa-noise 0.74 first)
+    with pytest.raises(ValidationError, match="not finite"):
+        run(make_params(sigma=1e10), n_steps=10, initial_price=1e300)
+    with pytest.raises(ValidationError, match="levels are not finite"):
+        run(make_params(kappa0=1.5e308, kappa1=1e308), n_steps=1)

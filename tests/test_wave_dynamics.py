@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcw import (
     ModelParams,
@@ -100,6 +102,37 @@ def test_unitarity_over_long_run():
         )
         worst = max(worst, abs(state.norm_sq() - 1.0))
     assert worst < 1e-9
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+elements = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    angles,
+    angles,
+    elements,
+    elements,
+    elements,
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_propagate_preserves_norm_property(mix, phase_a, phase_b, xi, re_k, im_k, s_mid, dt):
+    state = StateVector(
+        math.cos(mix) * cmath.exp(1j * phase_a), math.sin(mix) * cmath.exp(1j * phase_b)
+    )
+    params = phase_params(dt)
+    raw = propagate(state, xi, complex(re_k, im_k), s_mid, params, renormalize=False)
+    assert abs(raw.norm_sq() - 1.0) <= 1e-13
+    out = propagate(state, xi, complex(re_k, im_k), s_mid, params)
+    assert abs(out.norm_sq() - 1.0) <= 1e-12
+
+
+def test_propagate_rejects_non_finite_phase():
+    with pytest.raises(ValidationError, match="phase"):
+        propagate(StateVector.balanced(), 0.1, 0.1, 1e300, phase_params(1.0, tau=1e-9))
 
 
 def test_global_phase_has_no_observable_effect():
