@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import PricePositivityError, ValidationError
 from .spread_stats import Histogram
 from .stochastic_model import ModelParams
 # ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
-from .wave_dynamics import StateVector, _propagate_pair, propagate  # noqa: F401
+from .wave_dynamics import RENORM_TRIGGER, StateVector, _propagate_pair, propagate  # noqa: F401
 
 __all__ = [
     "MODE_BALANCED",
@@ -74,7 +74,7 @@ class SimConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, int) or self.n_steps < 1:
             raise ValidationError("n_steps must be an integer >= 1")
         if (
             not isinstance(self.initial_price, (int, float))
@@ -166,10 +166,10 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     Deterministic given (config, params): the same seed yields an identical
     series. The step loop runs on plain floats over sub-stream draws made in
     bulk, chunk by chunk, which are bitwise those of one draw per step.
-    Raises :class:`ValidationError` if a level or the propagation phase is
-    not finite, and :class:`PricePositivityError` if a trade price reaches
-    zero or below (the arithmetic price formulation permits it; aborting
-    keeps recorded statistics unbiased).
+    Raises :class:`ValidationError` if a level, the propagation phase or the
+    rotation angle is not finite, and :class:`PricePositivityError` if a
+    trade price reaches zero or below (the arithmetic price formulation
+    permits it; aborting keeps recorded statistics unbiased).
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -265,19 +265,247 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
 
     Path k uses the k-th child of the master seed, so the ensemble is
     reproducible as a whole and each member individually; merging statistics
-    across members is order-independent. A :class:`PricePositivityError`
-    names the path index ``k`` that aborted.
+    across members is order-independent. Every path is bitwise the
+    :func:`simulate_path` run on its child seed, but all paths advance in
+    lockstep, one numpy operation over the path axis per step.
+
+    A path that aborts stops the whole ensemble. The abort reported is the
+    first in step order, the lowest path index on a tie, and its message
+    names that step and path: :class:`ValidationError` for a level, phase or
+    rotation angle that is not finite, :class:`PricePositivityError` (with
+    ``step`` and ``path`` set) for a trade price at or below zero.
     """
-    if not isinstance(n_paths, int) or n_paths < 1:
+    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
     root = _seed_sequence(config.seed)
-    paths = []
-    for k in range(n_paths):
-        try:
-            paths.append(simulate_path(replace(config, seed=_child_seed(root, k)), params))
-        except PricePositivityError as exc:
-            raise PricePositivityError(exc.step, exc.price, path=k) from exc
-    return paths
+    seeds = [_child_seed(root, k) for k in range(n_paths)]
+    with np.errstate(all="ignore"):
+        columns, resid_max = _simulate_lockstep(config, params, seeds)
+    t = np.arange(config.n_steps, dtype=np.int64)
+    s_bid, s_ask, s_trade, at_ask, imb, xi, kappa = columns
+    side = np.where(at_ask, "ask", "bid")
+    return [
+        PathSeries(
+            t=t,
+            s_bid=s_bid[k],
+            s_ask=s_ask[k],
+            s_trade=s_trade[k],
+            side=side[k],
+            imbalance=imb[k],
+            xi=xi[k],
+            kappa=kappa[k],
+            initial_price=config.initial_price,
+            seed=seed,
+            spread_residual_max=float(resid_max[k]),
+        )
+        for k, seed in enumerate(seeds)
+    ]
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise; ``np.hypot`` rounds differently on some inputs.
+
+    Goes row by row, so that no more than a row of Python floats is alive.
+    """
+    out = np.empty(x.shape)
+    for row, x_row, y_row in zip(np.atleast_2d(out), np.atleast_2d(x), np.atleast_2d(y)):
+        row[:] = list(map(math.hypot, x_row.tolist(), y_row.tolist()))
+    return out
+
+
+def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
+    """The step unitary of :func:`_propagate_pair` for arrays of draws.
+
+    Returns ``(half_k, delta, finite_angle, c, x, p, q)``: ``half_k`` =
+    abs(kappa/2) for the levels, delta = hypot(xi, abs(kappa)), whether the
+    angle phi = delta*dt/(2*scale) is finite, and the bracket
+    [[c - i*x, q - i*p], [-q - i*p, c + i*x]] rounded as ``_propagate_pair``
+    rounds it (zero signs aside, which no output sees). Where delta = 0 the
+    bracket is the identity; ``q`` is 0 for real kappa.
+    """
+    is_complex = kappa.dtype.kind == "c"
+    if is_complex:
+        flat = kappa.ravel().tolist()
+        abs_k = np.fromiter(map(abs, flat), float, kappa.size).reshape(kappa.shape)
+        half_k = np.array([abs(0.5 * z) for z in flat]).reshape(kappa.shape)
+    else:
+        abs_k, half_k = np.abs(kappa), np.abs(0.5 * kappa)
+    delta = _hypot(xi, abs_k)
+    del abs_k
+    phi = 0.5 * delta * dt / scale
+    s = np.sin(phi)
+    idle = delta == 0.0
+
+    def entry(v):  # s * (v / delta), 0 where delta = 0
+        e = v / delta
+        e *= s
+        e[idle] = 0.0
+        return e
+
+    x, p = entry(xi), entry(kappa.real)
+    q = entry(kappa.imag) if is_complex else np.broadcast_to(0.0, delta.shape)
+    return half_k, delta, np.isfinite(phi), np.cos(phi), x, p, q
+
+
+def _with_phase(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """kappa * exp(1j*theta) in Python's complex arithmetic, as the scalar kernel."""
+    exp = cmath.exp
+    values = [k * exp(1j * t) for k, t in zip(kappa.ravel().tolist(), theta.ravel().tolist())]
+    return np.array(values, dtype=complex).reshape(kappa.shape)
+
+
+def _simulate_lockstep(config: SimConfig, params: ModelParams, seeds: list):
+    """:func:`simulate_path` for every seed at once, over arrays of paths.
+
+    Each path draws from its own sub-streams exactly as the scalar kernel
+    does; the draws of one chunk of steps land in (steps, paths) arrays,
+    and everything that depends on neither the price nor the state is
+    computed once per chunk. Amplitudes are kept as four float arrays and
+    every product is written out in CPython's complex order, since numpy's
+    complex multiply rounds differently. Returns the (paths, steps) output
+    columns and each path's spread residual maximum.
+    """
+    coupled = config.mode == MODE_IMBALANCE_COUPLED
+    collapse = config.post_trade == POST_TRADE_COLLAPSE
+    complex_coupling = params.complex_coupling
+
+    def streams(i):
+        return [np.random.default_rng(_child_seed(seed, i)) for seed in seeds]
+
+    def phases(rngs, m):
+        return np.stack([rng.uniform(0.0, 2.0 * math.pi, m) for rng in rngs], axis=1)
+
+    rng_elem, rng_trade = streams(0), streams(1)
+    if not collapse:
+        rng_phase = streams(2)
+    if complex_coupling:
+        rng_coupling = streams(3)
+
+    n_paths, n = len(seeds), config.n_steps
+    s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty((n_paths, n)) for _ in range(5))
+    at_ask = np.empty((n_paths, n), dtype=bool)
+    kappa_arr = np.empty((n_paths, n), dtype=complex if complex_coupling else float)
+
+    sigma, xi0, xi1 = params.sigma, params.xi0, params.xi1
+    kappa0, kappa1, c_i = params.kappa0, params.kappa1, config.c_i
+    dt, scale = params.dt, params.tau * params.s0
+    a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
+    ar, ai, br, bi = (np.full(n_paths, v) for v in (a.real, a.imag, b.real, b.imag))
+    s_trade = np.full(n_paths, config.initial_price)
+    resid_max = np.zeros(n_paths)
+
+    for k0 in range(0, n, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n - k0)
+        block = np.empty((n_paths, m, 3))
+        for rng, out in zip(rng_elem, block):
+            rng.standard_normal(out=out)
+        dz, nx, nk = block.transpose(2, 1, 0).copy()
+        del block
+        if complex_coupling:
+            coupling_phases = phases(rng_coupling, m)
+        xi = xi0 + xi1 * nx
+        xi_arr[:, k0 : k0 + m] = xi.T
+        if coupled:
+            kappa_noise = kappa1 * nk
+        else:
+            kappa = kappa0 + kappa1 * nk
+            if complex_coupling:
+                kappa = _with_phase(kappa, coupling_phases)
+            kappa_arr[:, k0 : k0 + m] = kappa.T
+            rotations = _rotations(xi, kappa, dt, scale)
+            del kappa
+        half_xi = 0.5 * xi
+        del nx, nk, xi
+        uniforms = np.stack([rng.random(m) for rng in rng_trade], axis=1)
+        if not collapse:
+            thetas = phases(rng_phase, m)
+            scramble_cos, scramble_sin = np.cos(thetas), np.sin(thetas)
+            del thetas
+
+        for j in range(m):
+            step = k0 + j
+            if coupled:
+                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + kappa_noise[j]
+                if complex_coupling:
+                    kappa_j = _with_phase(kappa_j, coupling_phases[j])
+                kappa_arr[:, step] = kappa_j
+                half_k, delta, finite_angle, c, x, p, q = _rotations(
+                    xi_arr[:, step], kappa_j, dt, scale
+                )
+            else:
+                half_k, delta, finite_angle, c, x, p, q = (r[j] for r in rotations)
+
+            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+            common = s_trade + s_trade * sigma * dz[j]
+            s11 = common + half_xi[j]
+            s22 = common - half_xi[j]
+            half_delta = _hypot(0.5 * (s11 - s22), half_k)
+            s_mid = 0.5 * (s11 + s22)
+            ask = s_mid + half_delta
+            bid = s_mid - half_delta
+
+            # global phase exp(-1j*s_mid*dt/scale), then the bracket
+            phase = s_mid * dt / scale
+            gc, gs = np.cos(-phase), np.sin(-phase)
+            ur = (c * ar + x * ai) + (q * br + p * bi)
+            ui = (c * ai - x * ar) + (q * bi - p * br)
+            vr = (p * ai - q * ar) + (c * br - x * bi)
+            vi = (c * bi + x * br) - (q * ai + p * ar)
+            ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
+            br, bi = gc * vr - gs * vi, gc * vi + gs * vr
+            # _propagate_pair returns before renormalizing where delta = 0
+            norm = ar * ar + ai * ai + br * br + bi * bi
+            drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
+            if drift.any():
+                r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
+                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+
+            p_ask = ar * ar + ai * ai
+            i_k = np.clip(p_ask - (br * br + bi * bi), -1.0, 1.0)
+            side = uniforms[j] < p_ask
+            price = np.where(side, ask, bid)
+            ok = np.isfinite(ask) & np.isfinite(bid) & np.isfinite(phase) & finite_angle
+            if not (ok & (price > 0.0)).all():
+                _abort(step, ask, bid, phase, finite_angle, price)
+            if collapse:
+                ar = side.astype(float)
+                br = 1.0 - ar
+                ai = bi = np.zeros(n_paths)
+            else:
+                ar, ai = (
+                    ar * scramble_cos[j] - ai * scramble_sin[j],
+                    ar * scramble_sin[j] + ai * scramble_cos[j],
+                )
+
+            s_bid[:, step] = bid
+            s_ask[:, step] = ask
+            s_trade_arr[:, step] = price
+            at_ask[:, step] = side
+            imb[:, step] = i_k
+            np.maximum(resid_max, np.abs(2.0 * half_delta - delta), out=resid_max)
+            s_trade = price
+
+    return (s_bid, s_ask, s_trade_arr, at_ask, imb, xi_arr, kappa_arr), resid_max
+
+
+def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:
+    """Raise the abort of the lowest path index that fails a check at ``step``.
+
+    The checks of one path run in the scalar kernel's order: finite levels,
+    finite propagation phase, finite rotation angle, positive trade price.
+    """
+    isfinite = math.isfinite
+    for k in range(price.size):
+        where = f"step {step} of path {k}"
+        if not (isfinite(ask[k]) and isfinite(bid[k])):
+            raise ValidationError(f"price levels are not finite at {where}")
+        if not isfinite(phase[k]):
+            raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite at {where}")
+        if not finite_angle[k]:
+            raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
+        if not price[k] > 0.0:
+            raise PricePositivityError(step, float(price[k]), path=k)
 
 
 def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:

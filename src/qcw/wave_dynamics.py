@@ -145,7 +145,8 @@ def propagate(
 
     When ``renormalize`` is set (the default), the output is rescaled to unit
     norm whenever floating-point drift exceeds :data:`RENORM_TRIGGER`. A
-    phase s_mid*dt/(tau*s0) that is not finite raises :class:`ValidationError`.
+    phase s_mid*dt/(tau*s0) or an angle phi that is not finite raises
+    :class:`ValidationError`.
     """
     scale = params.tau * params.s0
     return StateVector(*_propagate_pair(
@@ -157,7 +158,7 @@ def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=T
     """:func:`propagate` on a bare amplitude pair, with ``scale`` = tau*s0.
 
     The simulation kernel calls it directly. Raises :class:`ValidationError`
-    if the phase s_mid*dt/scale is not finite.
+    if the phase s_mid*dt/scale or the angle delta*dt/(2*scale) is not finite.
     """
     if not math.isfinite(s_mid * dt / scale):
         raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
@@ -169,6 +170,8 @@ def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=T
         return global_phase * psi_ask, global_phase * psi_bid
 
     phi = 0.5 * delta * dt / scale
+    if not math.isfinite(phi):
+        raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite ({delta=!r})")
     c = math.cos(phi)
     s = math.sin(phi)
     u11 = complex(c, -s * (xi / delta))

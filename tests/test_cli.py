@@ -2,13 +2,23 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcw import SpreadLaw, ValidationError, cli, sample_spread
+from qcw import (
+    SpreadLaw,
+    ValidationError,
+    cli,
+    imbalance_summary,
+    q_of_i,
+    sample_spread,
+    simulate_path,
+)
 from qcw.cli import _atomic_write, _check_keys, main, read_path_csv, read_pdf_csv, read_qi_csv
+from qcw.market_sim import _child_seed
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -362,6 +372,34 @@ def test_imbalance_positivity_abort_names_path(tmp_path, capsys):
     cfg = imbalance_config(tmp_path, sigma=0.5)
     assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     assert re.search(r"<= 0 at step \d+ of path \d+$", capsys.readouterr().err.strip())
+
+
+def test_imbalance_level_overflow_names_path(tmp_path, capsys):
+    cfg = json.loads((CONFIGS_DIR / "imbalance_balanced.json").read_text(encoding="utf-8"))
+    path = write_config(tmp_path, "imbalance.json", dict(cfg, initial_price=1e308, sigma=1.0))
+    assert main(["imbalance", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert re.search(r"levels are not finite at step \d+ of path \d+$", err)
+
+
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_imbalance_outputs_equal_per_path_runs(tmp_path, name):
+    cfg = json.loads((CONFIGS_DIR / name).read_text(encoding="utf-8"))
+    out = tmp_path / "qi"
+    assert main(["imbalance", "--config", str(CONFIGS_DIR / name), "--out", str(out)]) == 0
+
+    sim, params = cli._sim_config(cfg, cfg["seed"]), cli._model_params(cfg)
+    root = np.random.SeedSequence(cfg["seed"])
+    paths = [
+        simulate_path(replace(sim, seed=_child_seed(root, k)), params)
+        for k in range(cfg["n_paths"])
+    ]
+    hist, ref = read_qi_csv(out / "qi.csv"), q_of_i(paths, bins=cfg["bins"])
+    assert hist.edges.tobytes() == ref.edges.tobytes()
+    assert hist.masses.tobytes() == ref.masses.tobytes()
+    moments = json.loads((out / "moments.json").read_text(encoding="utf-8"))
+    summary = imbalance_summary(paths)
+    assert {key: moments[key] for key in summary} == summary
 
 
 def test_read_qi_csv_rejects_empty_table(tmp_path):

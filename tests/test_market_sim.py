@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import simulate_path_by_steps
 
 import qcw.market_sim
@@ -197,6 +199,8 @@ def test_ensemble_seeds_are_disjoint_and_reproducible():
     assert len(set(flat)) == 8
     with pytest.raises(ValidationError):
         simulate_ensemble(balanced_config(), BALANCED_PARAMS, 0)
+    with pytest.raises(ValidationError):
+        simulate_ensemble(balanced_config(), BALANCED_PARAMS, True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +243,109 @@ def test_kernel_matches_per_step_oracle(case):
     assert_bit_equal(simulate_path(config, params), simulate_path_by_steps(config, params))
 
 
-@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
-def test_ensemble_paths_match_per_step_oracle(name):
-    config, params = shipped(name)
+def ensemble_cases():
+    config, params = shipped("simulate_balanced.json")
+    cases = {name: shipped(name) for name in ("imbalance_balanced.json", "imbalance_crash.json")}
+    cases.update(kernel_cases())
+    # the Wiener limit xi = kappa = 0: delta = 0 at every step, so a norm
+    # drift within NORM_TOL but above RENORM_TRIGGER is never renormalized
+    cases["wiener"] = (
+        replace(config, n_steps=3000, initial_state=StateVector(0.8, 0.6 * (1.0 + 1e-10))),
+        replace(params, xi1=0.0, kappa1=0.0),
+    )
+    return cases
+
+
+def assert_ensemble_matches_paths(config, params, n_paths):
+    """Every path of the lockstep ensemble is bitwise simulate_path on its child seed."""
+    ensemble = simulate_ensemble(config, params, n_paths)
+    assert len(ensemble) == n_paths
     root = np.random.SeedSequence(config.seed)
-    for k, path in enumerate(simulate_ensemble(config, params, 3)):
+    for k, path in enumerate(ensemble):
+        assert_bit_equal(path, simulate_path(replace(config, seed=_child_seed(root, k)), params))
+    return ensemble
+
+
+@pytest.mark.parametrize("name", sorted(ensemble_cases()))
+def test_ensemble_paths_match_per_step_oracle(name):
+    config, params = ensemble_cases()[name]
+    ensemble = assert_ensemble_matches_paths(config, params, 8)
+    root = np.random.SeedSequence(config.seed)
+    for k, path in enumerate(ensemble[:3]):
         ref = simulate_path_by_steps(replace(config, seed=_child_seed(root, k)), params)
         assert_bit_equal(path, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_paths=st.integers(1, 8),
+    n_steps=st.integers(1, 60),
+    mode=st.sampled_from(["balanced", "imbalance-coupled"]),
+    post_trade=st.sampled_from(["phase-scramble", "collapse"]),
+    complex_coupling=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_matches_paths_property(
+    n_paths, n_steps, mode, post_trade, complex_coupling, seed
+):
+    config = crash_config(n_steps=n_steps, seed=seed, initial_imbalance=-0.5)
+    config = replace(config, mode=mode, post_trade=post_trade)
+    params = replace(BALANCED_PARAMS, kappa0=0.01, complex_coupling=complex_coupling)
+    assert_ensemble_matches_paths(config, params, n_paths)
 
 
 def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
     config, params = shipped("imbalance_crash.json")
     ref = simulate_path_by_steps(config, params)
+    ensembles = {
+        name: simulate_ensemble(*shipped(name), 4)
+        for name in ("imbalance_balanced.json", "imbalance_crash.json")
+    }
     monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", 7)
     assert_bit_equal(simulate_path(config, params), ref)
+    for name, ensemble in ensembles.items():
+        for path, ref_path in zip(simulate_ensemble(*shipped(name), 4), ensemble):
+            assert_bit_equal(path, ref_path)
 
 
 def test_kernel_rejects_non_finite_propagation_phase():
     # finite levels near 1e300, but s_mid*dt/(tau*s0) overflows
     params = replace(BALANCED_PARAMS, tau=1e-9, s0=1.0)
+    config = balanced_config(n_steps=10, initial_price=1e300)
     with pytest.raises(ValidationError, match="phase"):
-        simulate_path(balanced_config(n_steps=10, initial_price=1e300), params)
+        simulate_path(config, params)
+    with pytest.raises(ValidationError, match="phase .* at step 0 of path 0$"):
+        simulate_ensemble(config, params, 3)
+
+
+def test_kernel_rejects_non_finite_rotation_angle():
+    # delta ~ 1e300 keeps the levels finite, but delta*dt/(2*tau*s0) overflows
+    params = replace(BALANCED_PARAMS, xi0=1e300, tau=1e-12, s0=1.0)
+    config = balanced_config(n_steps=10)
+    with pytest.raises(ValidationError, match="rotation angle"):
+        simulate_path(config, params)
+    with pytest.raises(ValidationError, match="rotation angle .* at step 0 of path 0$"):
+        simulate_ensemble(config, params, 3)
+
+
+# seed 0: path 2 aborts first (step 14), before path 0 (step 20);
+# seed 3: paths 0 and 1 both abort first, at step 11
+@pytest.mark.parametrize("seed", [0, 3])
+def test_ensemble_reports_first_abort_in_step_order(seed):
+    params = replace(BALANCED_PARAMS, sigma=0.5)
+    config = balanced_config(n_steps=400, seed=seed)
+    root = np.random.SeedSequence(seed)
+    aborts = []
+    for k in range(4):
+        try:
+            simulate_path(replace(config, seed=_child_seed(root, k)), params)
+        except PricePositivityError as exc:
+            aborts.append((exc.step, k, exc.price))
+    step, path, price = min(aborts)
+    assert path > 0 or sorted(aborts)[1][0] == step  # the case is one of the two above
+    with pytest.raises(PricePositivityError) as err:
+        simulate_ensemble(config, params, 4)
+    assert (err.value.step, err.value.path, err.value.price) == (step, path, price)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +496,8 @@ def test_effective_levels_errors():
 # ---------------------------------------------------------------------------
 
 def test_sim_config_validation():
+    with pytest.raises(ValidationError):
+        balanced_config(n_steps=True)
     with pytest.raises(ValidationError):
         balanced_config(initial_price=0.0)
     with pytest.raises(ValidationError):
