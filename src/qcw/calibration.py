@@ -1,11 +1,15 @@
 """Maximum-likelihood calibration of the spread law and data ingestion.
 
 Fits (xi1, kappa1) to observed spread samples by maximizing the spread-law
-log-likelihood with Nelder-Mead over log-parameters (positivity for free,
-robust near the symmetric ridge xi1 = kappa1). The likelihood is exactly
-symmetric under swapping the two parameters, so the intrinsic and coupling
-scales are not individually identifiable from spread data alone; results are
-reported in the canonical order xi1_hat >= kappa1_hat.
+log-likelihood, with no 2-D search. In the scale-free units
+t = (d/s)^2 / mean((d/s)^2), s = max(d), the law's parameter a has a closed
+form given b (the profile likelihood), so every local maximum is a root of
+a 1-D profile score in b, bracketed on powers of two and solved by Brent's
+method; where the score is negative at b = 0, the Rayleigh line
+xi1 = kappa1 is a candidate too. The likelihood is exactly symmetric under
+swapping the two parameters, so the intrinsic and coupling scales are not
+individually identifiable from spread data alone; results are reported in
+the canonical order xi1_hat >= kappa1_hat.
 
 Spread samples come from quote rows (ask - bid) or OHLC bars, where the bar
 high plays the role of the ask and the low the role of the bid; relative
@@ -20,10 +24,9 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .errors import ValidationError
-from .spread_stats import SpreadLaw, spread_log_pdf
 
 __all__ = [
     "MIN_FIT_SAMPLES",
@@ -41,15 +44,25 @@ MIN_FIT_SAMPLES = 50
 OHLC_MODE_ABSOLUTE = "absolute"
 OHLC_MODE_RELATIVE = "relative"
 
-# Coefficient of variation of the spread at the two parameter extremes:
-# equal scales give a Rayleigh law, a vanishing scale gives a half-normal.
-_CV_RAYLEIGH = math.sqrt(4.0 / math.pi - 1.0)
-_CV_HALF_NORMAL = math.sqrt(math.pi / 2.0 - 1.0)
+# Powers of two that bound the search for the profile root b. A root below
+# 2^-60 is the Rayleigh line to working precision; past 2^50 (a scale ratio
+# near 7e7) the score is smaller than the rounding of its own terms.
+_B_EXPONENTS = (-60, 50)
+
+# phi(x) = 2x (1 - I1(x)/I0(x)) >= 1 + 1/(4x) holds from x = 1.31 on, which
+# bounds the profile score from above without Bessel functions for the
+# samples with b t past this point.
+_BOUND_FROM = 1.5
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """MLE output, canonically ordered so that xi1_hat >= kappa1_hat."""
+    """MLE output, canonically ordered so that xi1_hat >= kappa1_hat.
+
+    ``iterations`` counts root-finder iterations and ``nfev`` the
+    evaluations over the samples: of the profile score, of its bound and of
+    the log-likelihood.
+    """
 
     xi1_hat: float
     kappa1_hat: float
@@ -57,6 +70,7 @@ class FitResult:
     n: int
     converged: bool
     iterations: int
+    nfev: int
 
 
 @dataclass(frozen=True)
@@ -79,20 +93,148 @@ class IngestResult:
         }
 
 
-def moment_init(values: np.ndarray) -> tuple[float, float]:
-    """Moment-matching starting point for the optimizer.
+def _asymptotic_series(nu: int, terms: int = 16) -> np.ndarray:
+    """Coefficients c_k of e^-x sqrt(2 pi x) I_nu(x) ~ sum_k c_k x^-k
+    (Abramowitz & Stegun 9.7.1), highest power first for ``np.polyval``."""
+    coeffs = [1.0]
+    for k in range(1, terms + 1):
+        coeffs.append(coeffs[-1] * ((2 * k - 1) ** 2 - 4 * nu * nu) / (8 * k))
+    return np.array(coeffs[::-1])
 
-    The second moment fixes xi1^2 + kappa1^2 = mean(Delta^2); the split is
-    read off the sample coefficient of variation, interpolating between the
-    Rayleigh (equal-scale) and half-normal (one scale vanishing) extremes.
+
+# phi(x) - 1 from x = 50 on is a ratio of 16-term asymptotic series,
+# accurate there to an ulp: phi(x) = 2x (I0 - I1)/I0, and the leading terms
+# of 2x (I0 - I1) and I0 cancel exactly in the coefficients. Forming phi
+# from i1e/i0e would lose a factor 2x of relative precision, and the score
+# sums n terms near -1/(4x) whose total is far smaller when the scale ratio
+# is large.
+_SERIES_FROM = 50.0
+_I0_SERIES = _asymptotic_series(0)
+_PHI_EXCESS_SERIES = 2.0 * (_I0_SERIES - _asymptotic_series(1))[:-1] - _I0_SERIES[1:]
+
+
+def _sum_psi_minus_phi(x: np.ndarray, gap: float) -> float:
+    """sum_i (psi - phi(x_i)) for x >= 0 sorted ascending, where
+    phi(x) = 2x (1 - I1(x)/I0(x)) and psi = 1 - ``gap``."""
+    j = int(np.searchsorted(x, _SERIES_FROM))
+    near, y = x[:j], 1.0 / x[j:]
+    return (
+        float(np.sum((1.0 - gap) - 2.0 * near * (1.0 - special.i1e(near) / special.i0e(near))))
+        - float(np.sum(np.polyval(_PHI_EXCESS_SERIES, y) / np.polyval(_I0_SERIES, y)))
+        - (x.size - j) * gap
+    )
+
+
+def _profile_score(beta: float, t: np.ndarray) -> float:
+    """2b times the derivative in b of the mean log-likelihood maximized
+    over a, at b = ``beta``, for sorted t with mean(t) = 1.
+
+    The derivative is mean(t r(b t)) - b/a with r = I1/I0, a = (1 + q)/2
+    and q = sqrt(1 + 4 b^2), and 2b times it is psi - mean(phi(b t)) with
+    psi = 2b (a - b)/a = 1 - 1/(q + 2b) and phi(x) = 2x (1 - r(x)). The
+    first form keeps its precision for b <= 1, the second for b > 1.
     """
-    m2 = float(np.mean(values**2))
-    cv = float(np.std(values) / np.mean(values))
-    span = _CV_HALF_NORMAL - _CV_RAYLEIGH
-    ratio = (_CV_HALF_NORMAL - cv) / span
-    ratio = min(1.0, max(0.05, ratio))
-    xi1 = math.sqrt(m2 / (1.0 + ratio**2))
-    return xi1, ratio * xi1
+    q = math.hypot(1.0, 2.0 * beta)
+    x = beta * t
+    if beta <= 1.0:
+        return 2.0 * beta * (
+            float(np.mean(t * (special.i1e(x) / special.i0e(x)))) - 2.0 * beta / (1.0 + q)
+        )
+    return _sum_psi_minus_phi(x, 1.0 / (q + 2.0 * beta)) / t.size
+
+
+def _score_is_negative(beta: float, t: np.ndarray, tail_inv: np.ndarray) -> bool:
+    """A sufficient test for a negative profile score at b = ``beta``.
+
+    Where b t_i >= 1.5, phi(b t_i) >= 1 + 1/(4 b t_i), so only the sorted
+    samples below 1.5/b need Bessel functions; ``tail_inv[j]`` is the sum
+    of 1/t from index j on.
+    """
+    j = int(np.searchsorted(t, _BOUND_FROM / beta))
+    gap = 1.0 / (math.hypot(1.0, 2.0 * beta) + 2.0 * beta)
+    bound = _sum_psi_minus_phi(beta * t[:j], gap)
+    if j < t.size:
+        bound -= (t.size - j) * gap + tail_inv[j] / (4.0 * beta)
+    return bound < 0.0
+
+
+def _a_minus_plus_b(beta: float) -> tuple[float, float]:
+    """a - b and a + b at b = ``beta`` on the profile a = (1 + q)/2,
+    q = sqrt(1 + 4 b^2), with a - b = (1 + 1/(q + 2b))/2 free of the
+    cancellation of a direct subtraction."""
+    q = math.hypot(1.0, 2.0 * beta)
+    return 0.5 * (1.0 + 1.0 / (q + 2.0 * beta)), 0.5 * (1.0 + q) + beta
+
+
+def _profile_loglik(beta: float, t: np.ndarray) -> float:
+    """The b-dependent part of the log-likelihood maximized over a, summed
+    over the samples t (mean(t) = 1)."""
+    a_minus_b, a_plus_b = _a_minus_plus_b(beta)
+    return (
+        0.5 * t.size * math.log(a_minus_b * a_plus_b)
+        - a_minus_b * float(np.sum(t))
+        + float(np.sum(np.log(special.i0e(beta * t))))
+    )
+
+
+def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
+    """Local maxima of the profile likelihood in b >= 0, for sorted t with
+    mean(t) = 1: b = 0 if the score starts out negative (not ``rising``),
+    and every b where the score turns from + to -.
+
+    Steps over b = 2^k. A rising score is followed down from k = ``start``
+    to a positive value; a falling one is known to be negative at 2^start.
+    From there the steps go up until every sample has b t >= 1.5, past which
+    :func:`_score_is_negative` holds for every larger b. Each sign change is
+    solved by Brent's method. Returns
+    ``(roots, iterations, converged, evaluations)``.
+    """
+    lowest, highest = _B_EXPONENTS
+    scores = {}
+
+    def score(beta):
+        if beta not in scores:
+            scores[beta] = _profile_score(beta, t)
+        return scores[beta]
+
+    k, positive = start, rising
+    if rising:
+        while k > lowest and score(2.0**k) <= 0.0:
+            k -= 1
+        positive = score(2.0**k) > 0.0
+    # Falling at the start, or nonpositive down to 2^-60: b = 0 is a local
+    # maximum (to working precision in the second case).
+    roots = [] if positive else [0.0]
+
+    with np.errstate(divide="ignore"):  # t is 0 only where (d/s)^2 underflows
+        tail_inv = np.cumsum(1.0 / t[::-1])[::-1]
+    brackets, bound_checks = [], 0
+    while k < highest:
+        k += 1
+        beta = 2.0**k
+        if positive or beta in scores:
+            negative = score(beta) <= 0.0
+        else:
+            bound_checks += 1
+            negative = _score_is_negative(beta, t, tail_inv) or score(beta) <= 0.0
+        if positive and negative:
+            brackets.append(beta)
+        positive = not negative
+        if negative and beta * t[0] >= _BOUND_FROM:
+            break
+
+    iterations, converged = 0, not positive
+    for hi in brackets:
+        root, info = optimize.brentq(
+            score, hi / 2.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+            maxiter=max_iterations, full_output=True, disp=False,
+        )
+        roots.append(root)
+        iterations += info.iterations
+        converged = converged and info.converged
+    if positive:
+        roots.append(2.0**highest)  # still rising at the ceiling
+    return roots, iterations, converged, len(scores) + bound_checks
 
 
 def fit_spread_params(
@@ -103,10 +245,28 @@ def fit_spread_params(
     """Maximum-likelihood estimate of (xi1, kappa1) from spread samples.
 
     ``samples`` is any array-like of positive floats; at least
-    :data:`MIN_FIT_SAMPLES` are required. Optimizes the
-    summed log-density with Nelder-Mead on (log xi1, log kappa1), converging
-    at 1e-8 in log-likelihood; if the iteration cap is hit, the best point
-    so far is returned with ``converged=False``.
+    :data:`MIN_FIT_SAMPLES` are required. With t = (d/s)^2 / mean((d/s)^2)
+    and s = max(d), the log-likelihood for a fixed b is maximized by
+    a(b) = (1 + sqrt(1 + 4 b^2))/2, so each local maximum is a root of the
+    1-D profile score in b >= 0.
+
+    The score near b = 0 is b (mean(t^2)/2 - 1). If mean(t^2) <= 2, b = 0
+    (the Rayleigh line, ``xi1_hat == kappa1_hat``) is a local maximum and
+    the search starts where the score is still provably negative;
+    otherwise it starts from a log-moment estimate of b and steps down to
+    a positive score. From there it steps up over powers of two until
+    every sample has b t >= 1.5, past which the score is provably
+    negative. Each sign change from + to - is solved by Brent's method to
+    4 ulps in at most ``max_iterations`` iterations (``converged=False`` if
+    that cap is hit), and the local maximum with the highest
+    log-likelihood wins: with few samples against the scale ratio, the
+    smallest samples can make the profile multimodal, and b = 0 need not
+    be the best even when mean(t^2) <= 2. The estimates scale with the
+    samples at any magnitude, and the log-likelihood shifts by -n log c
+    when the samples are scaled by c.
+
+    ``init`` is checked but does not steer the search: a start away from
+    the log-moment estimate could only hide a local maximum below it.
     """
     values = np.asarray(samples, dtype=float)
     if values.size < MIN_FIT_SAMPLES:
@@ -115,34 +275,45 @@ def fit_spread_params(
         )
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("spread samples must all be finite and > 0")
-
-    if init is None:
-        init = moment_init(values)
-    xi1_0, kappa1_0 = init
-    if xi1_0 <= 0 or kappa1_0 <= 0:
+    if init is not None and (init[0] <= 0 or init[1] <= 0):
         raise ValidationError("initial parameters must be > 0")
 
-    def negative_loglik(log_params):
-        xi1, kappa1 = np.exp(log_params)
-        law = SpreadLaw(xi1=float(xi1), kappa1=float(kappa1))
-        return -float(np.sum(spread_log_pdf(values, law)))
+    n = int(values.size)
+    scale = float(values.max())
+    t = values / scale
+    sum_log_u = float(np.sum(np.log(t)))
+    t *= t
+    mu = float(np.mean(t))
+    t /= mu
+    t.sort()
 
-    result = optimize.minimize(
-        negative_loglik,
-        x0=np.log([xi1_0, kappa1_0]),
-        method="Nelder-Mead",
-        options={"maxiter": max_iterations, "fatol": 1e-8, "xatol": 1e-6},
+    m2 = float(np.mean(t * t))
+    if m2 > 2.0:
+        # E log(d^2) = log((xi1 + kappa1)^2 / 2) - gamma for this law, and
+        # xi1^2 + kappa1^2 = 1 here, which gives w = 2 xi1 kappa1 and
+        # b = sqrt(1 - w^2)/w^2. The sample resolves w to about 1/sqrt(n).
+        w = 2.0 * math.exp(2.0 * sum_log_u / n - math.log(mu) + np.euler_gamma) - 1.0
+        w = min(max(w, n**-0.5), 1.0)
+        start = max(math.sqrt(1.0 - w * w) / (w * w), 1.0 / 16.0)
+    else:
+        # r(x) <= x/2 and b/a >= b/(1 + b^2) keep the score negative for
+        # b^2 < 2/m2 - 1.
+        start = max(math.sqrt(2.0 / m2 - 1.0), 2.0 ** _B_EXPONENTS[0])
+    roots, iterations, converged, evaluations = _score_roots(
+        t, min(math.floor(math.log2(start)), _B_EXPONENTS[1]), m2 > 2.0, max_iterations
     )
-    xi1_hat, kappa1_hat = np.exp(result.x)
-    if kappa1_hat > xi1_hat:
-        xi1_hat, kappa1_hat = kappa1_hat, xi1_hat
+
+    logliks = [_profile_loglik(beta, t) for beta in roots]
+    best = int(np.argmax(logliks))
+    a_minus_b, a_plus_b = _a_minus_plus_b(roots[best])
     return FitResult(
-        xi1_hat=float(xi1_hat),
-        kappa1_hat=float(kappa1_hat),
-        loglik=-float(result.fun),
-        n=int(values.size),
-        converged=bool(result.success),
-        iterations=int(result.nit),
+        xi1_hat=scale * math.sqrt(mu / (2.0 * a_minus_b)),
+        kappa1_hat=scale * math.sqrt(mu / (2.0 * a_plus_b)),
+        loglik=sum_log_u + n * (math.log(2.0) - math.log(mu) - math.log(scale)) + logliks[best],
+        n=n,
+        converged=bool(converged),
+        iterations=int(iterations),
+        nfev=evaluations + len(roots),
     )
 
 

@@ -373,9 +373,11 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
             "xi1_hat": fit.xi1_hat,
             "kappa1_hat": fit.kappa1_hat,
             "loglik": fit.loglik,
+            "loglik_per_sample": fit.loglik / fit.n,
             "n": fit.n,
             "converged": fit.converged,
             "iterations": fit.iterations,
+            "nfev": fit.nfev,
             "ingestion": ingest.drop_counts(),
         },
     )

@@ -98,41 +98,46 @@ class SpreadLaw:
         return 12.0 * max(self.xi1, self.kappa1)
 
 
+def _unit_frame(delta, law: SpreadLaw):
+    """The samples and the law in units of c = max(xi1, kappa1).
+
+    Returns ``(u, c, s, abs_b)``: u = delta/c as a 1-D array, the smaller
+    scale s = min(xi1, kappa1)/c in (0, 1], and |b| = (1/s^2 - 1)/4. In these
+    units a - |b| = 1/2 exactly, so nothing is squared at the law's own
+    magnitude (which overflows beyond ~1e154 and underflows below ~1e-154)
+    and the decay rate carries no cancellation at large scale ratios.
+    """
+    c = max(law.xi1, law.kappa1)
+    s = min(law.xi1, law.kappa1) / c
+    u = np.atleast_1d(np.asarray(delta, dtype=float)) / c
+    return u, c, s, 0.25 * (1.0 / (s * s) - 1.0)
+
+
 def spread_pdf(delta, law: SpreadLaw):
     """Density of the spread law at ``delta`` (0 for delta < 0).
 
-    Evaluated in the overflow-safe form
-    (delta/(xi1*kappa1)) * exp(-(a-|b|)*delta^2) * [e^-|b|d^2 I0(b*delta^2)],
-    where the bracket is the scaled Bessel function; a - |b| > 0, so no
-    exponential can overflow regardless of parameter asymmetry.
+    Evaluated as pdf(delta; law) = pdf(u; law/c)/c with u = delta/c and
+    c = max(xi1, kappa1), in the overflow-safe form
+    (u/s) * exp(-u^2/2) * [e^-|b|u^2 I0(|b|*u^2)], where s = min/c and the
+    bracket is the scaled Bessel function; no exponential can overflow
+    regardless of parameter asymmetry or magnitude.
     """
-    d = np.asarray(delta, dtype=float)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    abs_b = abs(law.b)
-    decay = law.a - abs_b
-    dd = d * d
-    out = (d / (law.xi1 * law.kappa1)) * np.exp(-decay * dd) * bessel_i0_scaled(abs_b * dd)
-    out = np.where(d < 0.0, 0.0, out)
+    scalar = np.ndim(delta) == 0
+    u, c, s, abs_b = _unit_frame(delta, law)
+    uu = u * u
+    out = (u / s) * np.exp(-0.5 * uu) * bessel_i0_scaled(abs_b * uu) / c
+    out = np.where(u < 0.0, 0.0, out)
     return float(out[0]) if scalar else out
 
 
 def spread_log_pdf(delta, law: SpreadLaw):
-    """log of :func:`spread_pdf`; -inf at delta <= 0. Used by the MLE fit."""
-    d = np.asarray(delta, dtype=float)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    abs_b = abs(law.b)
-    decay = law.a - abs_b
+    """log of :func:`spread_pdf`; -inf at delta <= 0."""
+    scalar = np.ndim(delta) == 0
+    u, c, s, abs_b = _unit_frame(delta, law)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dd = d * d
-        out = (
-            np.log(d)
-            - math.log(law.xi1 * law.kappa1)
-            - decay * dd
-            + np.log(bessel_i0_scaled(abs_b * dd))
-        )
-    out = np.where(d <= 0.0, -np.inf, out)
+        uu = u * u
+        out = np.log(u) - math.log(s * c) - 0.5 * uu + np.log(bessel_i0_scaled(abs_b * uu))
+    out = np.where(u <= 0.0, -np.inf, out)
     return float(out[0]) if scalar else out
 
 

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from oracles import spreads_by_row
+from oracles import fit_by_nelder_mead, spreads_by_row
 from qcw import (
     FitResult,
     SpreadLaw,
@@ -20,6 +21,7 @@ from qcw import (
     spreads_from_ohlc,
     spreads_from_quotes,
 )
+from qcw.calibration import _sum_psi_minus_phi
 
 
 def synthetic_samples(xi1, kappa1, n, seed):
@@ -106,6 +108,103 @@ def test_nonconvergence_is_reported_not_raised():
     assert not fit.converged
     assert fit.iterations <= 3
     assert fit.xi1_hat > 0 and fit.kappa1_hat > 0
+
+
+def test_series_and_bound_behind_the_profile_score():
+    # phi(x) = 2x (1 - I1(x)/I0(x)). phi - 1 from the asymptotic series
+    # matches scipy's i1e/i0e wherever those still resolve it, and
+    # phi >= 1 + 1/(4x) from x = 1.5 on, which the search's bound relies on.
+    x = np.geomspace(1.5, 1e12, 400)
+    excess = np.array([-_sum_psi_minus_phi(np.array([v]), 0.0) for v in x])
+    direct = 2.0 * x * (1.0 - special.i1e(x) / special.i0e(x)) - 1.0
+    resolved = x <= 1e4
+    assert np.allclose(excess[resolved], direct[resolved], rtol=1e-6, atol=0.0)
+    assert np.all(excess >= 0.25 / x)
+
+
+def assert_matches_oracle(values):
+    fit = fit_spread_params(values)
+    oracle = fit_by_nelder_mead(values)
+    assert fit.converged and oracle.converged
+    assert fit.loglik >= oracle.loglik - 1e-9 * abs(oracle.loglik)
+    assert fit.xi1_hat == pytest.approx(oracle.xi1_hat, rel=1e-5)
+    assert fit.kappa1_hat == pytest.approx(oracle.kappa1_hat, rel=1e-5)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.0, 20.0, 1000.0])
+def test_matches_nelder_mead_oracle(ratio):
+    assert_matches_oracle(synthetic_samples(0.10, 0.10 / ratio, 100_000, seed=5))
+
+
+def test_matches_nelder_mead_oracle_on_criterion_7_sample():
+    assert_matches_oracle(
+        sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), np.random.default_rng(808), 100_000)
+    )
+
+
+def test_matches_nelder_mead_oracle_where_the_profile_has_two_maxima():
+    # The score turns from + to - near b = 2^14.5 and again near 2^19.4;
+    # the upper root is more likely by 0.4 in log-likelihood.
+    assert_matches_oracle(synthetic_samples(0.10, 0.10 / 166.13644771613122, 1905,
+                                            seed=629602011))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e3), st.integers(50, 5000),
+       st.integers(0, 2**32 - 1))
+@example(11.0, 50, 74220740)  # mean(t^2) <= 2, yet b = 0 is not the best maximum
+def test_at_least_as_likely_as_the_oracle(ratio, n, seed):
+    values = synthetic_samples(0.10, 0.10 / ratio, n, seed)
+    fit = fit_spread_params(values)
+    oracle = fit_by_nelder_mead(values)
+    tol = 1e-9 * abs(oracle.loglik)
+    assert fit.loglik >= oracle.loglik - tol
+    # With few samples against the ratio the profile can have several local
+    # maxima; Nelder-Mead may stop on a lower one. On the same one the
+    # estimates agree.
+    if fit.loglik <= oracle.loglik + tol:
+        assert fit.xi1_hat == pytest.approx(oracle.xi1_hat, rel=1e-5)
+        assert fit.kappa1_hat == pytest.approx(oracle.kappa1_hat, rel=1e-5)
+
+
+@pytest.mark.parametrize("values", [
+    np.linspace(1.0, 2.0, 200),  # far less dispersed than any law with xi1 != kappa1
+    synthetic_samples(0.10, 0.10, 100_000, seed=5),
+])
+def test_rayleigh_line_when_second_moment_is_at_most_two(values):
+    t = values**2 / np.mean(values**2)
+    assert np.mean(t * t) / 2.0 <= 1.0
+    fit = fit_spread_params(values)
+    assert fit.xi1_hat == fit.kappa1_hat
+    assert fit.converged and fit.iterations == 0
+    assert fit.xi1_hat**2 + fit.kappa1_hat**2 == pytest.approx(np.mean(values**2), rel=1e-12)
+
+
+def test_init_does_not_change_the_fit():
+    values = synthetic_samples(0.10, 0.05, 2000, seed=21)
+    base = fit_spread_params(values)
+    for init in ((0.10, 0.05), (1e-6, 1.0), (5.0, 5.0)):
+        assert fit_spread_params(values, init=init) == base
+    with pytest.raises(ValidationError):
+        fit_spread_params(values, init=(0.1, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e3), st.integers(50, 5000),
+       st.integers(0, 2**32 - 1), st.floats(min_value=-300.0, max_value=200.0))
+@example(2.0, 5000, 23, 200.0)
+@example(2.0, 5000, 23, -300.0)
+@example(1.1012693428237699, 2199, 612659783, 127.44065526272294)  # near the Rayleigh line
+def test_fit_is_scale_equivariant(ratio, n, seed, log10_c):
+    c = 10.0**log10_c
+    values = synthetic_samples(0.10, 0.10 / ratio, n, seed)
+    fit = fit_spread_params(values)
+    scaled = fit_spread_params(c * values)
+    assert scaled.converged and fit.converged
+    assert scaled.xi1_hat == pytest.approx(c * fit.xi1_hat, rel=1e-12)
+    assert scaled.kappa1_hat == pytest.approx(c * fit.kappa1_hat, rel=1e-12)
+    shifted = fit.loglik - n * math.log(c)
+    assert scaled.loglik == pytest.approx(shifted, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,8 @@ def test_fit_round_trip_recovers_parameters(tmp_path):
     assert abs(fit["kappa1_hat"] - 0.05) / 0.05 < 0.05
     assert fit["converged"] is True
     assert fit["ingestion"]["kept"] == 20_000
+    assert fit["loglik_per_sample"] == fit["loglik"] / fit["n"]
+    assert fit["nfev"] >= fit["iterations"] > 0
 
     table = read_pdf_csv(out / "pdf.csv")
     assert table["delta"].size == 40
@@ -224,6 +226,22 @@ def test_fit_round_trip_recovers_parameters(tmp_path):
     # the two densities describe the same histogrammed data
     mask = table["empirical_density"] > 0
     assert np.corrcoef(table["empirical_density"][mask], table["model_density"][mask])[0, 1] > 0.9
+
+
+def test_fit_at_1e200_scale(tmp_path):
+    draws = sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), np.random.default_rng(3), 2000)
+    lines = ["timestamp,bid,ask"]
+    lines += [f"t{k},{1e202!r},{1e202 + 1e200 * float(d)!r}" for k, d in enumerate(draws)]
+    (tmp_path / "quotes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["fit", "--config", str(fit_config(tmp_path)), "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
+    assert abs(fit["xi1_hat"] / 1e200 - 0.10) / 0.10 < 0.1
+    assert abs(fit["kappa1_hat"] / 1e200 - 0.05) / 0.05 < 0.1
+    table = read_pdf_csv(out / "pdf.csv")
+    for column in table.values():
+        assert np.all(np.isfinite(column))
+    assert np.all(table["model_density"] > 0.0)
 
 
 def test_fit_malformed_row_names_line(tmp_path, capsys):

@@ -168,6 +168,18 @@ def test_log_pdf_matches_log_of_pdf():
     assert np.allclose(spread_log_pdf(xs, law), np.log(spread_pdf(xs, law)), atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-300])
+def test_density_at_extreme_magnitudes(c):
+    # pdf(d; c*law) = pdf(d/c; law)/c, where the squares of the scales alone
+    # would overflow (1e199^2) or underflow (1e-301^2).
+    law = SpreadLaw(xi1=0.1, kappa1=0.05)
+    scaled = SpreadLaw(xi1=c * law.xi1, kappa1=c * law.kappa1)
+    xs = np.linspace(1e-3, 1.0, 50)
+    assert np.allclose(spread_pdf(c * xs, scaled) * c, spread_pdf(xs, law), rtol=1e-12, atol=0.0)
+    assert np.allclose(spread_log_pdf(c * xs, scaled) + math.log(c), spread_log_pdf(xs, law),
+                       rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # CDF
 # ---------------------------------------------------------------------------
