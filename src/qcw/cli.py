@@ -199,9 +199,41 @@ def _load_config(path: str) -> dict:
 # deterministic output formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    """Full-precision, round-trippable float formatting."""
-    return repr(float(x))
+#: Rows formatted at once: one ``repr`` call per column and chunk.
+_FORMAT_ROWS = 4096
+
+
+def _fmt_column(values) -> list[str]:
+    """Full-precision, round-trippable text of each float: ``repr(float(v))``.
+
+    One ``repr`` of the whole list, split at its separators, gives the same
+    strings as one ``repr`` per float at a fraction of the calls.
+    """
+    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+
+
+def _float_rows(*columns):
+    """CSV rows of equal-length float columns, formatted chunk by chunk."""
+    for k0 in range(0, len(columns[0]), _FORMAT_ROWS):
+        span = slice(k0, k0 + _FORMAT_ROWS)
+        yield from map(",".join, zip(*(_fmt_column(c[span]) for c in columns)))
+
+
+def _path_rows(series):
+    """``path.csv`` rows of a simulated path, formatted chunk by chunk.
+
+    ``s_trade`` is bitwise the executed level, so its text is that level's.
+    """
+    for k0 in range(0, len(series), _FORMAT_ROWS):
+        span = slice(k0, k0 + _FORMAT_ROWS)
+        bids, asks, imbs = (
+            _fmt_column(c[span]) for c in (series.s_bid, series.s_ask, series.imbalance)
+        )
+        for t, bid, ask, side, imb in zip(
+            series.t[span].tolist(), bids, asks, series.side[span].tolist(), imbs
+        ):
+            trade = ask if side == "ask" else bid
+            yield f"{t},{bid},{ask},{trade},{side},{imb}"
 
 
 def _params_hash(effective_cfg: dict) -> str:
@@ -285,11 +317,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed) -> None:
     log.info("simulate: %d steps, mode=%s, seed=%s", sim.n_steps, sim.mode, seed)
     series = simulate_path(sim, params)
 
-    rows = (
-        f"{int(series.t[k])},{_fmt(series.s_bid[k])},{_fmt(series.s_ask[k])},"
-        f"{_fmt(series.s_trade[k])},{series.side[k]},{_fmt(series.imbalance[k])}"
-        for k in range(len(series))
-    )
+    rows = _path_rows(series)
     _write_csv(out_dir / "path.csv", _meta_line(seed, phash), PATH_CSV_HEADER, rows)
     _write_json(
         out_dir / "summary.json",
@@ -357,10 +385,7 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
     centers = hist.centers()
     model = spread_pdf(centers, law)
     empirical = hist.densities()
-    rows = (
-        f"{_fmt(centers[k])},{_fmt(empirical[k])},{_fmt(model[k])}"
-        for k in range(centers.size)
-    )
+    rows = _float_rows(centers, empirical, model)
     _write_csv(out_dir / "pdf.csv", _meta_line(seed, phash), PDF_CSV_HEADER, rows)
     _write_json(
         out_dir / "fit.json",
@@ -399,10 +424,7 @@ def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     hist = q_of_i(ensemble, bins=bins)
     moments = imbalance_summary(ensemble)
 
-    rows = (
-        f"{_fmt(hist.edges[k])},{_fmt(hist.edges[k + 1])},{_fmt(hist.masses[k])}"
-        for k in range(hist.masses.size)
-    )
+    rows = _float_rows(hist.edges[:-1], hist.edges[1:], hist.masses)
     _write_csv(out_dir / "qi.csv", _meta_line(seed, phash), QI_CSV_HEADER, rows)
     _write_json(
         out_dir / "moments.json",

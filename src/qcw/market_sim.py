@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import PricePositivityError, ValidationError
 from .spread_stats import Histogram
 from .stochastic_model import ModelParams
 # ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
-from .wave_dynamics import RENORM_TRIGGER, StateVector, _propagate_pair, propagate  # noqa: F401
+from .wave_dynamics import RENORM_TRIGGER, StateVector, propagate  # noqa: F401
 
 __all__ = [
     "MODE_BALANCED",
@@ -165,11 +166,18 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
 
     Deterministic given (config, params): the same seed yields an identical
     series. The step loop runs on plain floats over sub-stream draws made in
-    bulk, chunk by chunk, which are bitwise those of one draw per step.
+    bulk, chunk by chunk, which are bitwise those of one draw per step. Per
+    chunk it also takes the step rotations from :func:`_rotations`, as the
+    lockstep kernel does, and the cos/sin of the phase scrambles, so a step
+    computes only what depends on the state. In ``imbalance-coupled`` mode
+    kappa depends on the state, and the rotation is formed step by step,
+    rounded as :func:`_rotations` rounds it.
+
     Raises :class:`ValidationError` if a level, the propagation phase or the
     rotation angle is not finite, and :class:`PricePositivityError` if a
     trade price reaches zero or below (the arithmetic price formulation
-    permits it; aborting keeps recorded statistics unbiased).
+    permits it; aborting keeps recorded statistics unbiased). Each names
+    its step.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -186,64 +194,120 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty(n) for _ in range(5))
     at_ask = np.empty(n, dtype=bool)
     kappa_arr = np.empty(n, dtype=complex if complex_coupling else float)
-    columns = (s_bid, s_ask, s_trade_arr, at_ask, imb, xi_arr, kappa_arr)
 
     sigma, xi0, xi1 = params.sigma, params.xi0, params.xi1
     kappa0, kappa1, c_i = params.kappa0, params.kappa1, config.c_i
     dt, scale = params.dt, params.tau * params.s0
-    hypot, isfinite, exp = math.hypot, math.isfinite, cmath.exp
-    a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
+    hypot, isfinite, sqrt, cos, sin, exp = (
+        math.hypot, math.isfinite, math.sqrt, math.cos, math.sin, cmath.exp
+    )
+    psi_ask, psi_bid = config.initial_state.psi_ask, config.initial_state.psi_bid
+    ar, ai, br, bi = psi_ask.real, psi_ask.imag, psi_bid.real, psi_bid.imag
     s_trade = config.initial_price
     resid_max = 0.0
+    unused = repeat(None)  # stands in for a column that a mode does not use
 
-    for k0 in range(0, n, _CHUNK_STEPS):
-        m = min(_CHUNK_STEPS, n - k0)
-        uniforms = rng_trade.random(m).tolist()
-        if not collapse:
-            thetas = rng_phase.uniform(0.0, 2.0 * math.pi, m).tolist()
-        if complex_coupling:
-            coupling_phases = rng_coupling.uniform(0.0, 2.0 * math.pi, m).tolist()
-        rows = []
-        for j, (dz, nx, nk) in enumerate(rng_elem.standard_normal((m, 3)).tolist()):
+    with np.errstate(all="ignore"):
+        for k0 in range(0, n, _CHUNK_STEPS):
+            m = min(_CHUNK_STEPS, n - k0)
+            dz, nx, nk = rng_elem.standard_normal((m, 3)).T
             xi = xi0 + xi1 * nx
-            if coupled:
-                i_now = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
-                kappa = c_i * min(1.0, max(-1.0, i_now)) + kappa1 * nk
-            else:
-                kappa = kappa0 + kappa1 * nk
+            xi_arr[k0 : k0 + m] = xi
             if complex_coupling:
-                kappa = kappa * exp(1j * coupling_phases[j])
-
-            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
-            common = s_trade + s_trade * sigma * dz
-            s11 = common + 0.5 * xi
-            s22 = common - 0.5 * xi
-            half_delta = hypot(0.5 * (s11 - s22), abs(0.5 * kappa))
-            s_mid = 0.5 * (s11 + s22)
-            ask = s_mid + half_delta
-            bid = s_mid - half_delta
-            if not (isfinite(ask) and isfinite(bid)):
-                raise ValidationError(f"price levels are not finite at step {k0 + j}")
-
-            a, b = _propagate_pair(a, b, xi, kappa, s_mid, dt, scale)
-            p_ask = a.real * a.real + a.imag * a.imag
-            i_k = min(1.0, max(-1.0, p_ask - (b.real * b.real + b.imag * b.imag)))
-            side = uniforms[j] < p_ask
-            price = ask if side else bid
-            if price <= 0.0:
-                raise PricePositivityError(step=k0 + j, price=price)
-            if collapse:
-                a, b = (1 + 0j, 0j) if side else (0j, 1 + 0j)
+                coupling_phases = rng_coupling.uniform(0.0, 2.0 * math.pi, m)
+            if coupled:
+                # kappa follows the state, so the rotation is formed step by step
+                kappa_noise = (kappa1 * nk).tolist()
+                kappa_phases = coupling_phases.tolist() if complex_coupling else unused
+                rotations = (unused,) * 7
+                kappas = [0.0] * m
             else:
-                a = a * exp(1j * thetas[j])
+                kappa_noise = kappa_phases = unused
+                kappa = kappa0 + kappa1 * nk
+                if complex_coupling:
+                    kappa = _with_phase(kappa, coupling_phases)
+                kappa_arr[k0 : k0 + m] = kappa
+                rotations = [r.tolist() for r in _rotations(xi, kappa, dt, scale)]
+            if collapse:
+                scramble = (unused, unused)
+            else:
+                thetas = rng_phase.uniform(0.0, 2.0 * math.pi, m)
+                scramble = np.cos(thetas).tolist(), np.sin(thetas).tolist()
+            bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
 
-            rows.append((bid, ask, price, side, i_k, xi, kappa))
-            resid = abs(2.0 * half_delta - hypot(xi, abs(kappa)))
-            if resid > resid_max:
-                resid_max = resid
-            s_trade = price
-        for column, values in zip(columns, zip(*rows)):
-            column[k0 : k0 + m] = values
+            for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p, q,
+                    sc, ss, k_noise, k_phase) in enumerate(zip(
+                        dz.tolist(), xi.tolist(), rng_trade.random(m).tolist(),
+                        *rotations, *scramble, kappa_noise, kappa_phases)):
+                if coupled:
+                    i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                    kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
+                    if complex_coupling:
+                        kappa = kappa * exp(1j * k_phase)
+                    kappas[j] = kappa
+                    half_k = abs(0.5 * kappa)
+                    delta = hypot(xi_j, abs(kappa))
+                    phi = 0.5 * delta * dt / scale
+                    finite_angle = isfinite(phi)
+
+                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+                common = s_trade + s_trade * sigma * dz_j
+                s11 = common + 0.5 * xi_j
+                s22 = common - 0.5 * xi_j
+                half_delta = hypot(0.5 * (s11 - s22), half_k)
+                s_mid = 0.5 * (s11 + s22)
+                ask = s_mid + half_delta
+                bid = s_mid - half_delta
+                phase = s_mid * dt / scale
+                if not (isfinite(ask) and isfinite(bid) and isfinite(phase) and finite_angle):
+                    _check_finite(k0 + j, ask, bid, phase, finite_angle)
+
+                if coupled:  # as _rotations rounds it; the identity where delta = 0
+                    c, x, p, q = 1.0, 0.0, 0.0, 0.0
+                    if delta != 0.0:
+                        s = sin(phi)
+                        c = cos(phi)
+                        x = xi_j / delta * s
+                        p = kappa.real / delta * s
+                        q = kappa.imag / delta * s
+                # global phase exp(-1j*phase), then the bracket, in propagate's order
+                gc, gs = cos(-phase), sin(-phase)
+                ur = (c * ar + x * ai) + (q * br + p * bi)
+                ui = (c * ai - x * ar) + (q * bi - p * br)
+                vr = (p * ai - q * ar) + (c * br - x * bi)
+                vi = (c * bi + x * br) - (q * ai + p * ar)
+                ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
+                br, bi = gc * vr - gs * vi, gc * vi + gs * vr
+                norm = ar * ar + ai * ai + br * br + bi * bi
+                if abs(norm - 1.0) > RENORM_TRIGGER and delta != 0.0:
+                    r = 1.0 / sqrt(norm)
+                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+
+                p_ask = ar * ar + ai * ai
+                side = u < p_ask
+                price = ask if side else bid
+                if price <= 0.0:
+                    raise PricePositivityError(step=k0 + j, price=price)
+                bids[j] = bid
+                asks[j] = ask
+                sides[j] = side
+                imbs[j] = p_ask - (br * br + bi * bi)
+                half_deltas[j] = half_delta
+                deltas[j] = delta
+                if collapse:
+                    ar, ai, br, bi = (1.0, 0.0, 0.0, 0.0) if side else (0.0, 0.0, 1.0, 0.0)
+                else:
+                    ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+                s_trade = price
+
+            span = slice(k0, k0 + m)
+            s_bid[span], s_ask[span], at_ask[span], imb[span] = bids, asks, sides, imbs
+            np.clip(imb[span], -1.0, 1.0, out=imb[span])
+            s_trade_arr[span] = np.where(at_ask[span], s_ask[span], s_bid[span])
+            if coupled:
+                kappa_arr[span] = kappas
+            resid = np.abs(2.0 * np.array(half_deltas) - np.array(deltas)).max()
+            resid_max = max(resid_max, float(resid))
 
     return PathSeries(
         t=np.arange(n, dtype=np.int64),
@@ -314,12 +378,12 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
-    """The step unitary of :func:`_propagate_pair` for arrays of draws.
+    """The step unitary of :func:`~qcw.wave_dynamics.propagate` for arrays of draws.
 
     Returns ``(half_k, delta, finite_angle, c, x, p, q)``: ``half_k`` =
     abs(kappa/2) for the levels, delta = hypot(xi, abs(kappa)), whether the
     angle phi = delta*dt/(2*scale) is finite, and the bracket
-    [[c - i*x, q - i*p], [-q - i*p, c + i*x]] rounded as ``_propagate_pair``
+    [[c - i*x, q - i*p], [-q - i*p, c + i*x]] rounded as ``propagate``
     rounds it (zero signs aside, which no output sees). Where delta = 0 the
     bracket is the identity; ``q`` is 0 for real kappa.
     """
@@ -348,7 +412,7 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
 
 
 def _with_phase(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """kappa * exp(1j*theta) in Python's complex arithmetic, as the scalar kernel."""
+    """kappa * exp(1j*theta) elementwise in Python's complex arithmetic, as one step forms it."""
     exp = cmath.exp
     values = [k * exp(1j * t) for k, t in zip(kappa.ravel().tolist(), theta.ravel().tolist())]
     return np.array(values, dtype=complex).reshape(kappa.shape)
@@ -454,7 +518,7 @@ def _simulate_lockstep(config: SimConfig, params: ModelParams, seeds: list):
             vi = (c * bi + x * br) - (q * ai + p * ar)
             ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
             br, bi = gc * vr - gs * vi, gc * vi + gs * vr
-            # _propagate_pair returns before renormalizing where delta = 0
+            # propagate returns before renormalizing where delta = 0
             norm = ar * ar + ai * ai + br * br + bi * bi
             drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
             if drift.any():
@@ -495,17 +559,22 @@ def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:
     The checks of one path run in the scalar kernel's order: finite levels,
     finite propagation phase, finite rotation angle, positive trade price.
     """
-    isfinite = math.isfinite
     for k in range(price.size):
-        where = f"step {step} of path {k}"
-        if not (isfinite(ask[k]) and isfinite(bid[k])):
-            raise ValidationError(f"price levels are not finite at {where}")
-        if not isfinite(phase[k]):
-            raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite at {where}")
-        if not finite_angle[k]:
-            raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
+        _check_finite(step, ask[k], bid[k], phase[k], finite_angle[k], path=k)
         if not price[k] > 0.0:
             raise PricePositivityError(step, float(price[k]), path=k)
+
+
+def _check_finite(step: int, ask, bid, phase, finite_angle, path: int | None = None) -> None:
+    """Raise :class:`ValidationError` for the first of the levels, the
+    propagation phase and the rotation angle of one step that is not finite."""
+    where = f"step {step}" if path is None else f"step {step} of path {path}"
+    if not (math.isfinite(ask) and math.isfinite(bid)):
+        raise ValidationError(f"price levels are not finite at {where}")
+    if not math.isfinite(phase):
+        raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite at {where}")
+    if not finite_angle:
+        raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
 
 
 def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:

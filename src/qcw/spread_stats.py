@@ -80,13 +80,17 @@ class SpreadLaw:
                 raise ValidationError(f"{name} must be a finite positive number")
             object.__setattr__(self, name, float(v))
 
+    # a and b square the reciprocal scales, so at extreme magnitudes they
+    # round to 0 or +-inf as IEEE products do (``**`` would raise instead).
     @property
     def a(self) -> float:
-        return 0.25 * (1.0 / self.xi1**2 + 1.0 / self.kappa1**2)
+        u, v = 1.0 / self.xi1, 1.0 / self.kappa1
+        return 0.25 * (u * u + v * v)
 
     @property
     def b(self) -> float:
-        return 0.25 * (1.0 / self.xi1**2 - 1.0 / self.kappa1**2)
+        u, v = 1.0 / self.xi1, 1.0 / self.kappa1
+        return 0.25 * ((u - v) * (u + v))
 
     def tail_cutoff(self) -> float:
         """Upper limit beyond which the density mass is negligible (< 1e-30).

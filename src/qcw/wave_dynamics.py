@@ -148,18 +148,7 @@ def propagate(
     phase s_mid*dt/(tau*s0) or an angle phi that is not finite raises
     :class:`ValidationError`.
     """
-    scale = params.tau * params.s0
-    return StateVector(*_propagate_pair(
-        state.psi_ask, state.psi_bid, xi, kappa, s_mid, params.dt, scale, renormalize
-    ))
-
-
-def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=True):
-    """:func:`propagate` on a bare amplitude pair, with ``scale`` = tau*s0.
-
-    The simulation kernel calls it directly. Raises :class:`ValidationError`
-    if the phase s_mid*dt/scale or the angle delta*dt/(2*scale) is not finite.
-    """
+    dt, scale = params.dt, params.tau * params.s0
     if not math.isfinite(s_mid * dt / scale):
         raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
     kappa = complex(kappa)
@@ -167,7 +156,7 @@ def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=T
     global_phase = cmath.exp(-1j * s_mid * dt / scale)
 
     if delta == 0.0:
-        return global_phase * psi_ask, global_phase * psi_bid
+        return StateVector(global_phase * state.psi_ask, global_phase * state.psi_bid)
 
     phi = 0.5 * delta * dt / scale
     if not math.isfinite(phi):
@@ -179,8 +168,8 @@ def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=T
     u21 = -1j * s * (kappa.conjugate() / delta)
     u22 = complex(c, s * (xi / delta))
 
-    a = global_phase * (u11 * psi_ask + u12 * psi_bid)
-    b = global_phase * (u21 * psi_ask + u22 * psi_bid)
+    a = global_phase * (u11 * state.psi_ask + u12 * state.psi_bid)
+    b = global_phase * (u21 * state.psi_ask + u22 * state.psi_bid)
 
     if renormalize:
         n = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
@@ -188,4 +177,4 @@ def _propagate_pair(psi_ask, psi_bid, xi, kappa, s_mid, dt, scale, renormalize=T
             r = 1.0 / math.sqrt(n)
             a *= r
             b *= r
-    return a, b
+    return StateVector(a, b)

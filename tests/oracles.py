@@ -258,3 +258,14 @@ def simulate_path_by_steps(config, params):
         seed=config.seed,
         spread_residual_max=resid_max,
     )
+
+
+def path_csv_rows_by_repr(series):
+    """Row-at-a-time reference for the ``path.csv`` rows: one ``repr`` of
+    ``float`` per cell, ``s_trade`` formatted on its own."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    return [
+        f"{int(series.t[k])},{fmt(series.s_bid[k])},{fmt(series.s_ask[k])},"
+        f"{fmt(series.s_trade[k])},{series.side[k]},{fmt(series.imbalance[k])}"
+        for k in range(len(series))
+    ]

@@ -5,10 +5,17 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import path_csv_rows_by_repr
 
+import qcw
 from qcw import (
+    PathSeries,
     SpreadLaw,
     ValidationError,
     cli,
@@ -17,7 +24,17 @@ from qcw import (
     sample_spread,
     simulate_path,
 )
-from qcw.cli import _atomic_write, _check_keys, main, read_path_csv, read_pdf_csv, read_qi_csv
+from qcw.cli import (
+    PATH_CSV_HEADER,
+    _atomic_write,
+    _check_keys,
+    _model_params,
+    _sim_config,
+    main,
+    read_path_csv,
+    read_pdf_csv,
+    read_qi_csv,
+)
 from qcw.market_sim import _child_seed
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -103,6 +120,62 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "path.csv").read_bytes() == (out_b / "path.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+def test_simulate_path_csv_matches_row_by_row_formatter(tmp_path):
+    # the shipped 5000-step path spans two formatting chunks
+    cfg = json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text(encoding="utf-8"))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(CONFIGS_DIR / "simulate_balanced.json"),
+                 "--out", str(out)]) == 0
+    series = simulate_path(_sim_config(cfg, cfg["seed"]), _model_params(cfg))
+    text = (out / "path.csv").read_bytes().decode("utf-8")
+    meta = text.split("\n", 1)[0]
+    assert meta.startswith(f"# qcw={qcw.__version__} seed={cfg['seed']} ")
+    expected = "\n".join([meta, PATH_CSV_HEADER, *path_csv_rows_by_repr(series)]) + "\n"
+    assert text == expected
+
+
+# -0.0, the smallest subnormal, the normal/subnormal boundary and the points
+# where repr switches between fixed and exponent notation (1e16 and 1e-4)
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+    1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e-4,
+    math.inf, -math.inf, math.nan,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            *[st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())] * 3, st.booleans()
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_column_formatting_matches_repr_per_float(rows):
+    bid, ask, imb, at_ask = (np.array(column) for column in zip(*rows))
+    series = PathSeries(
+        t=np.arange(len(rows), dtype=np.int64),
+        s_bid=bid,
+        s_ask=ask,
+        s_trade=np.where(at_ask, ask, bid),
+        side=np.where(at_ask, "ask", "bid"),
+        imbalance=imb,
+        xi=np.zeros(len(rows)),
+        kappa=np.zeros(len(rows)),
+        initial_price=1.0,
+        seed=0,
+        spread_residual_max=0.0,
+    )
+    with mock.patch.object(cli, "_FORMAT_ROWS", 7):  # several chunks per example
+        assert list(cli._path_rows(series)) == path_csv_rows_by_repr(series)
+        assert list(cli._float_rows(bid, ask, imb)) == [
+            ",".join(map(repr, row[:3])) for row in zip(bid.tolist(), ask.tolist(), imb.tolist())
+        ]
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

@@ -223,6 +223,7 @@ def shipped(name):
 
 def kernel_cases():
     config, params = shipped("simulate_balanced.json")
+    crash_config, crash_params = shipped("imbalance_crash.json")
     return {
         "simulate_balanced": (config, params),
         "collapse": (replace(config, n_steps=3000, post_trade="collapse"), params),
@@ -234,6 +235,14 @@ def kernel_cases():
             replace(config, n_steps=3000),
             replace(params, complex_coupling=True),
         ),
+        # kappa follows the state: the rotation is formed step by step
+        "imbalance_crash": (replace(crash_config, n_steps=3000), crash_params),
+        # the Wiener limit xi = kappa = 0: delta = 0 at every step, so a norm
+        # drift within NORM_TOL but above RENORM_TRIGGER is never renormalized
+        "wiener": (
+            replace(config, n_steps=3000, initial_state=StateVector(0.8, 0.6 * (1.0 + 1e-10))),
+            replace(params, xi1=0.0, kappa1=0.0),
+        ),
     }
 
 
@@ -244,15 +253,8 @@ def test_kernel_matches_per_step_oracle(case):
 
 
 def ensemble_cases():
-    config, params = shipped("simulate_balanced.json")
     cases = {name: shipped(name) for name in ("imbalance_balanced.json", "imbalance_crash.json")}
     cases.update(kernel_cases())
-    # the Wiener limit xi = kappa = 0: delta = 0 at every step, so a norm
-    # drift within NORM_TOL but above RENORM_TRIGGER is never renormalized
-    cases["wiener"] = (
-        replace(config, n_steps=3000, initial_state=StateVector(0.8, 0.6 * (1.0 + 1e-10))),
-        replace(params, xi1=0.0, kappa1=0.0),
-    )
     return cases
 
 
@@ -295,14 +297,15 @@ def test_ensemble_matches_paths_property(
 
 
 def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
-    config, params = shipped("imbalance_crash.json")
-    ref = simulate_path_by_steps(config, params)
+    cases = kernel_cases()
+    paths = {case: simulate_path(*args) for case, args in cases.items()}
     ensembles = {
         name: simulate_ensemble(*shipped(name), 4)
         for name in ("imbalance_balanced.json", "imbalance_crash.json")
     }
     monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", 7)
-    assert_bit_equal(simulate_path(config, params), ref)
+    for case, args in cases.items():
+        assert_bit_equal(simulate_path(*args), paths[case])
     for name, ensemble in ensembles.items():
         for path, ref_path in zip(simulate_ensemble(*shipped(name), 4), ensemble):
             assert_bit_equal(path, ref_path)
@@ -312,7 +315,7 @@ def test_kernel_rejects_non_finite_propagation_phase():
     # finite levels near 1e300, but s_mid*dt/(tau*s0) overflows
     params = replace(BALANCED_PARAMS, tau=1e-9, s0=1.0)
     config = balanced_config(n_steps=10, initial_price=1e300)
-    with pytest.raises(ValidationError, match="phase"):
+    with pytest.raises(ValidationError, match="phase .* at step 0$"):
         simulate_path(config, params)
     with pytest.raises(ValidationError, match="phase .* at step 0 of path 0$"):
         simulate_ensemble(config, params, 3)
@@ -322,7 +325,7 @@ def test_kernel_rejects_non_finite_rotation_angle():
     # delta ~ 1e300 keeps the levels finite, but delta*dt/(2*tau*s0) overflows
     params = replace(BALANCED_PARAMS, xi0=1e300, tau=1e-12, s0=1.0)
     config = balanced_config(n_steps=10)
-    with pytest.raises(ValidationError, match="rotation angle"):
+    with pytest.raises(ValidationError, match="rotation angle .* at step 0$"):
         simulate_path(config, params)
     with pytest.raises(ValidationError, match="rotation angle .* at step 0 of path 0$"):
         simulate_ensemble(config, params, 3)

@@ -114,6 +114,20 @@ def test_law_validation_and_derived_coefficients():
             SpreadLaw(xi1=bad, kappa1=0.05)
 
 
+@pytest.mark.parametrize(
+    "xi1, kappa1, a, b",
+    [
+        (1e199, 5e198, 0.0, -0.0),  # the squared reciprocals underflow
+        (1e-300, 5e-301, math.inf, -math.inf),  # ... and overflow
+        (1e-300, 1e-100, math.inf, math.inf),
+    ],
+)
+def test_law_coefficients_at_extreme_magnitudes(xi1, kappa1, a, b):
+    law = SpreadLaw(xi1=xi1, kappa1=kappa1)
+    assert (law.a, math.copysign(1.0, law.a)) == (a, math.copysign(1.0, a))
+    assert (law.b, math.copysign(1.0, law.b)) == (b, math.copysign(1.0, b))
+
+
 def test_pdf_vanishes_at_zero_and_below():
     law = SpreadLaw(xi1=0.1, kappa1=0.07)
     assert spread_pdf(0.0, law) == 0.0
