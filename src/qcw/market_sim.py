@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PricePositivityError, ValidationError
 from .spread_stats import Histogram
@@ -59,11 +62,11 @@ _CHUNK_STEPS = 4096
 class SimConfig:
     """Run configuration for a single simulated path.
 
-    ``seed`` may be an int or a numpy SeedSequence; either way the run is
-    fully deterministic. Four independent sub-streams are derived from it
-    (element draws, trade selection, phase scrambles, and the coupling
-    phases of ``complex_coupling``) so that disabling one consumer cannot
-    shift the draws seen by another.
+    ``seed`` may be an integer >= 0 or a numpy SeedSequence; either way the
+    run is fully deterministic. Four independent sub-streams are derived
+    from it (element draws, trade selection, phase scrambles, and the
+    coupling phases of ``complex_coupling``) so that disabling one consumer
+    cannot shift the draws seen by another.
     """
 
     n_steps: int
@@ -92,6 +95,14 @@ class SimConfig:
         if not isinstance(self.c_i, (int, float)) or not math.isfinite(self.c_i):
             raise ValidationError("c_i must be a finite number")
         object.__setattr__(self, "c_i", float(self.c_i))
+        if not isinstance(self.seed, np.random.SeedSequence):
+            try:
+                seed = -1 if isinstance(self.seed, bool) else operator.index(self.seed)
+            except TypeError:
+                seed = -1
+            if seed < 0:
+                raise ValidationError("seed must be an integer >= 0 or a numpy SeedSequence")
+            object.__setattr__(self, "seed", seed)
 
 
 @dataclass(eq=False)
@@ -158,7 +169,99 @@ def _child_seed(ss: np.random.SeedSequence, index: int) -> np.random.SeedSequenc
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(seed)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value) -> list[int]:
+    """The little-endian uint32 words SeedSequence reads from an int or a sequence of ints."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]  # 0 is one word
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+class _Hashmix:
+    """SeedSequence's ``hashmix``; its multiplier advances by a fixed sequence.
+
+    ``generate_state`` hashes each output word the same way, with its own
+    constants. Values are Python ints below 2**32 or uint32 arrays, which
+    wrap as the masks do; so common words are hashed once and per-child
+    words elementwise.
+    """
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & _MASK32
+        value = value * self.const & _MASK32
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+class _HashedSeed(ISeedSequence):
+    """Hands ``PCG64`` the four uint64 state words of a SeedSequence hashed in bulk."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _n_streams(collapse: bool, complex_coupling: bool) -> int:
+    """Sub-streams a path uses: 0 elements, 1 trades, 2 phase scrambles (not
+    under collapse), 3 coupling phases (only with ``complex_coupling``, which
+    therefore builds stream 2 even under collapse)."""
+    return 4 if complex_coupling else 2 if collapse else 3
+
+
+def _child_rngs(root: np.random.SeedSequence, *sizes: int) -> np.ndarray:
+    """Generators of every child of ``root`` whose last spawn-key words are (k_1, ..., k_m).
+
+    Entry ``[k_1, ..., k_m]`` of the returned object array of shape ``sizes``
+    is bitwise ``default_rng`` of ``_child_seed`` applied m times, with
+    k_j < sizes[j]. The hash runs once over the words that all children
+    share (the root's entropy, zero-padded to the pool size, and its spawn
+    key) and then elementwise over the k_j, so a child costs a few numpy
+    element operations instead of a SeedSequence.
+    """
+    assert all(size < 2**32 for size in sizes)  # one word per k_j
+    entropy = _uint32_words(root.entropy)
+    words = entropy + [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(root.spawn_key)
+    hashmix = _Hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    keys = np.ix_(*(np.arange(size, dtype=np.uint32) for size in sizes))
+    for word in words[_POOL_SIZE:] + list(keys):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): 8 uint32 words drawn round the pool, paired little-endian
+    hash_out = _Hashmix(_INIT_B, _MULT_B)
+    out = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    state = np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=-1)
+    rngs = [Generator(PCG64(_HashedSeed(row))) for row in state.reshape(-1, 4)]
+    return np.array(rngs, dtype=object).reshape(sizes)
 
 
 def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
@@ -182,13 +285,12 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
     complex_coupling = params.complex_coupling
-    root = _seed_sequence(config.seed)
-    rng_elem = np.random.default_rng(_child_seed(root, 0))
-    rng_trade = np.random.default_rng(_child_seed(root, 1))
+    rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse, complex_coupling))
+    rng_elem, rng_trade = rngs[:2]
     if not collapse:
-        rng_phase = np.random.default_rng(_child_seed(root, 2))
+        rng_phase = rngs[2]
     if complex_coupling:
-        rng_coupling = np.random.default_rng(_child_seed(root, 3))
+        rng_coupling = rngs[3]
 
     n = config.n_steps
     s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty(n) for _ in range(5))
@@ -342,9 +444,8 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
     root = _seed_sequence(config.seed)
-    seeds = [_child_seed(root, k) for k in range(n_paths)]
     with np.errstate(all="ignore"):
-        columns, resid_max = _simulate_lockstep(config, params, seeds)
+        columns, resid_max = _simulate_lockstep(config, params, root, n_paths)
     t = np.arange(config.n_steps, dtype=np.int64)
     s_bid, s_ask, s_trade, at_ask, imb, xi, kappa = columns
     side = np.where(at_ask, "ask", "bid")
@@ -359,10 +460,10 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
             xi=xi[k],
             kappa=kappa[k],
             initial_price=config.initial_price,
-            seed=seed,
+            seed=_child_seed(root, k),
             spread_residual_max=float(resid_max[k]),
         )
-        for k, seed in enumerate(seeds)
+        for k in range(n_paths)
     ]
 
 
@@ -388,10 +489,9 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     bracket is the identity; ``q`` is 0 for real kappa.
     """
     is_complex = kappa.dtype.kind == "c"
-    if is_complex:
-        flat = kappa.ravel().tolist()
-        abs_k = np.fromiter(map(abs, flat), float, kappa.size).reshape(kappa.shape)
-        half_k = np.array([abs(0.5 * z) for z in flat]).reshape(kappa.shape)
+    if is_complex:  # np.hypot rounds as Python's complex abs does
+        re, im = kappa.real, kappa.imag
+        abs_k, half_k = np.hypot(re, im), np.hypot(0.5 * re, 0.5 * im)
     else:
         abs_k, half_k = np.abs(kappa), np.abs(0.5 * kappa)
     delta = _hypot(xi, abs_k)
@@ -418,8 +518,10 @@ def _with_phase(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(kappa.shape)
 
 
-def _simulate_lockstep(config: SimConfig, params: ModelParams, seeds: list):
-    """:func:`simulate_path` for every seed at once, over arrays of paths.
+def _simulate_lockstep(
+    config: SimConfig, params: ModelParams, root: np.random.SeedSequence, n_paths: int
+):
+    """:func:`simulate_path` for children 0 .. n_paths-1 of ``root``, over arrays of paths.
 
     Each path draws from its own sub-streams exactly as the scalar kernel
     does; the draws of one chunk of steps land in (steps, paths) arrays,
@@ -433,19 +535,17 @@ def _simulate_lockstep(config: SimConfig, params: ModelParams, seeds: list):
     collapse = config.post_trade == POST_TRADE_COLLAPSE
     complex_coupling = params.complex_coupling
 
-    def streams(i):
-        return [np.random.default_rng(_child_seed(seed, i)) for seed in seeds]
-
     def phases(rngs, m):
         return np.stack([rng.uniform(0.0, 2.0 * math.pi, m) for rng in rngs], axis=1)
 
-    rng_elem, rng_trade = streams(0), streams(1)
+    rngs = _child_rngs(root, n_paths, _n_streams(collapse, complex_coupling)).T
+    rng_elem, rng_trade = rngs[:2]
     if not collapse:
-        rng_phase = streams(2)
+        rng_phase = rngs[2]
     if complex_coupling:
-        rng_coupling = streams(3)
+        rng_coupling = rngs[3]
 
-    n_paths, n = len(seeds), config.n_steps
+    n = config.n_steps
     s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty((n_paths, n)) for _ in range(5))
     at_ask = np.empty((n_paths, n), dtype=bool)
     kappa_arr = np.empty((n_paths, n), dtype=complex if complex_coupling else float)

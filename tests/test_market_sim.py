@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import simulate_path_by_steps
 
@@ -26,7 +26,7 @@ from qcw import (
     simulate_path,
 )
 from qcw.cli import _model_params, _sim_config
-from qcw.market_sim import _child_seed
+from qcw.market_sim import _child_rngs, _child_seed
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 PATH_FIELDS = ("t", "s_bid", "s_ask", "s_trade", "side", "imbalance", "xi", "kappa")
@@ -331,6 +331,91 @@ def test_kernel_rejects_non_finite_rotation_angle():
         simulate_ensemble(config, params, 3)
 
 
+# spawn-key words >= 2**32 and two entropy words, one above 2**64
+NON_INT_ROOT = np.random.SeedSequence([2**70, 5], spawn_key=(3, 2**40))
+
+
+@pytest.mark.parametrize("chunk_steps", [None, 7])
+@pytest.mark.parametrize("case", ["complex_coupling", "imbalance_crash"])
+def test_non_int_root_seed_matches_per_step_oracle(case, chunk_steps, monkeypatch):
+    if chunk_steps is not None:
+        monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", chunk_steps)
+    config, params = kernel_cases()[case]
+    config = replace(config, n_steps=200, seed=NON_INT_ROOT)
+    assert_bit_equal(simulate_path(config, params), simulate_path_by_steps(config, params))
+    for k, path in enumerate(simulate_ensemble(config, params, 8)):
+        assert path.seed.spawn_key == (3, 2**40, k)
+        ref = simulate_path_by_steps(replace(config, seed=_child_seed(NON_INT_ROOT, k)), params)
+        assert_bit_equal(path, ref)
+
+
+# ---------------------------------------------------------------------------
+# sub-stream seeding against numpy's SeedSequence
+# ---------------------------------------------------------------------------
+
+def assert_children_match_seed_sequence(root, n_paths, n_streams):
+    """Every generator from _child_rngs has the state of default_rng on _child_seed."""
+    rngs = _child_rngs(root, n_paths, n_streams)
+    assert rngs.shape == (n_paths, n_streams)
+    for (k, i), rng in np.ndenumerate(rngs):
+        ref = np.random.default_rng(_child_seed(_child_seed(root, k), i))
+        assert rng.bit_generator.state == ref.bit_generator.state, (k, i)
+    for i, rng in enumerate(_child_rngs(root, n_streams)):
+        ref = np.random.default_rng(_child_seed(root, i))
+        assert rng.bit_generator.state == ref.bit_generator.state, i
+
+
+def test_child_rngs_match_seed_sequence_children():
+    assert_children_match_seed_sequence(np.random.SeedSequence(20240917), 64, 4)
+    assert_children_match_seed_sequence(NON_INT_ROOT, 5, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**128 - 1),  # two to four words
+        st.integers(2**128, 2**256),
+        st.lists(st.integers(0, 2**70), max_size=6),
+    ),
+    spawn_prefix=st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 2**32 - 1)),
+        st.tuples(st.integers(2**32, 2**80), st.integers(0, 2**32 - 1)),
+    ),
+    n_paths=st.integers(1, 64),
+    n_streams=st.integers(1, 4),
+)
+def test_child_rngs_match_seed_sequence_children_property(
+    entropy, spawn_prefix, n_paths, n_streams
+):
+    root = np.random.SeedSequence(entropy, spawn_key=spawn_prefix)
+    assert_children_match_seed_sequence(root, n_paths, n_streams)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=40))
+@example(pairs=[(0.0, -0.0), (-0.0, 5e-324), (5e-324, 5e-324), (2.2250738585072014e-308, -1e-310)])
+@example(pairs=[(math.inf, math.nan), (-math.inf, 1.0), (math.nan, 1.0), (1.0, -math.nan)])
+@example(pairs=[(1e308, 1e308), (3.0, 4.0), (1e-300, 1e300)])
+def test_numpy_hypot_rounds_as_python_complex_abs(pairs):
+    """_rotations takes abs(kappa) of complex kappa as np.hypot(re, im).
+
+    Bitwise wherever the result is a number; a NaN stays a NaN, though its
+    sign and payload bits may differ (a NaN coupling aborts the run anyway).
+    """
+    re, im = np.array(pairs).T
+    got = np.hypot(re, im)
+    want = np.array([abs(complex(r, i)) for r, i in pairs])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    numbers = ~np.isnan(want)
+    assert got[numbers].tobytes() == want[numbers].tobytes()
+
+
 # seed 0: path 2 aborts first (step 14), before path 0 (step 20);
 # seed 3: paths 0 and 1 both abort first, at step 11
 @pytest.mark.parametrize("seed", [0, 3])
@@ -511,3 +596,18 @@ def test_sim_config_validation():
         balanced_config(initial_state=StateVector(1.0, 1.0))
     with pytest.raises(ValidationError):
         balanced_config(c_i=math.inf)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", -1, None, [3]])
+def test_sim_config_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        balanced_config(seed=seed)
+
+
+def test_sim_config_accepts_integer_and_seed_sequence_seeds():
+    assert type(balanced_config(seed=np.uint64(7)).seed) is int
+    assert balanced_config(seed=np.uint64(7)).seed == 7
+    root = np.random.SeedSequence(7)
+    assert balanced_config(seed=root).seed is root
+    path = simulate_path(balanced_config(n_steps=20, seed=np.int64(7)), BALANCED_PARAMS)
+    assert_bit_equal(path, simulate_path(balanced_config(n_steps=20, seed=7), BALANCED_PARAMS))
