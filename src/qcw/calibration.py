@@ -19,6 +19,7 @@ mode divides the high-low range by the close.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -430,18 +431,98 @@ def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
     }
 
 
+# The fast path reads a body in chunks of this many bytes. A cell longer
+# than csv's default field limit (131072 characters), which ``_read_csv``
+# rejects, spans at least one whole chunk.
+_CHUNK_BYTES = 1 << 16
+
+# The bytes the fast path lets into a body: printable ASCII except '#' (a
+# comment line or cell) and '"' (a quoted cell), plus tab and line ends.
+# Beyond these np.loadtxt and float() disagree: loadtxt strips \x1c-\x1f as
+# whitespace and float() reads non-ASCII digits.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
+
+
+def _loadtxt_columns(path, expected_header: list[str], names) -> list | None:
+    """The float columns ``names`` of a CSV, parsed in C by ``np.loadtxt``,
+    or None where they might differ from what ``_read_csv`` returns.
+
+    The header is found under ``_read_csv``'s rules, on lines without a
+    quote, a NUL or a bare CR. The last column must be among ``names``: then
+    loadtxt raises on a short row, and a comma count of (fields - 1) x rows
+    proves that no row has extra fields, which ``usecols`` lets through.
+    """
+    wanted_header = [name.lower() for name in expected_header]
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return None
+    with handle:
+        while True:
+            line = handle.readline(_CHUNK_BYTES)
+            raw = line.removesuffix(b"\n").removesuffix(b"\r")
+            if not line or len(line) == _CHUNK_BYTES or any(
+                byte in raw for byte in (b'"', b"\0", b"\r")
+            ):
+                return None
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            if not text or text.lstrip().startswith("#"):
+                continue
+            if [cell.strip().lower() for cell in text.split(",")] != wanted_header:
+                return None
+            break
+        body = handle.tell()
+        commas = 0
+        for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""):
+            if chunk.translate(None, _PLAIN_BYTES) or (
+                len(chunk) == _CHUNK_BYTES
+                and not any(byte in chunk for byte in (b",", b"\n", b"\r"))
+            ):
+                return None
+            commas += chunk.count(b",")
+        if not commas:
+            return None  # no rows, on which loadtxt warns
+        handle.seek(body)
+        with io.TextIOWrapper(handle, encoding="utf-8") as stream:
+            try:
+                data = np.loadtxt(
+                    stream,
+                    delimiter=",",
+                    comments=None,
+                    usecols=[expected_header.index(name) for name in names],
+                    ndmin=2,
+                )
+            except ValueError:
+                return None
+    if commas != (len(expected_header) - 1) * len(data):
+        return None
+    return list(np.ascontiguousarray(data.T))
+
+
+def _read_floats(path, expected_header: list[str], names) -> list[np.ndarray]:
+    """The float columns ``names`` of a CSV, bitwise as ``_read_csv`` reads
+    them: from ``np.loadtxt`` where that provably agrees, else from
+    ``_read_csv`` itself, which also raises every error."""
+    columns = _loadtxt_columns(path, expected_header, names)
+    if columns is None:
+        cols = _read_csv(path, expected_header, dict.fromkeys(names, float))
+        columns = [cols[name] for name in names]
+    return columns
+
+
 def read_quotes_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a quote CSV with header ``timestamp,bid,ask``; returns ``bid, ask``."""
-    cols = _read_csv(path, ["timestamp", "bid", "ask"], {"bid": float, "ask": float})
-    return cols["bid"], cols["ask"]
+    bid, ask = _read_floats(path, ["timestamp", "bid", "ask"], ("bid", "ask"))
+    return bid, ask
 
 
 def read_ohlc_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read an OHLC CSV with header ``timestamp,open,high,low,close``;
     returns ``high, low, close``."""
-    cols = _read_csv(
-        path,
-        ["timestamp", "open", "high", "low", "close"],
-        {"high": float, "low": float, "close": float},
+    high, low, close = _read_floats(
+        path, ["timestamp", "open", "high", "low", "close"], ("high", "low", "close")
     )
-    return cols["high"], cols["low"], cols["close"]
+    return high, low, close

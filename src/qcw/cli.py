@@ -190,6 +190,10 @@ def _load_config(path: str) -> dict:
             cfg = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config is not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return cfg

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from qcw import (
     spreads_from_ohlc,
     spreads_from_quotes,
 )
-from qcw.calibration import _sum_psi_minus_phi
+from qcw import calibration
+from qcw.calibration import _read_csv, _sum_psi_minus_phi
 
 
 def synthetic_samples(xi1, kappa1, n, seed):
@@ -368,3 +370,119 @@ def test_csv_round_trip_is_bit_exact(rows):
         want = np.array([prices[column] for _, prices in rows], dtype=float)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+# The fast path (np.loadtxt) against its oracle, _read_csv.
+
+_READERS = (
+    (read_quotes_csv, ["timestamp", "bid", "ask"], ("bid", "ask")),
+    (read_ohlc_csv, ["timestamp", "open", "high", "low", "close"], ("high", "low", "close")),
+)
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: "%.17g" % x),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), st.floats().map(repr),
+              st.sampled_from(["", " ", "\t "])).map("".join),
+)
+_ODD_CELL = st.sampled_from([
+    ".5", "5.", "-.5e-3", "1_0", "\u0661.5", "1.5\u3000", "inf", "-inf", "+inf", "Infinity",
+    "-iNF", "nan", "-nan", "+NaN", "1e400", "-0", "", " ", "\t", '"1.5"', '"1,5"', "1.5#c",
+    "#1", "0x10", "1\x1f", "1\x0b", "\x001", "2019-06-03T09:30:00", "1,5",
+])
+
+
+def _mostly(common, rare, one_in):
+    """``rare`` one time in ``one_in``, ``common`` otherwise: most generated
+    files should parse, so that the fast path is taken and compared too."""
+    return st.integers(0, one_in - 1).flatmap(lambda k: rare if k == 0 else common)
+
+
+_JUNK = st.sampled_from([
+    "", " ", "\t", "# comment", "  # indented, with commas", "#1,2,3", '# "quoted, comment',
+])
+
+
+@st.composite
+def _csv_text(draw, header):
+    fields = len(header)
+    cells = _mostly(_NUMBER, _ODD_CELL, 30)
+    row = _mostly(st.lists(cells, min_size=fields, max_size=fields),
+                  st.lists(cells, max_size=fields + 2), 20).map(",".join)
+    head = _mostly(st.just(",".join(header)), st.sampled_from([
+        " " + ",".join(header).upper() + " ", ",".join(header[:-1]), ",".join(header) + ",x",
+    ]), 4)
+    lines = draw(st.lists(_JUNK, max_size=3)) + [draw(head)]
+    lines += draw(st.lists(_mostly(row, _JUNK, 20), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _columns_or_error(read):
+    try:
+        return [column.tobytes() for column in read()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+_QUOTES = _READERS[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_READERS).flatmap(lambda r: st.tuples(st.just(r), _csv_text(r[1]))))
+# Files on which a guard of the fast path decides; random texts rarely hit them.
+@example((_QUOTES, 'timestamp,bid,ask\n"t,1,2\nx",3,4\n'))  # quoted cell over two lines
+@example((_QUOTES, '# x,"a\ntimestamp,bid,ask\nt,1,2\n'))  # quote before the header
+@example((_QUOTES, "#c\rtimestamp,bid,ask\rt,9,9\ntimestamp,bid,ask\nt,1,2\n"))  # bare CR
+@example((_QUOTES, "timestamp,bid,ask\nt,1,2\rt,3,4\r\n\rt,5,6"))  # mixed line ends
+@example((_QUOTES, "timestamp,bid,ask\nt,1\x1f,2\n"))  # whitespace to loadtxt only
+@example((_QUOTES, "timestamp,bid,ask\nt,1,2,3\n"))  # extra field
+@example((_QUOTES, "timestamp,bid,ask\n#1,2,3\nt,1,2\n"))  # comment line in the body
+@example((_QUOTES, "timestamp,bid,ask\n\n"))  # no rows
+@example((_QUOTES, "timestamp,bid,ask\nt," + "0" * 140_000 + "1.5,2\n"))  # csv field limit
+@example((_QUOTES, "#" * 140_000 + "\ntimestamp,bid,ask\nt,1,2\n"))
+def test_readers_equal_the_streaming_oracle(case):
+    (reader, header, names), text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _columns_or_error(lambda: reader(path))
+        want = _columns_or_error(
+            lambda: _read_csv(path, header, dict.fromkeys(names, float)).values()
+        )
+    assert got == want
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("fell back to _read_csv")
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,bid,ask\n1577836800,27.83,27.87\n1577836801,27.84,27.88\n",
+    "timestamp,bid,ask\n2019-06-03T09:30:00,27.83,27.87\n2019-06-03T09:30:01,27.84,27.88\n",
+    "timestamp,bid,ask\r\nt0,27.83,27.87\r\nt1,27.84,27.88\r\n",
+    "# source: test\n\n  # more, with commas\nTimestamp, Bid ,ASK\nt0,27.83,27.87\nt1,27.84,27.88\n",
+    "timestamp,bid,ask\nt0,27.83,27.87\nt1,27.84,27.88",
+], ids=["numeric-time", "iso-time", "crlf", "comments-before-header", "no-final-newline"])
+def test_fast_path_is_taken(tmp_path, monkeypatch, text):
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(calibration, "_read_csv", _no_oracle)
+    bid, ask = read_quotes_csv(path)
+    assert bid.dtype == ask.dtype == np.float64
+    assert (bid.tolist(), ask.tolist()) == ([27.83, 27.84], [27.87, 27.88])
+
+    path.write_text("timestamp,open,high,low,close\n2019-02-25,300.0,305.0,298.0,301.0\n",
+                    encoding="utf-8")
+    high, low, close = read_ohlc_csv(path)
+    assert (high.tolist(), low.tolist(), close.tolist()) == ([305.0], [298.0], [301.0])
+
+
+def test_header_only_file_reads_empty_without_warning(tmp_path):
+    path = tmp_path / "quotes.csv"
+    path.write_text("timestamp,bid,ask\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bid, ask = read_quotes_csv(path)
+    assert bid.dtype == ask.dtype == np.float64
+    assert bid.size == ask.size == 0

@@ -210,6 +210,16 @@ def test_simulate_validation_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000])
+def test_unreadable_config_is_validation_error(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcw: validation error: ") and "bad.json" in err
+    assert "Traceback" not in err
+
+
 def test_negative_seed_is_validation_error(tmp_path, capsys):
     cfg = simulate_config(tmp_path)
     for command in ("simulate", "imbalance"):
@@ -329,6 +339,12 @@ def test_fit_too_few_samples_is_validation_error(tmp_path):
     quotes_file(tmp_path, n=10)
     cfg = write_config(tmp_path, "fit.json", {"input": "quotes.csv", "format": "quotes"})
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_fit_on_header_only_file_reports_no_samples(tmp_path, capsys):
+    (tmp_path / "quotes.csv").write_text("timestamp,bid,ask\n", encoding="utf-8")
+    assert main(["fit", "--config", str(fit_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
+    assert "need at least 50 spread samples, got 0" in capsys.readouterr().err
 
 
 def test_fit_ohlc_relative_records_denominator(tmp_path):
