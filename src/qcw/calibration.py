@@ -238,11 +238,7 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
     return roots, iterations, converged, len(scores) + bound_checks
 
 
-def fit_spread_params(
-    samples,
-    init: tuple[float, float] | None = None,
-    max_iterations: int = 500,
-) -> FitResult:
+def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
     """Maximum-likelihood estimate of (xi1, kappa1) from spread samples.
 
     ``samples`` is any array-like of positive floats; at least
@@ -265,9 +261,6 @@ def fit_spread_params(
     be the best even when mean(t^2) <= 2. The estimates scale with the
     samples at any magnitude, and the log-likelihood shifts by -n log c
     when the samples are scaled by c.
-
-    ``init`` is checked but does not steer the search: a start away from
-    the log-moment estimate could only hide a local maximum below it.
     """
     values = np.asarray(samples, dtype=float)
     if values.size < MIN_FIT_SAMPLES:
@@ -276,8 +269,6 @@ def fit_spread_params(
         )
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("spread samples must all be finite and > 0")
-    if init is not None and (init[0] <= 0 or init[1] <= 0):
-        raise ValidationError("initial parameters must be > 0")
 
     n = int(values.size)
     scale = float(values.max())

@@ -17,8 +17,8 @@ import contextlib
 import hashlib
 import json
 import logging
-import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .calibration import (
     spreads_from_ohlc,
     spreads_from_quotes,
 )
-from .errors import PricePositivityError, ValidationError
+from .errors import PricePositivityError, ValidationError, is_finite_number
 from .market_sim import (
     MODE_BALANCED,
     MODE_IMBALANCE_COUPLED,
@@ -75,7 +75,7 @@ _SIM_KEYS = _MODEL_KEYS | {
 _RUN_KEYS = {"seed", "out_dir"}
 _CONFIG_KEYS = {
     "simulate": _SIM_KEYS | _RUN_KEYS,
-    "fit": {"input", "format", "ohlc_mode", "bins", "init"} | _RUN_KEYS,
+    "fit": {"input", "format", "ohlc_mode", "bins"} | _RUN_KEYS,
     "imbalance": _SIM_KEYS | {"n_paths", "bins"} | _RUN_KEYS,
 }
 
@@ -92,22 +92,12 @@ def _get(cfg: dict, key: str, default=_REQUIRED):
     return default
 
 
-def _is_finite_number(value) -> bool:
-    """An int or float, not a bool, that a finite float can hold."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _number(cfg: dict, key: str, default=_REQUIRED) -> float:
     value = _get(cfg, key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config key {key!r}: expected a number, got {value!r}")
-    if not _is_finite_number(value):
-        raise ValidationError(f"config key {key!r}: must be finite")
+    if not is_finite_number(value):
+        raise ValidationError(
+            f"config key {key!r}: expected a finite number, got {reprlib.repr(value)}"
+        )
     return float(value)
 
 
@@ -233,10 +223,10 @@ def _path_rows(series):
         bids, asks, imbs = (
             _fmt_column(c[span]) for c in (series.s_bid, series.s_ask, series.imbalance)
         )
-        for t, bid, ask, side, imb in zip(
-            series.t[span].tolist(), bids, asks, series.side[span].tolist(), imbs
+        for t, bid, ask, at_ask, imb in zip(
+            series.t[span].tolist(), bids, asks, series.at_ask[span].tolist(), imbs
         ):
-            trade = ask if side == "ask" else bid
+            trade, side = (ask, "ask") if at_ask else (bid, "bid")
             yield f"{t},{bid},{ask},{trade},{side},{imb}"
 
 
@@ -365,24 +355,13 @@ def _ingest_fit_input(cfg: dict, config_dir: Path):
 
 def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
     bins = _bins(cfg, 50)
-    init_cfg = _get(cfg, "init", None)
-    init = None
-    if init_cfg is not None:
-        if (
-            not isinstance(init_cfg, (list, tuple))
-            or len(init_cfg) != 2
-            or not all(_is_finite_number(v) and v > 0 for v in init_cfg)
-        ):
-            raise ValidationError("config key 'init': expected two finite positive numbers")
-        init = (float(init_cfg[0]), float(init_cfg[1]))
-
     ingest, metadata = _ingest_fit_input(cfg, config_dir)
     effective = dict(cfg, seed=seed)
     phash = _params_hash(effective)
 
     values = ingest.values
     log.info("fit: %d usable samples from %d rows", values.size, ingest.n_rows)
-    fit = fit_spread_params(values, init=init)
+    fit = fit_spread_params(values)
     law = SpreadLaw(xi1=fit.xi1_hat, kappa1=fit.kappa1_hat)
 
     hist = Histogram.from_samples(values, bins=bins, value_range=(0.0, float(values.max())))

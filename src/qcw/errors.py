@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, and the finite-number rule, shared across the package."""
+
+import math
+
+
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, that a finite float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class ValidationError(ValueError):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import PricePositivityError, ValidationError
+from .errors import PricePositivityError, ValidationError, is_finite_number
 from .spread_stats import Histogram
 from .stochastic_model import ModelParams
 # ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
@@ -80,11 +80,7 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, int) or self.n_steps < 1:
             raise ValidationError("n_steps must be an integer >= 1")
-        if (
-            not isinstance(self.initial_price, (int, float))
-            or not math.isfinite(self.initial_price)
-            or self.initial_price <= 0
-        ):
+        if not is_finite_number(self.initial_price) or self.initial_price <= 0:
             raise ValidationError("initial_price must be a finite number > 0")
         object.__setattr__(self, "initial_price", float(self.initial_price))
         self.initial_state.require_normalized()
@@ -92,7 +88,7 @@ class SimConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.post_trade not in (POST_TRADE_SCRAMBLE, POST_TRADE_COLLAPSE):
             raise ValidationError(f"unknown post_trade rule {self.post_trade!r}")
-        if not isinstance(self.c_i, (int, float)) or not math.isfinite(self.c_i):
+        if not is_finite_number(self.c_i):
             raise ValidationError("c_i must be a finite number")
         object.__setattr__(self, "c_i", float(self.c_i))
         if not isinstance(self.seed, np.random.SeedSequence):
@@ -112,14 +108,15 @@ class PathSeries:
     ``xi``/``kappa`` keep the per-step element draws so identities tying the
     recorded spread to sqrt(xi^2 + |kappa|^2) can be re-checked exactly.
     ``spread_residual_max`` is the largest absolute deviation of that
-    identity observed while the path was generated.
+    identity observed while the path was generated. ``at_ask`` marks the
+    trades executed at the ask.
     """
 
     t: np.ndarray
     s_bid: np.ndarray
     s_ask: np.ndarray
     s_trade: np.ndarray
-    side: np.ndarray
+    at_ask: np.ndarray
     imbalance: np.ndarray
     xi: np.ndarray
     kappa: np.ndarray
@@ -131,7 +128,7 @@ class PathSeries:
         return int(self.t.size)
 
     def bid_fraction(self) -> float:
-        return float(np.mean(self.side == "bid"))
+        return float(np.mean(~self.at_ask))
 
     def net_log_return(self) -> float:
         return float(math.log(float(self.s_trade[-1]) / self.initial_price))
@@ -268,12 +265,10 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     """Generate one coordinated bid/ask/trade path.
 
     Deterministic given (config, params): the same seed yields an identical
-    series. The step loop runs on plain floats over sub-stream draws made in
-    bulk, chunk by chunk, which are bitwise those of one draw per step. Per
-    chunk it also takes the step rotations from :func:`_rotations`, as the
-    lockstep kernel does, and the cos/sin of the phase scrambles, so a step
+    series. The step loop runs on plain floats over the draws and step
+    rotations of :func:`_chunk`, as the lockstep kernel does, so a step
     computes only what depends on the state. In ``imbalance-coupled`` mode
-    kappa depends on the state, and the rotation is formed step by step,
+    kappa follows the state, and the rotation is formed step by step,
     rounded as :func:`_rotations` rounds it.
 
     Raises :class:`ValidationError` if a level, the propagation phase or the
@@ -286,19 +281,13 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     collapse = config.post_trade == POST_TRADE_COLLAPSE
     complex_coupling = params.complex_coupling
     rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse, complex_coupling))
-    rng_elem, rng_trade = rngs[:2]
-    if not collapse:
-        rng_phase = rngs[2]
-    if complex_coupling:
-        rng_coupling = rngs[3]
 
     n = config.n_steps
     s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty(n) for _ in range(5))
     at_ask = np.empty(n, dtype=bool)
     kappa_arr = np.empty(n, dtype=complex if complex_coupling else float)
 
-    sigma, xi0, xi1 = params.sigma, params.xi0, params.xi1
-    kappa0, kappa1, c_i = params.kappa0, params.kappa1, config.c_i
+    sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
     hypot, isfinite, sqrt, cos, sin, exp = (
         math.hypot, math.isfinite, math.sqrt, math.cos, math.sin, cmath.exp
@@ -309,38 +298,23 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     resid_max = 0.0
     unused = repeat(None)  # stands in for a column that a mode does not use
 
+    def column(values):  # the Python values of a chunk's column, one per step
+        return unused if values is None else values.tolist()
+
     with np.errstate(all="ignore"):
         for k0 in range(0, n, _CHUNK_STEPS):
             m = min(_CHUNK_STEPS, n - k0)
-            dz, nx, nk = rng_elem.standard_normal((m, 3)).T
-            xi = xi0 + xi1 * nx
+            dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
+                rngs, m, params, coupled, collapse
+            )
             xi_arr[k0 : k0 + m] = xi
-            if complex_coupling:
-                coupling_phases = rng_coupling.uniform(0.0, 2.0 * math.pi, m)
-            if coupled:
-                # kappa follows the state, so the rotation is formed step by step
-                kappa_noise = (kappa1 * nk).tolist()
-                kappa_phases = coupling_phases.tolist() if complex_coupling else unused
-                rotations = (unused,) * 7
-                kappas = [0.0] * m
-            else:
-                kappa_noise = kappa_phases = unused
-                kappa = kappa0 + kappa1 * nk
-                if complex_coupling:
-                    kappa = _with_phase(kappa, coupling_phases)
-                kappa_arr[k0 : k0 + m] = kappa
-                rotations = [r.tolist() for r in _rotations(xi, kappa, dt, scale)]
-            if collapse:
-                scramble = (unused, unused)
-            else:
-                thetas = rng_phase.uniform(0.0, 2.0 * math.pi, m)
-                scramble = np.cos(thetas).tolist(), np.sin(thetas).tolist()
+            kappas = [0.0] * m  # filled where kappa follows the state
             bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
+            steps = (dz, xi, uniforms, *(rotations or [None] * 7), *(scramble or [None] * 2),
+                     *((kappa, phases) if coupled else (None, None)))
 
             for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p, q,
-                    sc, ss, k_noise, k_phase) in enumerate(zip(
-                        dz.tolist(), xi.tolist(), rng_trade.random(m).tolist(),
-                        *rotations, *scramble, kappa_noise, kappa_phases)):
+                    sc, ss, k_noise, k_phase) in enumerate(zip(*map(column, steps))):
                 if coupled:
                     i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
                     kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
@@ -406,8 +380,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
             s_bid[span], s_ask[span], at_ask[span], imb[span] = bids, asks, sides, imbs
             np.clip(imb[span], -1.0, 1.0, out=imb[span])
             s_trade_arr[span] = np.where(at_ask[span], s_ask[span], s_bid[span])
-            if coupled:
-                kappa_arr[span] = kappas
+            kappa_arr[span] = kappas if coupled else kappa
             resid = np.abs(2.0 * np.array(half_deltas) - np.array(deltas)).max()
             resid_max = max(resid_max, float(resid))
 
@@ -416,7 +389,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
         s_bid=s_bid,
         s_ask=s_ask,
         s_trade=s_trade_arr,
-        side=np.where(at_ask, "ask", "bid"),
+        at_ask=at_ask,
         imbalance=imb,
         xi=xi_arr,
         kappa=kappa_arr,
@@ -448,14 +421,13 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
         columns, resid_max = _simulate_lockstep(config, params, root, n_paths)
     t = np.arange(config.n_steps, dtype=np.int64)
     s_bid, s_ask, s_trade, at_ask, imb, xi, kappa = columns
-    side = np.where(at_ask, "ask", "bid")
     return [
         PathSeries(
             t=t,
             s_bid=s_bid[k],
             s_ask=s_ask[k],
             s_trade=s_trade[k],
-            side=side[k],
+            at_ask=at_ask[k],
             imbalance=imb[k],
             xi=xi[k],
             kappa=kappa[k],
@@ -518,40 +490,61 @@ def _with_phase(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(kappa.shape)
 
 
+def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collapse: bool):
+    """The sub-stream draws of ``m`` steps, and what follows from them alone.
+
+    ``rngs`` has shape (streams, *paths). Each path draws as one draw per
+    step would, and every array returned has shape (m, *paths): ``(dz, xi,
+    kappa, phases, rotations, uniforms, scramble)``. In ``imbalance-coupled``
+    mode ``kappa`` is the noise kappa1*nk and ``rotations`` None; otherwise
+    they are the coupling and its :func:`_rotations`. ``phases`` are the
+    coupling phases (None without ``complex_coupling``), ``scramble`` the
+    cos/sin of the phase scrambles (None under collapse).
+    """
+    paths = rngs.shape[1:]
+    streams = rngs.reshape(len(rngs), -1)
+
+    def draw(stream, sample, *args):  # the paths stacked on the trailing axis
+        out = np.stack([sample(rng, *args) for rng in streams[stream]], axis=-1)
+        return out.reshape(out.shape[:-1] + paths)
+
+    dz, nx, nk = np.moveaxis(draw(0, Generator.standard_normal, (m, 3)), 1, 0)
+    xi = params.xi0 + params.xi1 * nx
+    phases = draw(3, Generator.uniform, 0.0, 2.0 * math.pi, m) if params.complex_coupling else None
+    if coupled:
+        kappa, rotations = params.kappa1 * nk, None
+    else:
+        kappa = params.kappa0 + params.kappa1 * nk
+        if phases is not None:
+            kappa = _with_phase(kappa, phases)
+        rotations = _rotations(xi, kappa, params.dt, params.tau * params.s0)
+    uniforms = draw(1, Generator.random, m)
+    thetas = None if collapse else draw(2, Generator.uniform, 0.0, 2.0 * math.pi, m)
+    scramble = None if collapse else (np.cos(thetas), np.sin(thetas))
+    return dz, xi, kappa, phases, rotations, uniforms, scramble
+
+
 def _simulate_lockstep(
     config: SimConfig, params: ModelParams, root: np.random.SeedSequence, n_paths: int
 ):
     """:func:`simulate_path` for children 0 .. n_paths-1 of ``root``, over arrays of paths.
 
-    Each path draws from its own sub-streams exactly as the scalar kernel
-    does; the draws of one chunk of steps land in (steps, paths) arrays,
-    and everything that depends on neither the price nor the state is
-    computed once per chunk. Amplitudes are kept as four float arrays and
-    every product is written out in CPython's complex order, since numpy's
-    complex multiply rounds differently. Returns the (paths, steps) output
-    columns and each path's spread residual maximum.
+    A chunk's draws and rotations come from :func:`_chunk` as (steps, paths)
+    arrays. Amplitudes are kept as four float arrays and every product is
+    written out in CPython's complex order, since numpy's complex multiply
+    rounds differently. Returns the (paths, steps) output columns and each
+    path's spread residual maximum.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
-    complex_coupling = params.complex_coupling
-
-    def phases(rngs, m):
-        return np.stack([rng.uniform(0.0, 2.0 * math.pi, m) for rng in rngs], axis=1)
-
-    rngs = _child_rngs(root, n_paths, _n_streams(collapse, complex_coupling)).T
-    rng_elem, rng_trade = rngs[:2]
-    if not collapse:
-        rng_phase = rngs[2]
-    if complex_coupling:
-        rng_coupling = rngs[3]
+    rngs = _child_rngs(root, n_paths, _n_streams(collapse, params.complex_coupling)).T
 
     n = config.n_steps
     s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty((n_paths, n)) for _ in range(5))
     at_ask = np.empty((n_paths, n), dtype=bool)
-    kappa_arr = np.empty((n_paths, n), dtype=complex if complex_coupling else float)
+    kappa_arr = np.empty((n_paths, n), dtype=complex if params.complex_coupling else float)
 
-    sigma, xi0, xi1 = params.sigma, params.xi0, params.xi1
-    kappa0, kappa1, c_i = params.kappa0, params.kappa1, config.c_i
+    sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
     a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
     ar, ai, br, bi = (np.full(n_paths, v) for v in (a.real, a.imag, b.real, b.imag))
@@ -560,43 +553,23 @@ def _simulate_lockstep(
 
     for k0 in range(0, n, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, n - k0)
-        block = np.empty((n_paths, m, 3))
-        for rng, out in zip(rng_elem, block):
-            rng.standard_normal(out=out)
-        dz, nx, nk = block.transpose(2, 1, 0).copy()
-        del block
-        if complex_coupling:
-            coupling_phases = phases(rng_coupling, m)
-        xi = xi0 + xi1 * nx
+        dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
+            rngs, m, params, coupled, collapse
+        )
         xi_arr[:, k0 : k0 + m] = xi.T
-        if coupled:
-            kappa_noise = kappa1 * nk
-        else:
-            kappa = kappa0 + kappa1 * nk
-            if complex_coupling:
-                kappa = _with_phase(kappa, coupling_phases)
+        if not coupled:
             kappa_arr[:, k0 : k0 + m] = kappa.T
-            rotations = _rotations(xi, kappa, dt, scale)
-            del kappa
         half_xi = 0.5 * xi
-        del nx, nk, xi
-        uniforms = np.stack([rng.random(m) for rng in rng_trade], axis=1)
-        if not collapse:
-            thetas = phases(rng_phase, m)
-            scramble_cos, scramble_sin = np.cos(thetas), np.sin(thetas)
-            del thetas
 
         for j in range(m):
             step = k0 + j
             if coupled:
                 i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + kappa_noise[j]
-                if complex_coupling:
-                    kappa_j = _with_phase(kappa_j, coupling_phases[j])
+                kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + kappa[j]
+                if phases is not None:
+                    kappa_j = _with_phase(kappa_j, phases[j])
                 kappa_arr[:, step] = kappa_j
-                half_k, delta, finite_angle, c, x, p, q = _rotations(
-                    xi_arr[:, step], kappa_j, dt, scale
-                )
+                half_k, delta, finite_angle, c, x, p, q = _rotations(xi[j], kappa_j, dt, scale)
             else:
                 half_k, delta, finite_angle, c, x, p, q = (r[j] for r in rotations)
 
@@ -637,10 +610,8 @@ def _simulate_lockstep(
                 br = 1.0 - ar
                 ai = bi = np.zeros(n_paths)
             else:
-                ar, ai = (
-                    ar * scramble_cos[j] - ai * scramble_sin[j],
-                    ar * scramble_sin[j] + ai * scramble_cos[j],
-                )
+                sc, ss = (r[j] for r in scramble)
+                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
             s_bid[:, step] = bid
             s_ask[:, step] = ask

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 
 __all__ = [
     "SpreadLaw",
@@ -76,7 +76,7 @@ class SpreadLaw:
     def __post_init__(self):
         for name in ("xi1", "kappa1"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+            if not is_finite_number(v) or v <= 0:
                 raise ValidationError(f"{name} must be a finite positive number")
             object.__setattr__(self, name, float(v))
 

@@ -18,10 +18,9 @@ forms the levels; this module holds their parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 
 __all__ = ["ModelParams"]
 
@@ -55,7 +54,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ValidationError(f"parameter {name!r} must be a finite number")
             object.__setattr__(self, name, float(value))
         if self.sigma < 0:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stochastic_model import ModelParams
@@ -83,7 +83,7 @@ class StateVector:
     @classmethod
     def from_imbalance(cls, i: float) -> "StateVector":
         """Real-amplitude state with execution imbalance ``i`` in [-1, 1]."""
-        if not math.isfinite(i) or not -1.0 <= i <= 1.0:
+        if not is_finite_number(i) or not -1.0 <= i <= 1.0:
             raise ValidationError(f"imbalance must lie in [-1, 1], got {i!r}")
         return cls(math.sqrt(0.5 * (1.0 + i)), math.sqrt(0.5 * (1.0 - i)))
 

@@ -214,7 +214,7 @@ def simulate_path_by_steps(config, params):
     )
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
-    cols = {name: [] for name in ("s_bid", "s_ask", "s_trade", "side", "imbalance", "xi", "kappa")}
+    cols = {name: [] for name in ("s_bid", "s_ask", "s_trade", "at_ask", "imbalance", "xi", "kappa")}
     state = config.initial_state
     s_trade = config.initial_price
     resid_max = 0.0
@@ -231,16 +231,16 @@ def simulate_path_by_steps(config, params):
         state = propagate(state, xi, kappa, levels.s_mid, params)
         i_k = imbalance(state)
         p_ask, _ = probabilities(state)
-        side = "ask" if rng_trade.random() < p_ask else "bid"
-        price = levels.s_ask if side == "ask" else levels.s_bid
+        at_ask = rng_trade.random() < p_ask
+        price = levels.s_ask if at_ask else levels.s_bid
         if price <= 0.0:
             raise PricePositivityError(step=k, price=price)
         if collapse:
-            state = StateVector(1.0, 0.0) if side == "ask" else StateVector(0.0, 1.0)
+            state = StateVector(1.0, 0.0) if at_ask else StateVector(0.0, 1.0)
         else:
             state = randomize_phase(state, rng_phase)
 
-        for name, value in zip(cols, (levels.s_bid, levels.s_ask, price, side, i_k, xi, kappa)):
+        for name, value in zip(cols, (levels.s_bid, levels.s_ask, price, at_ask, i_k, xi, kappa)):
             cols[name].append(value)
         resid_max = max(resid_max, abs(levels.delta - math.hypot(xi, abs(kappa))))
         s_trade = price
@@ -250,7 +250,7 @@ def simulate_path_by_steps(config, params):
         s_bid=np.array(cols["s_bid"]),
         s_ask=np.array(cols["s_ask"]),
         s_trade=np.array(cols["s_trade"]),
-        side=np.array(cols["side"]),
+        at_ask=np.array(cols["at_ask"], dtype=bool),
         imbalance=np.array(cols["imbalance"]),
         xi=np.array(cols["xi"]),
         kappa=np.array(cols["kappa"], dtype=complex if params.complex_coupling else float),
@@ -264,8 +264,9 @@ def path_csv_rows_by_repr(series):
     """Row-at-a-time reference for the ``path.csv`` rows: one ``repr`` of
     ``float`` per cell, ``s_trade`` formatted on its own."""
     fmt = lambda x: repr(float(x))  # noqa: E731
+    side = lambda k: "ask" if series.at_ask[k] else "bid"  # noqa: E731
     return [
         f"{int(series.t[k])},{fmt(series.s_bid[k])},{fmt(series.s_ask[k])},"
-        f"{fmt(series.s_trade[k])},{series.side[k]},{fmt(series.imbalance[k])}"
+        f"{fmt(series.s_trade[k])},{side(k)},{fmt(series.imbalance[k])}"
         for k in range(len(series))
     ]

@@ -182,15 +182,6 @@ def test_rayleigh_line_when_second_moment_is_at_most_two(values):
     assert fit.xi1_hat**2 + fit.kappa1_hat**2 == pytest.approx(np.mean(values**2), rel=1e-12)
 
 
-def test_init_does_not_change_the_fit():
-    values = synthetic_samples(0.10, 0.05, 2000, seed=21)
-    base = fit_spread_params(values)
-    for init in ((0.10, 0.05), (1e-6, 1.0), (5.0, 5.0)):
-        assert fit_spread_params(values, init=init) == base
-    with pytest.raises(ValidationError):
-        fit_spread_params(values, init=(0.1, 0.0))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1.0, max_value=1e3), st.integers(50, 5000),
        st.integers(0, 2**32 - 1), st.floats(min_value=-300.0, max_value=200.0))

@@ -163,7 +163,7 @@ def test_column_formatting_matches_repr_per_float(rows):
         s_bid=bid,
         s_ask=ask,
         s_trade=np.where(at_ask, ask, bid),
-        side=np.where(at_ask, "ask", "bid"),
+        at_ask=at_ask,
         imbalance=imb,
         xi=np.zeros(len(rows)),
         kappa=np.zeros(len(rows)),
@@ -249,7 +249,7 @@ def test_shipped_config_keys_are_accepted():
         cfg = json.loads(path.read_text(encoding="utf-8"))
         _check_keys(cfg, commands[path.stem.split("_")[0]])
     _check_keys({"bins": 50, "format": "ohlc", "input": "x.csv", "ohlc_mode": "relative",
-                 "out_dir": "o", "seed": 1, "init": [0.1, 0.05]}, "fit")
+                 "out_dir": "o", "seed": 1}, "fit")
 
 
 def test_atomic_write_cleans_up_when_replace_fails(tmp_path, monkeypatch):
@@ -309,6 +309,20 @@ def test_fit_round_trip_recovers_parameters(tmp_path):
     # the two densities describe the same histogrammed data
     mask = table["empirical_density"] > 0
     assert np.corrcoef(table["empirical_density"][mask], table["model_density"][mask])[0, 1] > 0.9
+
+
+def test_shipped_fit_config_runs_on_quotes_beside_it(tmp_path, monkeypatch):
+    # the README quick start: synthetic quotes written beside the shipped config
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    cfg = config_dir / "fit_quotes.json"
+    cfg.write_bytes((CONFIGS_DIR / "fit_quotes.json").read_bytes())
+    quotes_file(config_dir, n=5000, seed=1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--config", "configs/fit_quotes.json"]) == 0
+    out = tmp_path / json.loads(cfg.read_text(encoding="utf-8"))["out_dir"]
+    fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
+    assert fit["converged"] is True and fit["ingestion"]["kept"] == 5000
 
 
 def test_fit_at_1e200_scale(tmp_path):

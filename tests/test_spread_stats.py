@@ -114,6 +114,13 @@ def test_law_validation_and_derived_coefficients():
             SpreadLaw(xi1=bad, kappa1=0.05)
 
 
+@pytest.mark.parametrize("bad", [10**400, True, math.nan], ids=["huge_int", "bool", "nan"])
+@pytest.mark.parametrize("name", ["xi1", "kappa1"])
+def test_law_scales_must_be_finite_numbers(name, bad):
+    with pytest.raises(ValidationError, match=f"{name} must be a finite positive number"):
+        SpreadLaw(**dict({"xi1": 0.1, "kappa1": 0.05}, **{name: bad}))
+
+
 @pytest.mark.parametrize(
     "xi1, kappa1, a, b",
     [

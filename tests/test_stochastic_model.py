@@ -163,6 +163,14 @@ def test_complex_coupling_keeps_xi_and_kappa_noise():
     assert np.allclose(np.abs(rotated.kappa), np.abs(real.kappa), rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [10**400, True, math.nan], ids=["huge_int", "bool", "nan"])
+@pytest.mark.parametrize("name", ["sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"])
+def test_parameters_must_be_finite_numbers(name, bad):
+    # an int past float range, a bool and NaN all fail the one finite-number rule
+    with pytest.raises(ValidationError, match=f"'{name}' must be a finite number"):
+        make_params(**{name: bad})
+
+
 def test_parameter_validation():
     with pytest.raises(ValidationError):
         make_params(sigma=-0.1)

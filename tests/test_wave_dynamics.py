@@ -184,6 +184,12 @@ def test_from_imbalance_round_trip():
         StateVector.from_imbalance(1.5)
 
 
+@pytest.mark.parametrize("bad", [10**400, True, math.nan], ids=["huge_int", "bool", "nan"])
+def test_from_imbalance_requires_a_finite_number(bad):
+    with pytest.raises(ValidationError, match="imbalance must lie in"):
+        StateVector.from_imbalance(bad)
+
+
 def test_randomize_phase_preserves_probabilities():
     rng = np.random.default_rng(61)
     state = StateVector(1.0, 0.0)
