@@ -43,16 +43,12 @@ from .spread_stats import (
     Histogram,
     SpreadCdfCache,
     SpreadLaw,
-    bessel_i0,
     bessel_i0_scaled,
     ks_distance,
-    law_from_model,
     sample_spread,
     spread_cdf,
     spread_log_pdf,
     spread_pdf,
-    tabulate_law,
-    write_law_csv,
 )
 from .stochastic_model import ModelParams
 from .wave_dynamics import (

@@ -26,6 +26,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    OHLC_MODE_ABSOLUTE,
+    OHLC_MODE_RELATIVE,
     _read_csv,
     fit_spread_params,
     read_ohlc_csv,
@@ -345,10 +347,11 @@ def _ingest_fit_input(cfg: dict, config_dir: Path):
         ingest = spreads_from_quotes(*read_quotes_csv(input_path))
         metadata = {"format": "quotes", "input": input_name}
     else:
-        mode = _choice(cfg, "ohlc_mode", ("absolute", "relative"), "absolute")
+        modes = (OHLC_MODE_ABSOLUTE, OHLC_MODE_RELATIVE)
+        mode = _choice(cfg, "ohlc_mode", modes, OHLC_MODE_ABSOLUTE)
         ingest = spreads_from_ohlc(*read_ohlc_csv(input_path), mode=mode)
         metadata = {"format": "ohlc", "input": input_name, "ohlc_mode": mode}
-        if mode == "relative":
+        if mode == OHLC_MODE_RELATIVE:
             metadata["denominator"] = "close"
     return ingest, metadata
 

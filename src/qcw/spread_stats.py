@@ -30,7 +30,6 @@ from .errors import ValidationError, is_finite_number
 __all__ = [
     "SpreadLaw",
     "Histogram",
-    "bessel_i0",
     "bessel_i0_scaled",
     "spread_pdf",
     "spread_log_pdf",
@@ -38,32 +37,19 @@ __all__ = [
     "SpreadCdfCache",
     "sample_spread",
     "ks_distance",
-    "tabulate_law",
-    "write_law_csv",
-    "law_from_model",
 ]
 
 
-def _i0(x, fn):
+def bessel_i0_scaled(x):
+    """Exponentially scaled e^-|x| * I0(x); even in x, in (0, 1] for all x.
+
+    Accepts finite scalars or arrays.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("bessel_i0 requires finite input")
-    out = fn(arr)
+        raise ValidationError("bessel_i0_scaled requires finite input")
+    out = special.i0e(arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def bessel_i0(x):
-    """Modified Bessel function I0(x); even in x, monotone on x >= 0.
-
-    Accepts scalars or arrays. Overflows for x beyond ~709 like exp(x) does;
-    use :func:`bessel_i0_scaled` in exponent-heavy expressions.
-    """
-    return _i0(x, special.i0)
-
-
-def bessel_i0_scaled(x):
-    """Exponentially scaled e^-|x| * I0(x); stays in (0, 1] for all x."""
-    return _i0(x, special.i0e)
 
 
 @dataclass(frozen=True)
@@ -177,23 +163,18 @@ def spread_cdf(delta, law: SpreadLaw):
 
 
 class SpreadCdfCache:
-    """CDF tabulated on a grid for repeated evaluation (KS tests, tables).
+    """CDF tabulated on a grid for repeated evaluation (KS tests).
 
-    The closed-form :func:`spread_cdf` is evaluated on the grid and made
-    non-decreasing (near 1 its rounding can dip by an ulp between
-    neighbours); lookups interpolate linearly. With the default 4096 panels
-    over the tail cutoff the interpolation error is < 1e-5, far below KS
-    tolerances.
+    The closed-form :func:`spread_cdf` is evaluated on 4096 panels over the
+    tail cutoff and made non-decreasing (near 1 its rounding can dip by an
+    ulp between neighbours); lookups interpolate linearly, with an error
+    < 1e-5, far below KS tolerances.
     """
 
-    def __init__(self, law: SpreadLaw, n_panels: int = 4096, upper: float | None = None):
+    def __init__(self, law: SpreadLaw):
         self.law = law
-        self.upper = float(upper) if upper is not None else law.tail_cutoff()
-        if self.upper <= 0:
-            raise ValidationError("upper grid limit must be > 0")
-        self.xs = np.linspace(0.0, self.upper, n_panels + 1)
+        self.xs = np.linspace(0.0, law.tail_cutoff(), 4096 + 1)
         self.cdf = np.maximum.accumulate(spread_cdf(self.xs, law))
-        self.total_mass = float(self.cdf[-1])
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf, left=0.0, right=1.0)
@@ -267,37 +248,3 @@ class Histogram:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-
-def tabulate_law(law: SpreadLaw, n_points: int = 513, upper: float | None = None):
-    """(delta, pdf, cdf) arrays for export and plotting."""
-    hi = float(upper) if upper is not None else law.tail_cutoff()
-    cache = SpreadCdfCache(law, upper=hi)
-    deltas = np.linspace(0.0, hi, n_points)
-    return deltas, spread_pdf(deltas, law), cache(deltas)
-
-
-def write_law_csv(path, law: SpreadLaw, n_points: int = 513, upper: float | None = None):
-    """Write the tabulated law to ``path`` as CSV with header delta,pdf,cdf."""
-    deltas, pdf, cdf = tabulate_law(law, n_points=n_points, upper=upper)
-    lines = ["delta,pdf,cdf"]
-    lines.extend(
-        f"{float(d)!r},{float(p)!r},{float(c)!r}" for d, p, c in zip(deltas, pdf, cdf)
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def law_from_model(params) -> SpreadLaw:
-    """Spread law implied by model parameters with centered element draws.
-
-    The analytic density describes sqrt(xi^2 + kappa^2) only when both draws
-    have zero mean; nonzero means admit no closed form here, so they are
-    rejected and such models must be compared against Monte-Carlo samples
-    instead.
-    """
-    if params.xi0 != 0.0 or params.kappa0 != 0.0:
-        raise ValidationError(
-            "analytic spread law requires xi0 = kappa0 = 0; compare nonzero-mean "
-            "models against Monte-Carlo spread samples instead"
-        )
-    return SpreadLaw(xi1=params.xi1, kappa1=params.kappa1)

@@ -58,9 +58,9 @@ class StateVector:
         a, b = self.psi_ask, self.psi_bid
         return a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
 
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
+    def require_normalized(self) -> None:
         drift = abs(self.norm_sq() - 1.0)
-        if drift > tol:
+        if drift > NORM_TOL:
             raise ValidationError(f"state not normalized: |norm^2 - 1| = {drift:.3e}")
 
     def normalized(self) -> "StateVector":

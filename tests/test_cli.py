@@ -210,7 +210,9 @@ def test_simulate_validation_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000])
+@pytest.mark.parametrize(
+    "content", [b'{"seed": "\xff"}', b"[" * 100_000], ids=["non_utf8", "nested_too_deep"]
+)
 def test_unreadable_config_is_validation_error(tmp_path, capsys, content):
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(content)

@@ -17,14 +17,12 @@ from qcw import (
     SpreadCdfCache,
     SpreadLaw,
     ValidationError,
-    bessel_i0,
     bessel_i0_scaled,
     ks_distance,
     sample_spread,
     spread_cdf,
     spread_log_pdf,
     spread_pdf,
-    tabulate_law,
 )
 
 from oracles import (
@@ -49,17 +47,17 @@ laws = st.builds(
 # ---------------------------------------------------------------------------
 
 def test_i0_at_zero():
-    assert bessel_i0(0.0) == 1.0
     assert bessel_i0_scaled(0.0) == 1.0
 
 
 def test_i0_at_one():
-    assert bessel_i0(1.0) == pytest.approx(1.2660658778, abs=5e-11)
-    assert bessel_i0(1.0) == pytest.approx(scipy.special.i0(1.0), rel=1e-14)
+    assert bessel_i0_scaled(1.0) * math.e == pytest.approx(1.2660658778, abs=5e-11)
+    assert bessel_i0_scaled(1.0) * math.e == pytest.approx(scipy.special.i0(1.0), rel=1e-14)
 
 
 def test_i0_at_ten_vs_integral_representation():
-    assert bessel_i0(10.0) == pytest.approx(i0_quadrature(10.0, n_nodes=129), rel=1e-10)
+    i0_ten = bessel_i0_scaled(10.0) * math.exp(10.0)
+    assert i0_ten == pytest.approx(i0_quadrature(10.0, n_nodes=129), rel=1e-10)
 
 
 def test_i0_sweep_against_quadrature_and_scipy():
@@ -79,16 +77,16 @@ def test_i0_sweep_against_quadrature_and_scipy():
 
 def test_i0_even_and_monotone():
     xs = np.linspace(0.0, 40.0, 400)
-    vals = bessel_i0(xs)
+    vals = bessel_i0_scaled(xs) * np.exp(xs)
     assert np.all(np.diff(vals) >= 0.0)
-    assert bessel_i0(-3.2) == bessel_i0(3.2)
+    assert bessel_i0_scaled(-3.2) == bessel_i0_scaled(3.2)
     scaled = bessel_i0_scaled(np.linspace(0.0, 700.0, 200))
     assert np.all((scaled > 0.0) & (scaled <= 1.0))
 
 
 def test_i0_rejects_non_finite():
     with pytest.raises(ValidationError):
-        bessel_i0(math.nan)
+        bessel_i0_scaled(math.nan)
 
 
 @given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300))
@@ -356,40 +354,3 @@ def test_histogram_validation():
         Histogram(edges=np.array([0.0, 1.0]), masses=np.array([-0.1]), count=1)
     with pytest.raises(ValidationError):
         Histogram.from_samples([], bins=4)
-
-
-def test_tabulate_law_export():
-    law = SpreadLaw(xi1=0.1, kappa1=0.06)
-    deltas, pdf, cdf = tabulate_law(law, n_points=101)
-    assert deltas.shape == pdf.shape == cdf.shape == (101,)
-    assert cdf[0] == 0.0
-    assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
-    assert np.all(np.diff(cdf) >= 0.0)
-
-
-def test_write_law_csv_round_trips(tmp_path):
-    from qcw import write_law_csv
-
-    law = SpreadLaw(xi1=0.1, kappa1=0.06)
-    out = tmp_path / "law.csv"
-    write_law_csv(out, law, n_points=64)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    deltas, pdf, cdf = tabulate_law(law, n_points=64)
-    assert np.array_equal(data[:, 0], deltas)
-    assert np.array_equal(data[:, 1], pdf)
-    assert np.array_equal(data[:, 2], cdf)
-
-
-def test_law_from_model_requires_centered_draws():
-    from qcw import ModelParams, law_from_model
-
-    centered = ModelParams(
-        sigma=0.0, xi0=0.0, xi1=0.1, kappa0=0.0, kappa1=0.05, tau=1.0, s0=1.0, dt=1.0
-    )
-    law = law_from_model(centered)
-    assert (law.xi1, law.kappa1) == (0.1, 0.05)
-    shifted = ModelParams(
-        sigma=0.0, xi0=0.02, xi1=0.1, kappa0=0.0, kappa1=0.05, tau=1.0, s0=1.0, dt=1.0
-    )
-    with pytest.raises(ValidationError):
-        law_from_model(shifted)
