@@ -4,9 +4,9 @@ Fits (xi1, kappa1) to observed spread samples by maximizing the spread-law
 log-likelihood, with no 2-D search. In the scale-free units
 t = (d/s)^2 / mean((d/s)^2), s = max(d), the law's parameter a has a closed
 form given b (the profile likelihood), so every local maximum is a root of
-a 1-D profile score in b, bracketed on powers of two and solved by Brent's
-method; where the score is negative at b = 0, the Rayleigh line
-xi1 = kappa1 is a candidate too. The likelihood is exactly symmetric under
+a 1-D profile score in b, bracketed on powers of two and solved by Newton
+steps kept inside the bracket; where the score is negative at b = 0, the
+Rayleigh line xi1 = kappa1 is a candidate too. The likelihood is exactly symmetric under
 swapping the two parameters, so the intrinsic and coupling scales are not
 individually identifiable from spread data alone; results are reported in
 the canonical order xi1_hat >= kappa1_hat.
@@ -25,7 +25,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import ValidationError
 
@@ -49,6 +48,9 @@ OHLC_MODE_RELATIVE = "relative"
 # 2^-60 is the Rayleigh line to working precision; past 2^50 (a scale ratio
 # near 7e7) the score is smaller than the rounding of its own terms.
 _B_EXPONENTS = (-60, 50)
+
+# The root of the profile score is found to 4 ulps, relative.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 # phi(x) = 2x (1 - I1(x)/I0(x)) >= 1 + 1/(4x) holds from x = 1.31 on, which
 # bounds the profile score from above without Bessel functions for the
@@ -114,34 +116,74 @@ _I0_SERIES = _asymptotic_series(0)
 _PHI_EXCESS_SERIES = 2.0 * (_I0_SERIES - _asymptotic_series(1))[:-1] - _I0_SERIES[1:]
 
 
-def _sum_psi_minus_phi(x: np.ndarray, gap: float) -> float:
-    """sum_i (psi - phi(x_i)) for x >= 0 sorted ascending, where
-    phi(x) = 2x (1 - I1(x)/I0(x)) and psi = 1 - ``gap``."""
+def _quotient_series(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The power series num/den to as many terms as num, for coefficients
+    given highest power first and den(0) = 1."""
+    num, den = num[::-1], den[::-1]
+    out = []
+    for k in range(num.size):
+        out.append(num[k] - sum(den[i] * out[k - i] for i in range(1, min(k + 1, den.size))))
+    return np.array(out[::-1])
+
+
+# x phi'(x) = -y R'(y) past the series point, with R(y) = phi - 1 as one
+# power series in y = 1/x; near there 2 - 2x (1 - r^2) cancels to ~1/(4x^2).
+_X_PHI_SLOPE_SERIES = -np.polymul(np.polyder(_quotient_series(_PHI_EXCESS_SERIES, _I0_SERIES)),
+                                  [1.0, 0.0])
+
+
+def _bessel_ratio(x: np.ndarray) -> np.ndarray:
+    """I1(x)/I0(x) from the exponentially scaled Bessel functions."""
+    from scipy import special  # deferred: only the fit needs scipy
+
+    return special.i1e(x) / special.i0e(x)
+
+
+def _sum_psi_minus_phi(x: np.ndarray, gap: float) -> tuple[float, float]:
+    """sum_i (psi - phi(x_i)) and sum_i x_i phi'(x_i) for x >= 0 sorted
+    ascending, where phi(x) = 2x (1 - r(x)), r = I1/I0 and psi = 1 - ``gap``.
+
+    phi'(x) = 2 - 2x (1 - r^2), from r'(x) = 1 - r/x - r^2; from x = 50 on
+    both sums use the asymptotic series.
+    """
     j = int(np.searchsorted(x, _SERIES_FROM))
     near, y = x[:j], 1.0 / x[j:]
-    return (
-        float(np.sum((1.0 - gap) - 2.0 * near * (1.0 - special.i1e(near) / special.i0e(near))))
+    r = _bessel_ratio(near)
+    total = (
+        float(np.sum((1.0 - gap) - 2.0 * near * (1.0 - r)))
         - float(np.sum(np.polyval(_PHI_EXCESS_SERIES, y) / np.polyval(_I0_SERIES, y)))
         - (x.size - j) * gap
     )
+    slope = float(np.sum(2.0 * near * (1.0 - near * (1.0 - r * r)))) + float(
+        np.sum(np.polyval(_X_PHI_SLOPE_SERIES, y))
+    )
+    return total, slope
 
 
-def _profile_score(beta: float, t: np.ndarray) -> float:
+def _profile_score(beta: float, t: np.ndarray) -> tuple[float, float]:
     """2b times the derivative in b of the mean log-likelihood maximized
-    over a, at b = ``beta``, for sorted t with mean(t) = 1.
+    over a, at b = ``beta``, for sorted t with mean(t) = 1, and the
+    derivative of that score in b.
 
     The derivative is mean(t r(b t)) - b/a with r = I1/I0, a = (1 + q)/2
     and q = sqrt(1 + 4 b^2), and 2b times it is psi - mean(phi(b t)) with
     psi = 2b (a - b)/a = 1 - 1/(q + 2b) and phi(x) = 2x (1 - r(x)). The
-    first form keeps its precision for b <= 1, the second for b > 1.
+    first form keeps its precision for b <= 1, the second for b > 1. Their
+    slopes are 2b (mean(t^2 (1 - r^2)) - 2/q), since t^2 r'(b t) =
+    t^2 (1 - r^2) - t r/b, and psi' - mean(t phi'(b t)) with
+    psi' = 2/(q (q + 2b)).
     """
     q = math.hypot(1.0, 2.0 * beta)
     x = beta * t
     if beta <= 1.0:
-        return 2.0 * beta * (
-            float(np.mean(t * (special.i1e(x) / special.i0e(x)))) - 2.0 * beta / (1.0 + q)
+        r = _bessel_ratio(x)
+        return (
+            2.0 * beta * (float(np.mean(t * r)) - 2.0 * beta / (1.0 + q)),
+            2.0 * beta * (float(np.mean(t * t * (1.0 - r * r))) - 2.0 / q),
         )
-    return _sum_psi_minus_phi(x, 1.0 / (q + 2.0 * beta)) / t.size
+    gap = 1.0 / (q + 2.0 * beta)
+    total, slope = _sum_psi_minus_phi(x, gap)
+    return total / t.size, 2.0 * gap / q - slope / (beta * t.size)
 
 
 def _score_is_negative(beta: float, t: np.ndarray, tail_inv: np.ndarray) -> bool:
@@ -153,7 +195,7 @@ def _score_is_negative(beta: float, t: np.ndarray, tail_inv: np.ndarray) -> bool
     """
     j = int(np.searchsorted(t, _BOUND_FROM / beta))
     gap = 1.0 / (math.hypot(1.0, 2.0 * beta) + 2.0 * beta)
-    bound = _sum_psi_minus_phi(beta * t[:j], gap)
+    bound = _sum_psi_minus_phi(beta * t[:j], gap)[0]
     if j < t.size:
         bound -= (t.size - j) * gap + tail_inv[j] / (4.0 * beta)
     return bound < 0.0
@@ -170,12 +212,49 @@ def _a_minus_plus_b(beta: float) -> tuple[float, float]:
 def _profile_loglik(beta: float, t: np.ndarray) -> float:
     """The b-dependent part of the log-likelihood maximized over a, summed
     over the samples t (mean(t) = 1)."""
+    from scipy import special  # deferred: only the fit needs scipy
+
     a_minus_b, a_plus_b = _a_minus_plus_b(beta)
     return (
         0.5 * t.size * math.log(a_minus_b * a_plus_b)
         - a_minus_b * float(np.sum(t))
         + float(np.sum(np.log(special.i0e(beta * t))))
     )
+
+
+def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
+    """The b in [lo, hi] where ``score(b)[0]`` turns from > 0 at lo to <= 0
+    at hi, by Newton steps on its slope ``score(b)[1]``.
+
+    The first step starts from the end with the smaller score. Each score
+    moves one end of the bracket by its sign, so the bracket decides the
+    root and the slope only steers: a step that is not half the step before
+    last (at the score's rounding noise, near the root) is doubled, which
+    likely lands past the root and closes the bracket, and a step that would
+    not land inside the bracket is replaced by bisection. Stops at a b whose
+    Newton step, or whose bracket, is within 4 ulps (relative), or after
+    ``max_iterations`` scores. Returns ``(root, iterations, converged)``.
+    """
+    (s_lo, slope_lo), (s_hi, slope_hi) = score(lo), score(hi)
+    b, s, slope = (lo, s_lo, slope_lo) if abs(s_lo) < abs(s_hi) else (hi, s_hi, slope_hi)
+    before = last = math.inf
+    for iterations in range(max_iterations + 1):
+        step = s / slope if slope else math.inf
+        if abs(step) <= _ROOT_RTOL * b or hi - lo <= _ROOT_RTOL * b:
+            return b, iterations, True
+        if iterations == max_iterations:
+            break
+        if abs(step) > 0.5 * before:
+            step *= 2.0
+        next_b = b - step if lo < b - step < hi else 0.5 * (lo + hi)
+        before, last = last, abs(next_b - b)
+        b = next_b
+        s, slope = score(b)
+        if s > 0.0:
+            lo = b
+        else:
+            hi = b
+    return b, max_iterations, False
 
 
 def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
@@ -187,7 +266,7 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
     to a positive value; a falling one is known to be negative at 2^start.
     From there the steps go up until every sample has b t >= 1.5, past which
     :func:`_score_is_negative` holds for every larger b. Each sign change is
-    solved by Brent's method. Returns
+    solved by :func:`_bracketed_root`. Returns
     ``(roots, iterations, converged, evaluations)``.
     """
     lowest, highest = _B_EXPONENTS
@@ -200,9 +279,9 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
 
     k, positive = start, rising
     if rising:
-        while k > lowest and score(2.0**k) <= 0.0:
+        while k > lowest and score(2.0**k)[0] <= 0.0:
             k -= 1
-        positive = score(2.0**k) > 0.0
+        positive = score(2.0**k)[0] > 0.0
     # Falling at the start, or nonpositive down to 2^-60: b = 0 is a local
     # maximum (to working precision in the second case).
     roots = [] if positive else [0.0]
@@ -214,10 +293,10 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
         k += 1
         beta = 2.0**k
         if positive or beta in scores:
-            negative = score(beta) <= 0.0
+            negative = score(beta)[0] <= 0.0
         else:
             bound_checks += 1
-            negative = _score_is_negative(beta, t, tail_inv) or score(beta) <= 0.0
+            negative = _score_is_negative(beta, t, tail_inv) or score(beta)[0] <= 0.0
         if positive and negative:
             brackets.append(beta)
         positive = not negative
@@ -226,13 +305,10 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
 
     iterations, converged = 0, not positive
     for hi in brackets:
-        root, info = optimize.brentq(
-            score, hi / 2.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-            maxiter=max_iterations, full_output=True, disp=False,
-        )
+        root, used, done = _bracketed_root(score, hi / 2.0, hi, max_iterations)
         roots.append(root)
-        iterations += info.iterations
-        converged = converged and info.converged
+        iterations += used
+        converged = converged and done
     if positive:
         roots.append(2.0**highest)  # still rising at the ceiling
     return roots, iterations, converged, len(scores) + bound_checks
@@ -253,9 +329,10 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
     otherwise it starts from a log-moment estimate of b and steps down to
     a positive score. From there it steps up over powers of two until
     every sample has b t >= 1.5, past which the score is provably
-    negative. Each sign change from + to - is solved by Brent's method to
-    4 ulps in at most ``max_iterations`` iterations (``converged=False`` if
-    that cap is hit), and the local maximum with the highest
+    negative. Each sign change from + to - is solved by Newton steps on the
+    score's slope, kept inside the bracket, to 4 ulps in at most
+    ``max_iterations`` scores (``converged=False`` if that cap is hit), and
+    the local maximum with the highest
     log-likelihood wins: with few samples against the scale ratio, the
     smallest samples can make the profile multimodal, and b = 0 need not
     be the best even when mean(t^2) <= 2. The estimates scale with the
@@ -269,6 +346,8 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
         )
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("spread samples must all be finite and > 0")
+    if max_iterations < 0:
+        raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
 
     n = int(values.size)
     scale = float(values.max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .wave_dynamics import StateVector
+from .wave_dynamics import StateVector, _modulus
 
 __all__ = [
     "PriceOperator2",
@@ -77,10 +77,11 @@ def eigenprices(op: PriceOperator2) -> PriceLevels:
 
     s_ask/bid = (s11+s22)/2 +- sqrt(((s11-s22)/2)^2 + |s12|^2), i.e. the two
     prices sit symmetrically around the mid (half-trace) separated by the
-    spread delta = sqrt((s11-s22)^2 + 4|s12|^2).
+    spread delta = sqrt((s11-s22)^2 + 4|s12|^2). Past float range the
+    levels are +-inf, as in :func:`eigenprices_batch`.
     """
     half_diff = 0.5 * (op.s11 - op.s22)
-    half_delta = math.hypot(half_diff, abs(op.s12))
+    half_delta = math.hypot(half_diff, _modulus(op.s12))
     s_mid = 0.5 * (op.s11 + op.s22)
     return PriceLevels(
         s_ask=s_mid + half_delta,
@@ -114,10 +115,22 @@ def _unit_eigenvector(op: PriceOperator2, s: float) -> StateVector:
     """
     v1 = (op.s12, complex(s - op.s11))
     v2 = (complex(s - op.s22), op.s12.conjugate())
-    n1 = abs(v1[0]) ** 2 + abs(v1[1]) ** 2
-    n2 = abs(v2[0]) ** 2 + abs(v2[1]) ** 2
-    a, b = v1 if n1 >= n2 else v2
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    moduli = [_modulus(z) for z in (*v1, *v2)]
+    if not math.isfinite(max(moduli)):
+        raise ValidationError("eigenvectors need s12 and the levels within float range")
+    # Moduli within 2^+-500 square to normal floats and are used as they
+    # are; past that all is scaled by 2^-e, which leaves the unit vector as
+    # it is.
+    e = math.frexp(max(moduli))[1]
+    e = 0 if abs(e) <= 500 else e
+    m1, m2, m3, m4 = (math.ldexp(m, -e) for m in moduli)
+    n1 = m1**2 + m2**2
+    n2 = m3**2 + m4**2
+    a, b = (
+        complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+        for z in (v1 if n1 >= n2 else v2)
+    )
+    norm = math.sqrt(max(n1, n2))
     a /= norm
     b /= norm
     anchor = a if abs(a) > 1e-12 else b
@@ -130,7 +143,8 @@ def eigenvectors(op: PriceOperator2) -> tuple[StateVector, StateVector]:
 
     The two vectors are orthogonal; on the degenerate single-price operator
     (delta = 0) any orthonormal pair qualifies, so the canonical basis
-    ((1,0), (0,1)) is returned for determinism.
+    ((1,0), (0,1)) is returned for determinism. Raises
+    :class:`ValidationError` where |s12| or a level passes float range.
     """
     levels = eigenprices(op)
     if levels.delta == 0.0:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError, is_finite_number
 
@@ -48,6 +47,8 @@ def bessel_i0_scaled(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("bessel_i0_scaled requires finite input")
+    from scipy import special  # deferred: the simulation never needs scipy
+
     out = special.i0e(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -145,6 +146,8 @@ def spread_cdf(delta, law: SpreadLaw):
     ``chndtr`` slows in proportion to the scale ratio and stops converging
     beyond about 2e4:1, where this raises :class:`ValidationError`.
     """
+    from scipy import special  # deferred: the simulation never needs scipy
+
     d = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(d)):
         raise ValidationError("delta must be finite")

@@ -35,6 +35,15 @@ NORM_TOL = 1e-9
 RENORM_TRIGGER = 1e-12
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus of finite parts passes float range
+    (abs raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitude pair over the (ask, bid) basis.
@@ -152,7 +161,7 @@ def propagate(
     if not math.isfinite(s_mid * dt / scale):
         raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
     kappa = complex(kappa)
-    delta = math.hypot(xi, abs(kappa))
+    delta = math.hypot(xi, _modulus(kappa))
     global_phase = cmath.exp(-1j * s_mid * dt / scale)
 
     if delta == 0.0:

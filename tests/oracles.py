@@ -170,6 +170,12 @@ def fit_by_nelder_mead(values, max_iterations=500):
     )
 
 
+def root_by_brentq(f, lo, hi):
+    """Root of scalar ``f`` in [lo, hi] by scipy's Brent method, to 4 ulps
+    relative: the fit's root finder before its bracketed Newton iteration."""
+    return optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
 def spreads_by_row(low, high, denom=None):
     """Scalar per-row reference for the masked spread extraction.
 

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import fit_by_nelder_mead, spreads_by_row
+from oracles import fit_by_nelder_mead, root_by_brentq, spreads_by_row
 from qcw import (
     FitResult,
     SpreadLaw,
@@ -23,7 +23,7 @@ from qcw import (
     spreads_from_quotes,
 )
 from qcw import calibration
-from qcw.calibration import _read_csv, _sum_psi_minus_phi
+from qcw.calibration import _profile_score, _read_csv, _sum_psi_minus_phi
 
 
 def synthetic_samples(xi1, kappa1, n, seed):
@@ -112,16 +112,95 @@ def test_nonconvergence_is_reported_not_raised():
     assert fit.xi1_hat > 0 and fit.kappa1_hat > 0
 
 
+def test_max_iterations_must_be_nonnegative():
+    values = synthetic_samples(0.1, 0.05, 1000, seed=17)
+    assert not fit_spread_params(values, max_iterations=0).converged
+    with pytest.raises(ValidationError, match="max_iterations"):
+        fit_spread_params(values, max_iterations=-1)
+
+
 def test_series_and_bound_behind_the_profile_score():
     # phi(x) = 2x (1 - I1(x)/I0(x)). phi - 1 from the asymptotic series
     # matches scipy's i1e/i0e wherever those still resolve it, and
     # phi >= 1 + 1/(4x) from x = 1.5 on, which the search's bound relies on.
     x = np.geomspace(1.5, 1e12, 400)
-    excess = np.array([-_sum_psi_minus_phi(np.array([v]), 0.0) for v in x])
+    excess = np.array([-_sum_psi_minus_phi(np.array([v]), 0.0)[0] for v in x])
     direct = 2.0 * x * (1.0 - special.i1e(x) / special.i0e(x)) - 1.0
     resolved = x <= 1e4
     assert np.allclose(excess[resolved], direct[resolved], rtol=1e-6, atol=0.0)
     assert np.all(excess >= 0.25 / x)
+
+
+def scale_free(values):
+    """The sorted t = (d/s)^2 / mean((d/s)^2), s = max(d), that the fit solves on."""
+    t = (values / values.max()) ** 2
+    return np.sort(t / t.mean())
+
+
+def central_difference(f, x, h=1e-5):
+    return (f(x * (1.0 + h)) - f(x * (1.0 - h))) / (2.0 * h * x)
+
+
+def test_slope_behind_the_profile_score():
+    # x phi'(x), from the Bessel ratio below x = 50 and the series above; it
+    # changes sign near x = 1.7.
+    total = lambda v: _sum_psi_minus_phi(np.array([v]), 0.0)[0]  # noqa: E731
+    for x in np.geomspace(1e-3, 1e12, 61):
+        slope = _sum_psi_minus_phi(np.array([x]), 0.0)[1]
+        expected = -x * central_difference(total, x)
+        assert slope == pytest.approx(expected, rel=1e-6, abs=1e-8 * min(x, 1.0 / x)), x
+
+
+@pytest.mark.parametrize("beta", [1e-6, 0.3, 0.9, 1.5, 40.0, 3000.0])
+def test_slope_of_the_profile_score(beta):
+    # Both forms of the score; at 40 and 3000 most samples are on the series.
+    t = scale_free(synthetic_samples(0.10, 0.10 / 30.0, 2000, seed=41))
+    slope = _profile_score(beta, t)[1]
+    score = lambda b: _profile_score(b, t)[0]  # noqa: E731
+    assert slope == pytest.approx(central_difference(score, beta), rel=1e-6)
+
+
+def solved_brackets(values, max_iterations=500):
+    """Each (score, lo, hi, root, converged) the fit of ``values`` solves."""
+    solved, solve = [], calibration._bracketed_root
+
+    def spy(score, lo, hi, cap):
+        root, iterations, converged = solve(score, lo, hi, cap)
+        solved.append((score, lo, hi, root, converged))
+        return root, iterations, converged
+
+    calibration._bracketed_root = spy
+    try:
+        fit = fit_spread_params(values, max_iterations=max_iterations)
+    finally:
+        calibration._bracketed_root = solve
+    return fit, solved
+
+
+# Scale ratios whose roots are mostly solved on one form of the score: the
+# b <= 1 form, the b > 1 form with every b t below the series point, and the
+# b > 1 form with samples on the series.
+@pytest.mark.parametrize("ratios, sizes, branch", [
+    ((1.4, 1.8), (500, 5000), lambda root, t: root <= 1.0),
+    ((2.2, 3.0), (200, 2000), lambda root, t: 1.0 < root and root * t[-1] < 50.0),
+    ((20.0, 300.0), (200, 5000), lambda root, t: root * t[-1] >= 50.0),
+], ids=["b_at_most_1", "b_above_1", "series"])
+@settings(max_examples=15, deadline=None)
+@given(where=st.floats(0.0, 1.0), size=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_root_matches_brent_oracle(ratios, sizes, branch, where, size, seed):
+    n = int(sizes[0] + size * (sizes[1] - sizes[0]))
+    values = synthetic_samples(0.10, 0.10 / (ratios[0] + where * (ratios[1] - ratios[0])), n, seed)
+    fit, solved = solved_brackets(values)
+    assert fit.converged
+    for score, lo, hi, root, _ in solved:
+        assert lo <= root <= hi
+        assert root == pytest.approx(root_by_brentq(lambda b: score(b)[0], lo, hi), rel=1e-12)
+    if solved:
+        capped, solved_once = solved_brackets(values, max_iterations=1)
+        assert not capped.converged and not any(done for *_, done in solved_once)
+    # Count the example only where a root is on the branch under test.
+    t = scale_free(values)
+    assume(any(branch(root, t) for *_, root, _ in solved))
 
 
 def assert_matches_oracle(values):

@@ -139,6 +139,40 @@ def test_rejects_non_finite_elements():
         PriceOperator2(1.0, 1.0, complex(math.nan, 0.0))
 
 
+def test_coupling_modulus_past_float_range_matches_batch():
+    # abs() of this finite coupling raises OverflowError; the levels are
+    # the batch's +-inf instead.
+    s12 = complex(1.28e308, 1.28e308)
+    levels = eigenprices(PriceOperator2(1.0, 1.0, s12))
+    with np.errstate(over="ignore"):
+        batch = eigenprices_batch([1.0], [1.0], [s12])
+    assert (levels.s_ask, levels.s_bid, levels.s_mid, levels.delta) == tuple(
+        float(v[0]) for v in batch
+    )
+    assert levels.s_ask == levels.delta == -levels.s_bid == math.inf
+
+
+def test_eigenvectors_at_extreme_magnitudes():
+    # The squared moduli of 1e200 pass float range, and those of 1e-200
+    # underflow to 0; the vectors do neither.
+    ask_vec, bid_vec = eigenvectors(PriceOperator2(1.0, 1.0, 1e200))
+    r = math.sqrt(0.5)
+    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((r, r), rel=1e-15)
+    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((r, -r), rel=1e-15)
+    ask_vec, bid_vec = eigenvectors(PriceOperator2(1e-200, -1e-200, 1e-200))
+    c, s = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
+    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((c, s), rel=1e-15)
+    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((s, -c), rel=1e-15)
+    ask_vec, bid_vec = eigenvectors(PriceOperator2(1.0, 1.0, complex(1.27e308, 1.27e308)))
+    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((r, 0.5 - 0.5j), rel=1e-15)
+    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((r, -0.5 + 0.5j), rel=1e-15)
+
+
+def test_eigenvectors_of_levels_past_float_range_raise_validation_error():
+    with pytest.raises(ValidationError, match="float range"):
+        eigenvectors(PriceOperator2(1.0, 1.0, complex(1.28e308, 1.28e308)))
+
+
 def test_eigenvectors_diagonal_operator():
     ask_vec, bid_vec = eigenvectors(PriceOperator2(28.0, 27.0, 0.0))
     assert ask_vec.psi_ask == 1.0 and ask_vec.psi_bid == 0.0

@@ -5,11 +5,19 @@ acceptance criterion needs it, so the exported set is pinned here and cannot
 grow back unnoticed.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import qcw
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     # parameters, configs and errors
@@ -36,7 +44,7 @@ def test_exports_are_the_pinned_public_names():
 
 def test_readme_and_oracle_imports_are_exported():
     sources = [
-        Path(__file__).resolve().parents[1] / "README.md",
+        ROOT / "README.md",
         Path(__file__).with_name("oracles.py"),
     ]
     for source in sources:
@@ -44,3 +52,50 @@ def test_readme_and_oracle_imports_are_exported():
         names = {n for group in imports for n in re.split(r"[\s,]+", "".join(group)) if n}
         assert names, source
         assert names <= PUBLIC_NAMES, (source, names - PUBLIC_NAMES)
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded at the end.
+SIMULATE = """
+import sys
+from qcw.cli import main
+configs = sys.argv[1]
+for command, name in [("simulate", "simulate_balanced"), ("imbalance", "imbalance_balanced"),
+                      ("imbalance", "imbalance_crash")]:
+    assert main([command, "--config", f"{configs}/{name}.json", "--out", name]) == 0
+"""
+FIT = """
+import numpy as np
+from qcw import SpreadLaw, sample_spread
+from qcw.cli import main
+spreads = sample_spread(SpreadLaw(0.1, 0.05), np.random.default_rng(3), 500)
+rows = "".join(f"{k},{100.0!r},{100.0 + d!r}\\n" for k, d in enumerate(spreads.tolist()))
+open("quotes.csv", "w").write("timestamp,bid,ask\\n" + rows)
+open("fit.json", "w").write('{"input": "quotes.csv", "format": "quotes", "out_dir": "fit"}')
+assert main(["fit", "--config", "fit.json"]) == 0
+"""
+
+
+def scipy_modules_after(code, cwd):
+    report = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code + report, str(ROOT / "configs")],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("code", ["import qcw, qcw.cli", SIMULATE], ids=["import", "simulate"])
+def test_import_and_simulation_load_no_scipy(code, tmp_path):
+    # scipy.special and scipy.optimize cost about 0.55 s and 43 MB at import,
+    # and nothing but the spread law and its fit calls them.
+    assert scipy_modules_after(code, tmp_path) == set()
+
+
+def test_fit_loads_scipy_special_but_not_optimize(tmp_path):
+    loaded = scipy_modules_after(FIT, tmp_path)
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]}

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qcw
 from qcw import (
     Histogram,
     SpreadCdfCache,
@@ -273,14 +268,6 @@ def test_cdf_scale_equivariant(law, frac, c):
 @given(laws)
 def test_cdf_cache_nondecreasing(law):
     assert np.all(np.diff(SpreadCdfCache(law).cdf) >= 0.0)
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s and 20 MB at import; the package needs
-    # only scipy.special and scipy.optimize.
-    code = "import sys, qcw; sys.exit('scipy.stats' in sys.modules)"
-    src = str(Path(qcw.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,13 @@ def test_propagate_rejects_non_finite_phase():
         propagate(StateVector.balanced(), 0.1, 0.1, 1e300, phase_params(1.0, tau=1e-9))
 
 
+def test_propagate_coupling_modulus_past_float_range_is_validation_error():
+    # abs() of this finite coupling raises OverflowError; the angle is inf.
+    with pytest.raises(ValidationError, match="rotation angle"):
+        propagate(StateVector.balanced(), 0.1, complex(1.28e308, 1.28e308), 1.0,
+                  phase_params(1.0))
+
+
 def test_global_phase_has_no_observable_effect():
     params = phase_params(dt=0.8)
     state = StateVector.from_amplitudes(0.7, 0.2 + 0.4j)
