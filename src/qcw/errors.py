@@ -1,6 +1,9 @@
-"""Exception types, and the finite-number rule, shared across the package."""
+"""Exception types, and the finite-number rules, shared across the package."""
 
+import cmath
 import math
+
+import numpy as np
 
 
 def is_finite_number(value) -> bool:
@@ -11,6 +14,21 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def finite_number(convert, value, what: str):
+    """``convert(value)``, for ``convert`` float or complex, where that is
+    finite and ``value`` is not a bool; :class:`ValidationError` naming
+    ``what`` otherwise, also where the conversion fails or overflows."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if cmath.isfinite(number):
+                return number
+    raise ValidationError(f"{what} must be a finite number")
 
 
 class ValidationError(ValueError):

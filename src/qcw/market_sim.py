@@ -28,8 +28,9 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import PricePositivityError, ValidationError, is_finite_number
 from .spread_stats import Histogram
 from .stochastic_model import ModelParams
+from .wave_dynamics import RENORM_TRIGGER, StateVector, _norm2, _norm2_array
 # ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
-from .wave_dynamics import RENORM_TRIGGER, StateVector, propagate  # noqa: F401
+from .wave_dynamics import propagate  # noqa: F401
 
 __all__ = [
     "MODE_BALANCED",
@@ -142,10 +143,12 @@ class BookLevel:
     size: float
 
     def __post_init__(self):
-        if not math.isfinite(self.price):
-            raise ValidationError("level price must be finite")
-        if not math.isfinite(self.size) or self.size <= 0:
-            raise ValidationError("level size must be > 0")
+        if not is_finite_number(self.price):
+            raise ValidationError("level price must be a finite number")
+        if not is_finite_number(self.size) or self.size <= 0:
+            raise ValidationError("level size must be a finite number > 0")
+        object.__setattr__(self, "price", float(self.price))
+        object.__setattr__(self, "size", float(self.size))
 
 
 @dataclass(frozen=True)
@@ -289,9 +292,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
 
     sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
-    hypot, isfinite, sqrt, cos, sin, exp = (
-        math.hypot, math.isfinite, math.sqrt, math.cos, math.sin, cmath.exp
-    )
+    isfinite, sqrt, cos, sin, exp = math.isfinite, math.sqrt, math.cos, math.sin, cmath.exp
     psi_ask, psi_bid = config.initial_state.psi_ask, config.initial_state.psi_bid
     ar, ai, br, bi = psi_ask.real, psi_ask.imag, psi_bid.real, psi_bid.imag
     s_trade = config.initial_price
@@ -322,7 +323,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
                         kappa = kappa * exp(1j * k_phase)
                     kappas[j] = kappa
                     half_k = abs(0.5 * kappa)
-                    delta = hypot(xi_j, abs(kappa))
+                    delta = _norm2(xi_j, abs(kappa))
                     phi = 0.5 * delta * dt / scale
                     finite_angle = isfinite(phi)
 
@@ -330,7 +331,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
                 common = s_trade + s_trade * sigma * dz_j
                 s11 = common + 0.5 * xi_j
                 s22 = common - 0.5 * xi_j
-                half_delta = hypot(0.5 * (s11 - s22), half_k)
+                half_delta = _norm2(0.5 * (s11 - s22), half_k)
                 s_mid = 0.5 * (s11 + s22)
                 ask = s_mid + half_delta
                 bid = s_mid - half_delta
@@ -439,23 +440,13 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
     ]
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise; ``np.hypot`` rounds differently on some inputs.
-
-    Goes row by row, so that no more than a row of Python floats is alive.
-    """
-    out = np.empty(x.shape)
-    for row, x_row, y_row in zip(np.atleast_2d(out), np.atleast_2d(x), np.atleast_2d(y)):
-        row[:] = list(map(math.hypot, x_row.tolist(), y_row.tolist()))
-    return out
-
-
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     """The step unitary of :func:`~qcw.wave_dynamics.propagate` for arrays of draws.
 
     Returns ``(half_k, delta, finite_angle, c, x, p, q)``: ``half_k`` =
-    abs(kappa/2) for the levels, delta = hypot(xi, abs(kappa)), whether the
-    angle phi = delta*dt/(2*scale) is finite, and the bracket
+    abs(kappa/2) for the levels, delta = sqrt(xi^2 + abs(kappa)^2) rounded
+    as ``propagate`` and the levels round it (:func:`_norm2_array`), whether
+    the angle phi = delta*dt/(2*scale) is finite, and the bracket
     [[c - i*x, q - i*p], [-q - i*p, c + i*x]] rounded as ``propagate``
     rounds it (zero signs aside, which no output sees). Where delta = 0 the
     bracket is the identity; ``q`` is 0 for real kappa.
@@ -466,7 +457,7 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
         abs_k, half_k = np.hypot(re, im), np.hypot(0.5 * re, 0.5 * im)
     else:
         abs_k, half_k = np.abs(kappa), np.abs(0.5 * kappa)
-    delta = _hypot(xi, abs_k)
+    delta = _norm2_array(xi, abs_k)
     del abs_k
     phi = 0.5 * delta * dt / scale
     s = np.sin(phi)
@@ -577,7 +568,7 @@ def _simulate_lockstep(
             common = s_trade + s_trade * sigma * dz[j]
             s11 = common + half_xi[j]
             s22 = common - half_xi[j]
-            half_delta = _hypot(0.5 * (s11 - s22), half_k)
+            half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
             s_mid = 0.5 * (s11 + s22)
             ask = s_mid + half_delta
             bid = s_mid - half_delta
@@ -678,7 +669,7 @@ def effective_levels(
     side is used. Raises on an empty side: with no counterparty there is no
     effective level to quote.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError("n must be an integer >= 1")
     if not asks:
         raise ValidationError("no ask levels: cannot form an effective ask")

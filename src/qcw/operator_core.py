@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .wave_dynamics import StateVector, _modulus
+from .errors import ValidationError, finite_number
+from .wave_dynamics import StateVector, _modulus, _norm2, _norm2_array
 
 __all__ = [
     "PriceOperator2",
@@ -40,16 +40,9 @@ class PriceOperator2:
     s12: complex = 0.0
 
     def __post_init__(self):
-        s11 = float(self.s11)
-        s22 = float(self.s22)
-        s12 = complex(self.s12)
-        if not (math.isfinite(s11) and math.isfinite(s22)):
-            raise ValidationError("diagonal elements must be finite real prices")
-        if not (math.isfinite(s12.real) and math.isfinite(s12.imag)):
-            raise ValidationError("coupling element must be finite")
-        object.__setattr__(self, "s11", s11)
-        object.__setattr__(self, "s22", s22)
-        object.__setattr__(self, "s12", s12)
+        object.__setattr__(self, "s11", finite_number(float, self.s11, "s11"))
+        object.__setattr__(self, "s22", finite_number(float, self.s22, "s22"))
+        object.__setattr__(self, "s12", finite_number(complex, self.s12, "s12"))
 
     def matrix(self) -> np.ndarray:
         """Dense complex form [[s11, s12], [conj(s12), s22]]."""
@@ -81,7 +74,7 @@ def eigenprices(op: PriceOperator2) -> PriceLevels:
     levels are +-inf, as in :func:`eigenprices_batch`.
     """
     half_diff = 0.5 * (op.s11 - op.s22)
-    half_delta = math.hypot(half_diff, _modulus(op.s12))
+    half_delta = _norm2(half_diff, _modulus(op.s12))
     s_mid = 0.5 * (op.s11 + op.s22)
     return PriceLevels(
         s_ask=s_mid + half_delta,
@@ -94,13 +87,15 @@ def eigenprices(op: PriceOperator2) -> PriceLevels:
 def eigenprices_batch(s11, s22, s12):
     """Vectorized :func:`eigenprices` over arrays of matrix elements.
 
-    Returns (s_ask, s_bid, s_mid, delta) as ndarrays. Same formula as the
-    scalar path; used for bulk sweeps where per-call overhead matters.
+    Returns (s_ask, s_bid, s_mid, delta) as ndarrays, bitwise the scalar
+    path's; used for bulk sweeps where per-call overhead matters.
     """
     s11 = np.asarray(s11, dtype=float)
     s22 = np.asarray(s22, dtype=float)
+    s12 = np.asarray(s12, dtype=complex)
     half_diff = 0.5 * (s11 - s22)
-    half_delta = np.hypot(half_diff, np.abs(s12))
+    # np.hypot of the parts rounds as Python's complex abs does
+    half_delta = _norm2_array(half_diff, np.hypot(s12.real, s12.imag))
     s_mid = 0.5 * (s11 + s22)
     return s_mid + half_delta, s_mid - half_delta, s_mid, 2.0 * half_delta
 

@@ -235,6 +235,8 @@ class Histogram:
     @classmethod
     def from_samples(cls, values, bins: int, value_range: tuple[float, float] | None = None
                      ) -> "Histogram":
+        if isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
+            raise ValidationError("bins must be an integer >= 1")
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ValidationError("cannot histogram an empty sample set")

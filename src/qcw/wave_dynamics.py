@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError, is_finite_number
+from .errors import ValidationError, finite_number, is_finite_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stochastic_model import ModelParams
@@ -44,6 +44,41 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
+# Where sqrt(h*h + k*k) falls inside this window, neither square overflowed
+# and the larger one did not underflow, so it needs no scaling.
+_NORM2_LO, _NORM2_HI = 2.0**-500, 2.0**500
+
+
+def _norm2_array(h, k) -> np.ndarray:
+    """sqrt(h*h + k*k) elementwise: the one rounding of every real 2-norm
+    that forms a spread or a half-spread.
+
+    IEEE multiply, add and sqrt round alike in Python floats and numpy
+    arrays, so :func:`_norm2` is bitwise this. Where the result leaves
+    2^+-500 (or is 0, inf or NaN) the pair is scaled by the power of two of
+    its larger part, which is exact; a norm past float range is inf.
+    """
+    h = np.asarray(h, dtype=float)
+    k = np.asarray(k, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN part is a NaN norm
+        r = np.asarray(np.sqrt(h * h + k * k))  # a 0-d sqrt is a scalar
+        outside = ~((r >= _NORM2_LO) & (r < _NORM2_HI))
+        if outside.any():
+            h, k = (np.broadcast_to(v, r.shape)[outside] for v in (h, k))
+            e = np.frexp(np.maximum(np.abs(h), np.abs(k)))[1]
+            h, k = np.ldexp(h, -e), np.ldexp(k, -e)
+            r[outside] = np.ldexp(np.sqrt(h * h + k * k), e)
+    return r
+
+
+def _norm2(h: float, k: float) -> float:
+    """:func:`_norm2_array` of one pair, with its unscaled case on floats."""
+    r = math.sqrt(h * h + k * k)
+    if _NORM2_LO <= r < _NORM2_HI:
+        return r
+    return float(_norm2_array([h], [k])[0])
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitude pair over the (ask, bid) basis.
@@ -56,12 +91,8 @@ class StateVector:
     psi_bid: complex
 
     def __post_init__(self):
-        a = complex(self.psi_ask)
-        b = complex(self.psi_bid)
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValidationError("state amplitudes must be finite")
-        object.__setattr__(self, "psi_ask", a)
-        object.__setattr__(self, "psi_bid", b)
+        object.__setattr__(self, "psi_ask", finite_number(complex, self.psi_ask, "psi_ask"))
+        object.__setattr__(self, "psi_bid", finite_number(complex, self.psi_bid, "psi_bid"))
 
     def norm_sq(self) -> float:
         a, b = self.psi_ask, self.psi_bid
@@ -161,7 +192,7 @@ def propagate(
     if not math.isfinite(s_mid * dt / scale):
         raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
     kappa = complex(kappa)
-    delta = math.hypot(xi, _modulus(kappa))
+    delta = _norm2(xi, _modulus(kappa))
     global_phase = cmath.exp(-1j * s_mid * dt / scale)
 
     if delta == 0.0:

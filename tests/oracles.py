@@ -28,6 +28,7 @@ from qcw import (
     spread_log_pdf,
 )
 from qcw.market_sim import MODE_IMBALANCE_COUPLED, POST_TRADE_COLLAPSE, _child_seed, _seed_sequence
+from qcw.wave_dynamics import _norm2
 
 
 def eig_2x2_hermitian_extended(s11, s22, s12):
@@ -248,7 +249,7 @@ def simulate_path_by_steps(config, params):
 
         for name, value in zip(cols, (levels.s_bid, levels.s_ask, price, at_ask, i_k, xi, kappa)):
             cols[name].append(value)
-        resid_max = max(resid_max, abs(levels.delta - math.hypot(xi, abs(kappa))))
+        resid_max = max(resid_max, abs(levels.delta - _norm2(xi, abs(kappa))))
         s_trade = price
 
     return PathSeries(

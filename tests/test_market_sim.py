@@ -549,6 +549,15 @@ def test_q_of_i_empty_inputs():
         imbalance_summary([])
 
 
+@pytest.mark.parametrize("bins", [0, True, 4.0])
+def test_q_of_i_and_crash_require_integer_bins(bins):
+    path = simulate_path(balanced_config(n_steps=10), BALANCED_PARAMS)
+    with pytest.raises(ValidationError):
+        q_of_i([path], bins=bins)
+    with pytest.raises(ValidationError):
+        simulate_crash(crash_config(n_steps=10), CRASH_PARAMS, bins=bins)
+
+
 # ---------------------------------------------------------------------------
 # effective multilevel prices
 # ---------------------------------------------------------------------------
@@ -594,7 +603,25 @@ def test_effective_levels_errors():
     with pytest.raises(ValidationError):
         effective_levels(bids, bids, 0)
     with pytest.raises(ValidationError):
+        effective_levels(bids, bids, True)
+    with pytest.raises(ValidationError):
         BookLevel(27.83, 0)
+
+
+@pytest.mark.parametrize(
+    "price, size",
+    [(10**400, 1.0), (1.0, 10**400), ("1", 1), (1.0, "1"), (True, 1), (1.0, True), (math.nan, 1)],
+    ids=["huge_price", "huge_size", "text_price", "text_size", "bool_price", "bool_size", "nan"],
+)
+def test_book_level_requires_finite_numbers(price, size):
+    with pytest.raises(ValidationError):
+        BookLevel(price, size)
+
+
+def test_book_level_stores_floats():
+    level = BookLevel(27, 100)
+    assert (level.price, level.size) == (27.0, 100.0)
+    assert type(level.price) is type(level.size) is float
 
 
 # ---------------------------------------------------------------------------

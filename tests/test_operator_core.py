@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcw import (
@@ -82,43 +82,41 @@ def test_matches_extended_precision_oracle():
 
 
 def test_batch_agrees_with_scalar():
-    # scalar path uses math.hypot, batch np.hypot; they may differ by 1 ulp
     rng = np.random.default_rng(17)
     s11, s22, s12 = random_operator_elements(rng, 200)
     ask, bid, mid, delta = eigenprices_batch(s11, s22, s12)
     for k in range(200):
         levels = eigenprices(PriceOperator2(float(s11[k]), float(s22[k]), complex(s12[k])))
-        assert levels.s_ask == pytest.approx(ask[k], rel=1e-15)
-        assert levels.s_bid == pytest.approx(bid[k], rel=1e-15)
-        assert levels.s_mid == mid[k]
-        assert levels.delta == pytest.approx(delta[k], rel=1e-15)
+        assert (levels.s_ask, levels.s_bid, levels.s_mid, levels.delta) == (
+            ask[k], bid[k], mid[k], delta[k]
+        )
 
 
-elements = st.floats(min_value=-1e150, max_value=1e150)
+elements = st.floats(min_value=-1.7e308, max_value=1.7e308)
 
 
 @settings(max_examples=300, deadline=None)
 @given(elements, elements, elements, elements)
+@example(1.7e308, -1.7e308, 0.0, 0.0)
+@example(1.0, 1.0, 1.7e308, 1.7e308)
+@example(1e-310, -1e-310, 5e-324, -5e-324)
 def test_eigenprices_identities_and_batch_property(s11, s22, re12, im12):
     s12 = complex(re12, im12)
     levels = eigenprices(PriceOperator2(s11, s22, s12))
-    ulp = np.spacing(max(abs(levels.s_ask), abs(levels.s_bid), levels.delta))
-    assert levels.s_ask >= levels.s_bid and levels.delta >= 0.0
     assert levels.s_mid == 0.5 * (s11 + s22)
-    assert abs(0.5 * (levels.s_ask + levels.s_bid) - levels.s_mid) <= 2.0 * ulp
-    assert abs((levels.s_ask - levels.s_bid) - levels.delta) <= 4.0 * ulp
-    assert abs(levels.delta - math.hypot(s11 - s22, 2.0 * abs(s12))) <= 4.0 * np.spacing(
-        levels.delta
-    )
-    # The batch forms the same expressions in numpy. The mid is bit-equal;
-    # the spread may differ in the last bits, because math.hypot (CPython's
-    # own algorithm) and np.hypot (libm), and Python's and numpy's complex
-    # abs, round differently on a fraction of inputs.
-    ask, bid, mid, delta = (float(v[0]) for v in eigenprices_batch([s11], [s22], [s12]))
-    assert mid == levels.s_mid
-    assert abs(delta - levels.delta) <= 4.0 * np.spacing(levels.delta)
-    assert abs(ask - levels.s_ask) <= 4.0 * ulp
-    assert abs(bid - levels.s_bid) <= 4.0 * ulp
+    # The identities need the levels, their sum and their gap in float range.
+    if all(map(math.isfinite, (levels.s_ask + levels.s_bid, levels.s_ask - levels.s_bid))):
+        ulp = np.spacing(max(abs(levels.s_ask), abs(levels.s_bid), levels.delta))
+        assert levels.s_ask >= levels.s_bid and levels.delta >= 0.0
+        assert abs(0.5 * (levels.s_ask + levels.s_bid) - levels.s_mid) <= 2.0 * ulp
+        assert abs((levels.s_ask - levels.s_bid) - levels.delta) <= 4.0 * ulp
+        assert abs(levels.delta - math.hypot(s11 - s22, 2.0 * abs(s12))) <= 4.0 * np.spacing(
+            levels.delta
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = eigenprices_batch([s11], [s22], [s12])
+    scalar = np.array([levels.s_ask, levels.s_bid, levels.s_mid, levels.delta])
+    assert np.array_equal(np.concatenate(batch).view(np.int64), scalar.view(np.int64))
 
 
 def test_delta_invariant_under_coupling_phase():
@@ -137,6 +135,25 @@ def test_rejects_non_finite_elements():
         PriceOperator2(1.0, math.inf, 0.0)
     with pytest.raises(ValidationError):
         PriceOperator2(1.0, 1.0, complex(math.nan, 0.0))
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        (10**400, 0.0), (1.0, 0.0, 10**400), (True, 0.0), (1.0, 0.0, np.True_),
+        (1.0, None), (1.0, "one"),
+    ],
+    ids=["huge_int", "huge_int_coupling", "bool", "numpy_bool", "none", "text"],
+)
+def test_rejects_elements_that_are_not_finite_numbers(elements):
+    with pytest.raises(ValidationError):
+        PriceOperator2(*elements)
+
+
+def test_accepts_numpy_scalars_as_python_numbers():
+    op = PriceOperator2(np.float32(1.5), np.int64(2), np.complex64(0.5 - 0.25j))
+    assert (op.s11, op.s22, op.s12) == (1.5, 2.0, 0.5 - 0.25j)
+    assert (type(op.s11), type(op.s22), type(op.s12)) == (float, float, complex)
 
 
 def test_coupling_modulus_past_float_range_matches_batch():

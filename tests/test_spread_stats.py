@@ -341,3 +341,6 @@ def test_histogram_validation():
         Histogram(edges=np.array([0.0, 1.0]), masses=np.array([-0.1]), count=1)
     with pytest.raises(ValidationError):
         Histogram.from_samples([], bins=4)
+    for bins in (0, -3, True, 2.0, None):
+        with pytest.raises(ValidationError):
+            Histogram.from_samples([0.5], bins=bins)

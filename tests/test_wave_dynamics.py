@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcw import (
@@ -15,6 +15,7 @@ from qcw import (
     propagate,
     randomize_phase,
 )
+from qcw.wave_dynamics import _norm2, _norm2_array
 
 from oracles import propagate_expm
 
@@ -232,9 +233,40 @@ def test_scrambling_kills_interference_on_average():
     assert abs(acc / n - incoherent) < 3.0 / math.sqrt(n)
 
 
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(any_float, any_float), min_size=1, max_size=40))
+@example(pairs=[(2.0**500, 0.0), (2.0**500, 2.0**500), (2.0**-500, 0.0), (2.0**-501, 2.0**-501)])
+@example(pairs=[(5e-324, 0.0), (5e-324, -5e-324), (0.0, -0.0), (3.0, 4.0)])
+@example(pairs=[(1.2711610061536462e308, 1.2711610061536464e308), (math.inf, math.nan)])
+def test_norm2_rounds_alike_on_floats_and_arrays(pairs):
+    """_norm2 is bitwise _norm2_array (a NaN where it is NaN), and within
+    1 ulp of math.hypot wherever that is finite and positive (inf counting
+    as the float after the largest)."""
+    bits = lambda x: int(np.float64(x).view(np.int64))  # noqa: E731
+    hs, ks = zip(*pairs)
+    for (h, k), in_array in zip(pairs, _norm2_array(hs, ks).tolist()):
+        r = _norm2(h, k)
+        if math.isnan(r):
+            assert math.isnan(in_array)
+        else:
+            assert bits(r) == bits(in_array)
+        ref = math.hypot(h, k)
+        if 0.0 < ref < math.inf:
+            assert abs(bits(r) - bits(ref)) <= 1
+
+
 def test_state_validation():
     with pytest.raises(ValidationError):
         StateVector(math.nan, 0.0)
+    for bad in (10**400, True, np.True_, None, "one"):
+        with pytest.raises(ValidationError):
+            StateVector(bad, 0.0)
+    state = StateVector(np.float32(0.75), np.complex64(0.5j))
+    assert (state.psi_ask, state.psi_bid) == (0.75, 0.5j)
+    assert type(state.psi_ask) is type(state.psi_bid) is complex
     with pytest.raises(ValidationError):
         StateVector(0.6, 0.9).require_normalized()
     StateVector.balanced().require_normalized()
