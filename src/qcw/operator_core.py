@@ -56,7 +56,8 @@ class PriceLevels:
     """Snapshot of the quoted levels derived from one operator.
 
     Invariants: s_ask >= s_bid, delta = s_ask - s_bid >= 0 and
-    s_mid = (s_ask + s_bid) / 2 to arithmetic precision.
+    s_mid = (s_ask + s_bid) / 2 to arithmetic precision, where the levels
+    are in float range; none of them is NaN.
     """
 
     s_ask: float
@@ -70,12 +71,15 @@ def eigenprices(op: PriceOperator2) -> PriceLevels:
 
     s_ask/bid = (s11+s22)/2 +- sqrt(((s11-s22)/2)^2 + |s12|^2), i.e. the two
     prices sit symmetrically around the mid (half-trace) separated by the
-    spread delta = sqrt((s11-s22)^2 + 4|s12|^2). Past float range the
-    levels are +-inf, as in :func:`eigenprices_batch`.
+    spread delta = sqrt((s11-s22)^2 + 4|s12|^2). The mid is finite and no
+    level is NaN: where an intermediate passes float range a level is
+    +-inf, as in :func:`eigenprices_batch`.
     """
     half_diff = 0.5 * (op.s11 - op.s22)
     half_delta = _norm2(half_diff, _modulus(op.s12))
     s_mid = 0.5 * (op.s11 + op.s22)
+    if math.isinf(s_mid):  # the sum passed float range; the sum of halves cannot
+        s_mid = 0.5 * op.s11 + 0.5 * op.s22
     return PriceLevels(
         s_ask=s_mid + half_delta,
         s_bid=s_mid - half_delta,
@@ -88,16 +92,21 @@ def eigenprices_batch(s11, s22, s12):
     """Vectorized :func:`eigenprices` over arrays of matrix elements.
 
     Returns (s_ask, s_bid, s_mid, delta) as ndarrays, bitwise the scalar
-    path's; used for bulk sweeps where per-call overhead matters.
+    path's; used for bulk sweeps where per-call overhead matters. Like the
+    scalar path it warns of no overflow: a level past float range is +-inf.
     """
     s11 = np.asarray(s11, dtype=float)
     s22 = np.asarray(s22, dtype=float)
     s12 = np.asarray(s12, dtype=complex)
-    half_diff = 0.5 * (s11 - s22)
-    # np.hypot of the parts rounds as Python's complex abs does
-    half_delta = _norm2_array(half_diff, np.hypot(s12.real, s12.imag))
-    s_mid = 0.5 * (s11 + s22)
-    return s_mid + half_delta, s_mid - half_delta, s_mid, 2.0 * half_delta
+    with np.errstate(over="ignore"):
+        half_diff = 0.5 * (s11 - s22)
+        # np.hypot of the parts rounds as Python's complex abs does
+        half_delta = _norm2_array(half_diff, np.hypot(s12.real, s12.imag))
+        s_mid = 0.5 * (s11 + s22)
+        past = np.isinf(s_mid)  # as in eigenprices
+        if past.any():
+            s_mid = np.where(past, 0.5 * s11 + 0.5 * s22, s_mid)
+        return s_mid + half_delta, s_mid - half_delta, s_mid, 2.0 * half_delta
 
 
 def _unit_eigenvector(op: PriceOperator2, s: float) -> StateVector:

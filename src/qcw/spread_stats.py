@@ -192,23 +192,60 @@ def sample_spread(law: SpreadLaw, rng: np.random.Generator, n: int) -> np.ndarra
     return np.hypot(xi, kappa)
 
 
+# Block pruning of :func:`ks_distance` (see there): the stride of its first
+# knots in sorted samples, the number of parts an open block is cut into,
+# and the margin of a block's bound over the model CDF's worst step down.
+_KS_STRIDE, _KS_SPLIT, _KS_SLACK = 256, 8, 1e-9
+
+
 def ks_distance(samples, law: SpreadLaw, cdf: SpreadCdfCache | None = None) -> float:
     """Kolmogorov-Smirnov sup-distance between samples and the spread law.
 
-    The model CDF is evaluated in closed form at every sample, unless a
-    :class:`SpreadCdfCache` is passed in to interpolate instead. Any nonempty
-    sample set gives a well-defined statistic in (0, 1]; meaningful
-    comparisons want far more than a handful of points.
+    The statistic is max over the sorted samples x_0 <= ... <= x_{n-1} of
+    (i+1)/n - F(x_i) and F(x_i) - i/n, with F the closed-form CDF or, if a
+    :class:`SpreadCdfCache` is passed in, its interpolation. Any nonempty
+    sample set of finite values gives a statistic in (0, 1]; samples <= 0
+    have F = 0. Meaningful comparisons want far more than a handful of
+    points.
+
+    F is evaluated only where the sup can be. It is evaluated first at
+    every 256th sorted index and the last one. Between two evaluated
+    indices j < k, monotonicity of F bounds every interior i by
+    (i+1)/n - F(x_i) <= k/n - F(x_j) and F(x_i) - i/n <= F(x_k) - (j+1)/n.
+    A block whose bound plus a slack exceeds the largest term found so far
+    is cut in 8 and its new knots evaluated; the others are dropped, until
+    no block is left. The terms are computed as over all samples, so the
+    result is bitwise the full evaluation's. On 1e5 draws of their own law
+    that takes about 4% of the samples.
+
+    The slack, 1e-9, must exceed the largest drop of F between two ordered
+    points, plus the rounding of the bound: the closed form's difference of
+    two ``chndtr`` values dips by about an ulp near 1 and stays within 1e-12
+    of the integrated density (tested), and the cache is non-decreasing up
+    to an interpolation rounding. 1e-9 keeps a margin of about 500 over
+    those, and costs only blocks whose bound ties the sup to 1e-9.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n == 0:
         raise ValidationError("cannot compute a KS distance for an empty sample set")
-    model = spread_cdf(x, law) if cdf is None else cdf(x)
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(i / n - model)
-    d_minus = np.max(model - (i - 1.0) / n)
-    return float(max(d_plus, d_minus, 0.0))
+    if not np.isfinite(x).all():
+        raise ValidationError("KS samples must be finite")
+    model = (lambda v: spread_cdf(v, law)) if cdf is None else cdf
+    f = np.empty(n)  # F(x_i), read only where evaluated
+    new = np.unique(np.r_[0:n:_KS_STRIDE, n - 1])
+    lo, hi = new[:-1], new[1:]
+    best = 0.0
+    while new.size:
+        f[new] = model(x[new])
+        best = max(best, np.max((new + 1) / n - f[new]), np.max(f[new] - new / n))
+        bound = np.maximum(hi / n - f[lo], f[hi] - (lo + 1) / n)
+        keep = (hi - lo > 1) & (bound + _KS_SLACK > best)
+        cuts = lo[keep, None] + (hi - lo)[keep, None] * np.arange(_KS_SPLIT + 1) // _KS_SPLIT
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        inner = cuts[:, 1:-1]
+        new = np.unique(inner[inner > cuts[:, :1]])
+    return float(best)
 
 
 @dataclass(frozen=True)

@@ -184,14 +184,19 @@ def propagate(
     by zero occurs.
 
     When ``renormalize`` is set (the default), the output is rescaled to unit
-    norm whenever floating-point drift exceeds :data:`RENORM_TRIGGER`. A
-    phase s_mid*dt/(tau*s0) or an angle phi that is not finite raises
-    :class:`ValidationError`.
+    norm whenever floating-point drift exceeds :data:`RENORM_TRIGGER`. An
+    ``xi``, ``kappa`` or ``s_mid`` that is not a finite number (a bool
+    included), or a phase s_mid*dt/(tau*s0) or an angle phi that is not
+    finite, raises :class:`ValidationError`.
     """
+    for name, value in (("xi", xi), ("s_mid", s_mid)):
+        if not is_finite_number(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    xi, s_mid = float(xi), float(s_mid)
+    kappa = finite_number(complex, kappa, "kappa")
     dt, scale = params.dt, params.tau * params.s0
     if not math.isfinite(s_mid * dt / scale):
         raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite ({s_mid=!r})")
-    kappa = complex(kappa)
     delta = _norm2(xi, _modulus(kappa))
     global_phase = cmath.exp(-1j * s_mid * dt / scale)
 

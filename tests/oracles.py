@@ -25,6 +25,7 @@ from qcw import (
     probabilities,
     propagate,
     randomize_phase,
+    spread_cdf,
     spread_log_pdf,
 )
 from qcw.market_sim import MODE_IMBALANCE_COUPLED, POST_TRADE_COLLAPSE, _child_seed, _seed_sequence
@@ -125,6 +126,18 @@ def cdf_by_simpson(pdf, x, scale, tol=1e-12):
         adaptive_simpson(pdf, float(a), float(b), tol / panels)
         for a, b in zip(edges[:-1], edges[1:])
     )
+
+
+def ks_by_full_evaluation(samples, law, cdf=None):
+    """Kolmogorov-Smirnov distance with the model CDF evaluated at every
+    sorted sample: ``ks_distance`` before it pruned blocks of samples."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = x.size
+    model = spread_cdf(x, law) if cdf is None else cdf(x)
+    i = np.arange(1, n + 1, dtype=float)
+    d_plus = np.max(i / n - model)
+    d_minus = np.max(model - (i - 1.0) / n)
+    return float(max(d_plus, d_minus, 0.0))
 
 
 # Coefficient of variation of the spread at the two parameter extremes:

@@ -100,21 +100,25 @@ elements = st.floats(min_value=-1.7e308, max_value=1.7e308)
 @example(1.7e308, -1.7e308, 0.0, 0.0)
 @example(1.0, 1.0, 1.7e308, 1.7e308)
 @example(1e-310, -1e-310, 5e-324, -5e-324)
+@example(1.7e308, 1.7e308, 1.7e308, 1.7e308)
+@example(-1.7e308, -1.7e308, 0.0, 0.0)
 def test_eigenprices_identities_and_batch_property(s11, s22, re12, im12):
     s12 = complex(re12, im12)
     levels = eigenprices(PriceOperator2(s11, s22, s12))
-    assert levels.s_mid == 0.5 * (s11 + s22)
+    # Where the sum passes float range, the mid is the sum of the halves.
+    mid = 0.5 * (s11 + s22)
+    assert levels.s_mid == (mid if math.isfinite(mid) else 0.5 * s11 + 0.5 * s22)
+    assert not any(map(math.isnan, (levels.s_ask, levels.s_bid, levels.s_mid, levels.delta)))
+    assert levels.s_ask >= levels.s_bid and levels.delta >= 0.0
     # The identities need the levels, their sum and their gap in float range.
     if all(map(math.isfinite, (levels.s_ask + levels.s_bid, levels.s_ask - levels.s_bid))):
         ulp = np.spacing(max(abs(levels.s_ask), abs(levels.s_bid), levels.delta))
-        assert levels.s_ask >= levels.s_bid and levels.delta >= 0.0
         assert abs(0.5 * (levels.s_ask + levels.s_bid) - levels.s_mid) <= 2.0 * ulp
         assert abs((levels.s_ask - levels.s_bid) - levels.delta) <= 4.0 * ulp
         assert abs(levels.delta - math.hypot(s11 - s22, 2.0 * abs(s12))) <= 4.0 * np.spacing(
             levels.delta
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = eigenprices_batch([s11], [s22], [s12])
+    batch = eigenprices_batch([s11], [s22], [s12])
     scalar = np.array([levels.s_ask, levels.s_bid, levels.s_mid, levels.delta])
     assert np.array_equal(np.concatenate(batch).view(np.int64), scalar.view(np.int64))
 
@@ -161,8 +165,7 @@ def test_coupling_modulus_past_float_range_matches_batch():
     # the batch's +-inf instead.
     s12 = complex(1.28e308, 1.28e308)
     levels = eigenprices(PriceOperator2(1.0, 1.0, s12))
-    with np.errstate(over="ignore"):
-        batch = eigenprices_batch([1.0], [1.0], [s12])
+    batch = eigenprices_batch([1.0], [1.0], [s12])
     assert (levels.s_ask, levels.s_bid, levels.s_mid, levels.delta) == tuple(
         float(v[0]) for v in batch
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcw import (
@@ -24,6 +24,7 @@ from oracles import (
     cdf_by_simpson,
     i0_quadrature,
     i0_scaled_quadrature,
+    ks_by_full_evaluation,
     rayleigh_cdf,
     rayleigh_pdf,
 )
@@ -244,6 +245,9 @@ def test_cdf_closed_form_matches_simpson_integral_of_pdf():
 def test_cdf_rejects_ratio_beyond_convergence():
     with pytest.raises(ValidationError):
         spread_cdf(10.0, SpreadLaw(xi1=1.0, kappa1=1e-5))
+    law = SpreadLaw(xi1=1.0, kappa1=1e-6)
+    with pytest.raises(ValidationError, match="does not converge"):
+        ks_distance(sample_spread(law, np.random.default_rng(113), 1000), law)
 
 
 @given(laws, st.floats(allow_nan=False, allow_infinity=False))
@@ -319,6 +323,61 @@ def test_ks_distance_degenerate_and_empty():
     assert 0.0 < d <= 1.0
     with pytest.raises(ValidationError):
         ks_distance([], law)
+    # samples <= 0 are valid, with model CDF 0
+    assert ks_distance([-1.0, 0.0, 0.1], law) == ks_by_full_evaluation([-1.0, 0.0, 0.1], law)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cached", [False, True], ids=["closed_form", "cache"])
+def test_ks_distance_rejects_non_finite_samples(bad, cached):
+    law = SpreadLaw(xi1=0.1, kappa1=0.05)
+    samples = sample_spread(law, np.random.default_rng(127), 1000)
+    samples[500] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        ks_distance(samples, law, SpreadCdfCache(law) if cached else None)
+
+
+# Laws with ratios up to 1e3:1, log-uniform, either way round.
+wide_laws = st.builds(
+    lambda s, q, swap: SpreadLaw(xi1=s / q, kappa1=s) if swap else SpreadLaw(xi1=s, kappa1=s / q),
+    scales, st.floats(min_value=0.0, max_value=3.0).map(lambda e: 10.0**e), st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wide_laws,
+    st.floats(min_value=0.0, max_value=math.log10(2e4)).map(lambda e: int(10.0**e)),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.sampled_from([1, 3, 1000]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 1, 0, False)
+@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 3, 0, True)
+def test_ks_distance_is_bitwise_the_full_evaluation(law, n, f_xi, f_kappa, copies, seed, cached):
+    # The samples come from a law off by up to 2x in each scale, so the sup
+    # can sit anywhere; `copies` > 1 makes duplicate samples.
+    rng = np.random.default_rng(seed)
+    drawn = sample_spread(SpreadLaw(f_xi * law.xi1, f_kappa * law.kappa1), rng, -(-n // copies))
+    samples = rng.permutation(np.repeat(drawn, copies)[:n])
+    cdf = SpreadCdfCache(law) if cached else None
+    assert ks_distance(samples, law, cdf) == ks_by_full_evaluation(samples, law, cdf)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 20.0])
+def test_ks_distance_evaluates_a_tenth_of_the_samples(ratio):
+    law = SpreadLaw(xi1=0.1, kappa1=0.1 / ratio)
+    samples = sample_spread(law, np.random.default_rng(131), 100_000)
+    evaluated = []
+
+    def counting_cdf(x):
+        evaluated.append(x.size)
+        return spread_cdf(x, law)
+
+    assert ks_distance(samples, law, counting_cdf) == ks_by_full_evaluation(samples, law)
+    assert sum(evaluated) <= 10_000
 
 
 # ---------------------------------------------------------------------------

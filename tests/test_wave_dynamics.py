@@ -143,6 +143,23 @@ def test_propagate_coupling_modulus_past_float_range_is_validation_error():
                   phase_params(1.0))
 
 
+@pytest.mark.parametrize(
+    "xi, kappa, s_mid, what",
+    [
+        (10**400, 0.1, 1.0, "xi"), ("1", 0.1, 1.0, "xi"), (True, 0.1, 1.0, "xi"),
+        (math.nan, 0.1, 1.0, "xi"),
+        (0.1, 10**400, 1.0, "kappa"), (0.1, np.True_, 1.0, "kappa"), (0.1, None, 1.0, "kappa"),
+        (0.1, complex(0.0, math.inf), 1.0, "kappa"),
+        (0.1, 0.1, 10**400, "s_mid"), (0.1, 0.1, "1", "s_mid"), (0.1, 0.1, True, "s_mid"),
+    ],
+    ids=["huge_int", "text", "bool", "nan", "huge_int_kappa", "bool_kappa", "none_kappa",
+         "inf_kappa", "huge_int_mid", "text_mid", "bool_mid"],
+)
+def test_propagate_rejects_inputs_that_are_not_finite_numbers(xi, kappa, s_mid, what):
+    with pytest.raises(ValidationError, match=f"{what} must be a finite number"):
+        propagate(StateVector.balanced(), xi, kappa, s_mid, phase_params(1.0))
+
+
 def test_global_phase_has_no_observable_effect():
     params = phase_params(dt=0.8)
     state = StateVector.from_amplitudes(0.7, 0.2 + 0.4j)
