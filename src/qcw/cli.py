@@ -42,9 +42,9 @@ from .market_sim import (
     POST_TRADE_COLLAPSE,
     POST_TRADE_SCRAMBLE,
     SimConfig,
-    imbalance_summary,
-    q_of_i,
-    simulate_ensemble,
+    _lockstep_chunks,
+    _pooled_q_of_i,
+    _pooled_summary,
     simulate_path,
 )
 from .spread_stats import Histogram, SpreadLaw, spread_pdf
@@ -57,9 +57,12 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 # Size limits, checked before anything is allocated: the histogram bins of
-# `fit`/`imbalance`, the steps of one path, and the steps of a whole ensemble.
+# `fit`/`imbalance`, the steps of one path, the paths of an ensemble (each
+# holds 3-4 random generators of about 0.9 KB) and the steps of a whole
+# ensemble. README derives them.
 MAX_BINS = 10**6
 MAX_STEPS = 10**8
+MAX_PATHS = 10**5
 MAX_ENSEMBLE_STEPS = 10**8
 
 PATH_CSV_HEADER = "t,s_bid,s_ask,s_trade,side,I"
@@ -398,7 +401,9 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
 def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     params = _model_params(cfg)
     sim = _sim_config(cfg, seed)
-    n_paths = _integer(cfg, "n_paths")
+    n_paths = _integer(cfg, "n_paths", limit=MAX_PATHS)
+    if n_paths < 1:
+        raise ValidationError("config key 'n_paths': must be >= 1")
     if n_paths * sim.n_steps > MAX_ENSEMBLE_STEPS:
         raise ValidationError(f"config keys 'n_paths' x 'n_steps' exceed the limit {MAX_ENSEMBLE_STEPS}")
     bins = _bins(cfg, 41)
@@ -406,9 +411,14 @@ def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     phash = _params_hash(effective)
 
     log.info("imbalance: %d paths x %d steps, mode=%s", n_paths, sim.n_steps, sim.mode)
-    ensemble = simulate_ensemble(sim, params, n_paths)
-    hist = q_of_i(ensemble, bins=bins)
-    moments = imbalance_summary(ensemble)
+    # Only the imbalance is kept; its path-major ravel is the pooled sample
+    # in the order of the paths' concatenated columns.
+    imbalance = np.empty((n_paths, sim.n_steps))
+    for k0, block in _lockstep_chunks(sim, params, n_paths):
+        imbalance[:, k0 : k0 + len(block.imbalance)] = block.imbalance.T
+    values = imbalance.ravel()
+    hist = _pooled_q_of_i(values, bins)
+    moments = _pooled_summary(values)
 
     rows = _float_rows(hist.edges[:-1], hist.edges[1:], hist.masses)
     _write_csv(out_dir / "qi.csv", _meta_line(seed, phash), QI_CSV_HEADER, rows)

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -57,6 +58,12 @@ POST_TRADE_COLLAPSE = "collapse"
 #: Steps per bulk draw of the random sub-streams. Bounds the kernel's working
 #: memory beyond its output arrays; the draws do not depend on it.
 _CHUNK_STEPS = 4096
+#: Elements (steps x paths) of one lockstep chunk, which takes
+#: max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths)) steps: a full
+#: chunk of up to 256 paths, fewer steps beyond, so that its working memory
+#: (README, "How an ensemble runs") does not grow with the path count.
+#: Outputs do not depend on it.
+_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -417,11 +424,21 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
+    n = config.n_steps
+    s_bid, s_ask, s_trade, imb, xi = (np.empty((n_paths, n)) for _ in range(5))
+    at_ask = np.empty((n_paths, n), dtype=bool)
+    kappa = np.empty((n_paths, n), dtype=complex if params.complex_coupling else float)
+    columns = (s_bid, s_ask, s_trade, at_ask, imb, xi, kappa)
+    resid_max = np.zeros(n_paths)
+    for k0, block in _lockstep_chunks(config, params, n_paths):
+        span = slice(k0, k0 + len(block.xi))
+        for column, rows in zip(columns, block):
+            column[:, span] = rows.T
+        resid = np.abs(2.0 * block.half_delta - block.delta).max(axis=0)
+        np.maximum(resid_max, resid, out=resid_max)
+
+    t = np.arange(n, dtype=np.int64)
     root = _seed_sequence(config.seed)
-    with np.errstate(all="ignore"):
-        columns, resid_max = _simulate_lockstep(config, params, root, n_paths)
-    t = np.arange(config.n_steps, dtype=np.int64)
-    s_bid, s_ask, s_trade, at_ask, imb, xi, kappa = columns
     return [
         PathSeries(
             t=t,
@@ -438,6 +455,21 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
         )
         for k in range(n_paths)
     ]
+
+
+class _Block(NamedTuple):
+    """The rows of one lockstep chunk, each a (steps, paths) array: the
+    columns of :class:`PathSeries` and the two spreads of its residual."""
+
+    s_bid: np.ndarray
+    s_ask: np.ndarray
+    s_trade: np.ndarray
+    at_ask: np.ndarray
+    imbalance: np.ndarray
+    xi: np.ndarray
+    kappa: np.ndarray
+    half_delta: np.ndarray
+    delta: np.ndarray
 
 
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
@@ -515,104 +547,119 @@ def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collaps
     return dz, xi, kappa, phases, rotations, uniforms, scramble
 
 
-def _simulate_lockstep(
-    config: SimConfig, params: ModelParams, root: np.random.SeedSequence, n_paths: int
-):
-    """:func:`simulate_path` for children 0 .. n_paths-1 of ``root``, over arrays of paths.
+def _lockstep_chunks(config: SimConfig, params: ModelParams, n_paths: int):
+    """:func:`simulate_path` for children 0 .. n_paths-1 of the config seed, over arrays of paths.
 
-    A chunk's draws and rotations come from :func:`_chunk` as (steps, paths)
-    arrays. Amplitudes are kept as four float arrays and every product is
-    written out in CPython's complex order, since numpy's complex multiply
-    rounds differently. Returns the (paths, steps) output columns and each
-    path's spread residual maximum.
+    Yields ``(k0, block)`` for each chunk of steps k0, k0 + 1, ...: a
+    :class:`_Block` of (steps, paths) rows. A chunk's draws and rotations
+    come from :func:`_chunk`. Amplitudes are kept as four float arrays and
+    every product is written out in CPython's complex order, since numpy's
+    complex multiply rounds differently.
+
+    A step computes what the next step reads (the state, the price, and in
+    ``imbalance-coupled`` mode the coupling) and stores its rows. What no
+    later step reads is settled once per chunk: the abort test, whose first
+    failing step goes to :func:`_abort`, and the imbalance clip. Steps after
+    an abort in the same chunk run on whatever values it left, and nothing
+    of them is kept.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
+    root = _seed_sequence(config.seed)
     rngs = _child_rngs(root, n_paths, _n_streams(collapse, params.complex_coupling)).T
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths))
 
     n = config.n_steps
-    s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty((n_paths, n)) for _ in range(5))
-    at_ask = np.empty((n_paths, n), dtype=bool)
-    kappa_arr = np.empty((n_paths, n), dtype=complex if params.complex_coupling else float)
-
     sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
     a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
     ar, ai, br, bi = (np.full(n_paths, v) for v in (a.real, a.imag, b.real, b.imag))
     s_trade = np.full(n_paths, config.initial_price)
-    resid_max = np.zeros(n_paths)
 
-    for k0 in range(0, n, _CHUNK_STEPS):
-        m = min(_CHUNK_STEPS, n - k0)
-        dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
-            rngs, m, params, coupled, collapse
-        )
-        xi_arr[:, k0 : k0 + m] = xi.T
-        if not coupled:
-            kappa_arr[:, k0 : k0 + m] = kappa.T
-        half_xi = 0.5 * xi
-
-        for j in range(m):
-            step = k0 + j
-            if coupled:
-                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + kappa[j]
-                if phases is not None:
-                    kappa_j = _with_phase(kappa_j, phases[j])
-                kappa_arr[:, step] = kappa_j
-                half_k, delta, finite_angle, c, x, p, q = _rotations(xi[j], kappa_j, dt, scale)
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        with np.errstate(all="ignore"):
+            dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
+                rngs, m, params, coupled, collapse
+            )
+            bids, asks, prices, imbs, half_deltas, phase_rows = (
+                np.empty((m, n_paths)) for _ in range(6)
+            )
+            sides = np.empty((m, n_paths), dtype=bool)
+            if coupled:  # kappa is the noise; the coupling follows the state
+                noise = kappa
+                kappa = np.empty((m, n_paths), dtype=float if phases is None else complex)
+                deltas = np.empty((m, n_paths))
+                finite_angles = np.empty((m, n_paths), dtype=bool)
             else:
-                half_k, delta, finite_angle, c, x, p, q = (r[j] for r in rotations)
+                deltas, finite_angles = rotations[1:3]
+            half_xi = 0.5 * xi
 
-            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
-            common = s_trade + s_trade * sigma * dz[j]
-            s11 = common + half_xi[j]
-            s22 = common - half_xi[j]
-            half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
-            s_mid = 0.5 * (s11 + s22)
-            ask = s_mid + half_delta
-            bid = s_mid - half_delta
+            for j in range(m):
+                if coupled:
+                    i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                    kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
+                    if phases is not None:
+                        kappa_j = _with_phase(kappa_j, phases[j])
+                    kappa[j] = kappa_j
+                    half_k, delta, finite_angle, c, x, p, q = _rotations(xi[j], kappa_j, dt, scale)
+                    deltas[j] = delta
+                    finite_angles[j] = finite_angle
+                else:
+                    half_k, delta, _, c, x, p, q = (r[j] for r in rotations)
 
-            # global phase exp(-1j*s_mid*dt/scale), then the bracket
-            phase = s_mid * dt / scale
-            gc, gs = np.cos(-phase), np.sin(-phase)
-            ur = (c * ar + x * ai) + (q * br + p * bi)
-            ui = (c * ai - x * ar) + (q * bi - p * br)
-            vr = (p * ai - q * ar) + (c * br - x * bi)
-            vi = (c * bi + x * br) - (q * ai + p * ar)
-            ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
-            br, bi = gc * vr - gs * vi, gc * vi + gs * vr
-            # propagate returns before renormalizing where delta = 0
-            norm = ar * ar + ai * ai + br * br + bi * bi
-            drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
-            if drift.any():
-                r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
-                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+                common = s_trade + s_trade * sigma * dz[j]
+                s11 = common + half_xi[j]
+                s22 = common - half_xi[j]
+                half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
+                s_mid = 0.5 * (s11 + s22)
+                ask = s_mid + half_delta
+                bid = s_mid - half_delta
 
-            p_ask = ar * ar + ai * ai
-            i_k = np.clip(p_ask - (br * br + bi * bi), -1.0, 1.0)
-            side = uniforms[j] < p_ask
-            price = np.where(side, ask, bid)
-            ok = np.isfinite(ask) & np.isfinite(bid) & np.isfinite(phase) & finite_angle
-            if not (ok & (price > 0.0)).all():
-                _abort(step, ask, bid, phase, finite_angle, price)
-            if collapse:
-                ar = side.astype(float)
-                br = 1.0 - ar
-                ai = bi = np.zeros(n_paths)
-            else:
-                sc, ss = (r[j] for r in scramble)
-                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+                # global phase exp(-1j*s_mid*dt/scale), then the bracket
+                phase = s_mid * dt / scale
+                gc, gs = np.cos(-phase), np.sin(-phase)
+                ur = (c * ar + x * ai) + (q * br + p * bi)
+                ui = (c * ai - x * ar) + (q * bi - p * br)
+                vr = (p * ai - q * ar) + (c * br - x * bi)
+                vi = (c * bi + x * br) - (q * ai + p * ar)
+                ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
+                br, bi = gc * vr - gs * vi, gc * vi + gs * vr
+                # propagate returns before renormalizing where delta = 0
+                norm = ar * ar + ai * ai + br * br + bi * bi
+                drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
+                if drift.any():
+                    r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
+                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
 
-            s_bid[:, step] = bid
-            s_ask[:, step] = ask
-            s_trade_arr[:, step] = price
-            at_ask[:, step] = side
-            imb[:, step] = i_k
-            np.maximum(resid_max, np.abs(2.0 * half_delta - delta), out=resid_max)
-            s_trade = price
+                p_ask = ar * ar + ai * ai
+                side = uniforms[j] < p_ask
+                s_trade = np.where(side, ask, bid)
+                bids[j] = bid
+                asks[j] = ask
+                prices[j] = s_trade
+                sides[j] = side
+                imbs[j] = p_ask - (br * br + bi * bi)
+                half_deltas[j] = half_delta
+                phase_rows[j] = phase
+                if collapse:
+                    ar = side.astype(float)
+                    br = 1.0 - ar
+                    ai = bi = np.zeros(n_paths)
+                else:
+                    sc, ss = (r[j] for r in scramble)
+                    ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
-    return (s_bid, s_ask, s_trade_arr, at_ask, imb, xi_arr, kappa_arr), resid_max
+            ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phase_rows)
+            ok &= finite_angles
+            ok &= prices > 0.0
+            steps_ok = ok.all(axis=1)
+            if not steps_ok.all():
+                j = int(steps_ok.argmin())
+                _abort(k0 + j, asks[j], bids[j], phase_rows[j], finite_angles[j], prices[j])
+            np.clip(imbs, -1.0, 1.0, out=imbs)
+        yield k0, _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
 
 
 def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:
@@ -689,15 +736,24 @@ def q_of_i(ensemble: list[PathSeries], bins: int = 41) -> Histogram:
     """Normalized histogram Q(I) of all recorded imbalances over [-1, 1]."""
     if not ensemble:
         raise ValidationError("cannot build Q(I) from an empty ensemble")
-    values = np.concatenate([p.imbalance for p in ensemble])
-    return Histogram.from_samples(values, bins=bins, value_range=(-1.0, 1.0))
+    return _pooled_q_of_i(np.concatenate([p.imbalance for p in ensemble]), bins)
 
 
 def imbalance_summary(ensemble: list[PathSeries]) -> dict:
     """Moments of the pooled imbalance samples plus the negative-side mass."""
     if not ensemble:
         raise ValidationError("cannot summarize an empty ensemble")
-    values = np.concatenate([p.imbalance for p in ensemble])
+    return _pooled_summary(np.concatenate([p.imbalance for p in ensemble]))
+
+
+def _pooled_q_of_i(values: np.ndarray, bins: int) -> Histogram:
+    """:func:`q_of_i` of the pooled imbalance samples ``values``."""
+    return Histogram.from_samples(values, bins=bins, value_range=(-1.0, 1.0))
+
+
+def _pooled_summary(values: np.ndarray) -> dict:
+    """:func:`imbalance_summary` of the pooled imbalance samples ``values``,
+    whose order fixes the rounding of the moments."""
     mean = float(values.mean())
     centered = values - mean
     variance = float(np.mean(centered**2))

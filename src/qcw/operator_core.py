@@ -71,11 +71,14 @@ def eigenprices(op: PriceOperator2) -> PriceLevels:
 
     s_ask/bid = (s11+s22)/2 +- sqrt(((s11-s22)/2)^2 + |s12|^2), i.e. the two
     prices sit symmetrically around the mid (half-trace) separated by the
-    spread delta = sqrt((s11-s22)^2 + 4|s12|^2). The mid is finite and no
-    level is NaN: where an intermediate passes float range a level is
-    +-inf, as in :func:`eigenprices_batch`.
+    spread delta = sqrt((s11-s22)^2 + 4|s12|^2). The mid and the
+    half-difference (s11-s22)/2 are finite, and no level is NaN: where an
+    intermediate passes float range a level is +-inf, as in
+    :func:`eigenprices_batch`.
     """
     half_diff = 0.5 * (op.s11 - op.s22)
+    if math.isinf(half_diff):  # as the mid below
+        half_diff = 0.5 * op.s11 - 0.5 * op.s22
     half_delta = _norm2(half_diff, _modulus(op.s12))
     s_mid = 0.5 * (op.s11 + op.s22)
     if math.isinf(s_mid):  # the sum passed float range; the sum of halves cannot
@@ -100,6 +103,9 @@ def eigenprices_batch(s11, s22, s12):
     s12 = np.asarray(s12, dtype=complex)
     with np.errstate(over="ignore"):
         half_diff = 0.5 * (s11 - s22)
+        past = np.isinf(half_diff)  # as in eigenprices
+        if past.any():
+            half_diff = np.where(past, 0.5 * s11 - 0.5 * s22, half_diff)
         # np.hypot of the parts rounds as Python's complex abs does
         half_delta = _norm2_array(half_diff, np.hypot(s12.real, s12.imag))
         s_mid = 0.5 * (s11 + s22)

@@ -20,6 +20,7 @@ from qcw import (
     ValidationError,
     cli,
     imbalance_summary,
+    market_sim,
     q_of_i,
     sample_spread,
     simulate_path,
@@ -525,6 +526,55 @@ def test_imbalance_outputs_equal_per_path_runs(tmp_path, name):
     assert {key: moments[key] for key in summary} == summary
 
 
+def run_imbalance(config, out, capsys):
+    code = main(["imbalance", "--config", str(config), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+# non-default chunkings: 7-step chunks, and a budget of 3 steps of 100 paths
+CHUNKINGS = [("_CHUNK_STEPS", 7), ("_CHUNK_ELEMENTS", 300)]
+
+
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_imbalance_outputs_do_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys, name):
+    config = CONFIGS_DIR / name
+    assert run_imbalance(config, tmp_path / "ref", capsys)[0] == 0
+    for attr, value in CHUNKINGS:
+        with monkeypatch.context() as patch:
+            patch.setattr(market_sim, attr, value)
+            assert run_imbalance(config, tmp_path / attr, capsys)[0] == 0
+        for output in ("qi.csv", "moments.json"):
+            ref = (tmp_path / "ref" / output).read_bytes()
+            assert (tmp_path / attr / output).read_bytes() == ref, (attr, output)
+
+
+# The first abort is at step 11 (positivity) and at step 2 of path 2 (level
+# overflow): not the first step of its chunk, with chunks after it.
+@pytest.mark.parametrize(
+    "overrides, code, message",
+    [
+        ({"sigma": 0.5, "n_paths": 4, "seed": 3}, 3, r"<= 0 at step 11 of path 0$"),
+        (
+            {"sigma": 0.05, "tau": 1.0, "initial_price": 8.5e307, "n_paths": 4,
+             "n_steps": 40, "seed": 0},
+            2,
+            r"levels are not finite at step 2 of path 2$",
+        ),
+    ],
+    ids=["positivity", "level_overflow"],
+)
+def test_imbalance_abort_does_not_depend_on_chunk_size(
+    tmp_path, monkeypatch, capsys, overrides, code, message
+):
+    config = imbalance_config(tmp_path, **overrides)
+    ref = run_imbalance(config, tmp_path / "x", capsys)
+    assert ref[0] == code and re.search(message, ref[1].strip())
+    for attr, value in [("_CHUNK_STEPS", 1), *CHUNKINGS]:
+        with monkeypatch.context() as patch:
+            patch.setattr(market_sim, attr, value)
+            assert run_imbalance(config, tmp_path / "x", capsys) == ref, (attr, value)
+
+
 def test_read_qi_csv_rejects_empty_table(tmp_path):
     path = tmp_path / "qi.csv"
     path.write_text("# qcw=0.1.0\nbin_left,bin_right,mass\n", encoding="utf-8")
@@ -544,8 +594,9 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started despite an over-limit config")
 
-    for name in ("simulate_path", "simulate_ensemble", "_ingest_fit_input"):
+    for name in ("simulate_path", "_ingest_fit_input"):
         monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(market_sim, "_child_rngs", refuse)  # both kernels' first call
 
 
 def test_simulate_level_overflow_is_validation_error(tmp_path, capsys):
@@ -576,6 +627,7 @@ def test_size_limits_reject_before_allocating(tmp_path, capsys, no_work):
         ("simulate", simulate_config, {"n_steps": 100_000_000_000_000}, "'n_steps'"),
         ("simulate", simulate_config, {"n_steps": cli.MAX_STEPS + 1}, "'n_steps'"),
         ("imbalance", imbalance_config, {"n_paths": 10**4, "n_steps": 10**4 + 1}, "'n_paths'"),
+        ("imbalance", imbalance_config, {"n_paths": cli.MAX_PATHS + 1, "n_steps": 1}, "'n_paths'"),
         ("imbalance", imbalance_config, {"bins": cli.MAX_BINS + 1}, "'bins'"),
         ("fit", fit_config, {"bins": 1_000_000_000_000}, "'bins'"),
     ]
@@ -593,10 +645,13 @@ def test_size_limits_admit_the_limit_itself(tmp_path, monkeypatch):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(cli, "simulate_ensemble", reached)
-    cfg = imbalance_config(tmp_path, n_paths=10**4, n_steps=10**4, bins=cli.MAX_BINS)
-    with pytest.raises(Reached):
-        main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    # the first call of either kernel: past it a run at these sizes would start
+    monkeypatch.setattr(market_sim, "_child_rngs", reached)
+    sizes = [(10**4, 10**4), (cli.MAX_PATHS, cli.MAX_ENSEMBLE_STEPS // cli.MAX_PATHS)]
+    for n_paths, n_steps in sizes:
+        cfg = imbalance_config(tmp_path, n_paths=n_paths, n_steps=n_steps, bins=cli.MAX_BINS)
+        with pytest.raises(Reached):
+            main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")])
 
 
 @pytest.mark.parametrize("init", [[math.inf, 0.1], [True, 0.1], [0.1, 10**400]])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,6 +244,12 @@ def kernel_cases():
             replace(config, n_steps=3000, initial_state=StateVector(0.8, 0.6 * (1.0 + 1e-10))),
             replace(params, xi1=0.0, kappa1=0.0),
         ),
+        # the same limit from just above unit norm: the raw imbalance
+        # |psi_ask|^2 - |psi_bid|^2 exceeds 1 at every step and is clipped
+        "saturated": (
+            replace(config, n_steps=300, initial_state=StateVector(1.0 + 4e-10, 0.0)),
+            replace(params, xi1=0.0, kappa1=0.0),
+        ),
     }
 
 
@@ -314,9 +321,12 @@ def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", 7)
     for case, args in cases.items():
         assert_bit_equal(simulate_path(*args), paths[case])
-    for name, ensemble in ensembles.items():
-        for path, ref_path in zip(simulate_ensemble(*shipped(name), 4), ensemble):
-            assert_bit_equal(path, ref_path)
+    # 7-step chunks, then an element budget below the path count: one step a chunk
+    for budget in (qcw.market_sim._CHUNK_ELEMENTS, 3):
+        monkeypatch.setattr(qcw.market_sim, "_CHUNK_ELEMENTS", budget)
+        for name, ensemble in ensembles.items():
+            for path, ref_path in zip(simulate_ensemble(*shipped(name), 4), ensemble):
+                assert_bit_equal(path, ref_path)
 
 
 def test_kernel_rejects_non_finite_propagation_phase():
@@ -435,9 +445,10 @@ def test_numpy_hypot_rounds_as_python_complex_abs(pairs):
 
 
 # seed 0: path 2 aborts first (step 14), before path 0 (step 20);
-# seed 3: paths 0 and 1 both abort first, at step 11
+# seed 3: paths 0 and 1 both abort first, at step 11, which in 7-step
+# chunks is inside the second chunk, with chunks after it
 @pytest.mark.parametrize("seed", [0, 3])
-def test_ensemble_reports_first_abort_in_step_order(seed):
+def test_ensemble_reports_first_abort_in_step_order(seed, monkeypatch):
     params = replace(BALANCED_PARAMS, sigma=0.5)
     config = balanced_config(n_steps=400, seed=seed)
     root = np.random.SeedSequence(seed)
@@ -449,9 +460,34 @@ def test_ensemble_reports_first_abort_in_step_order(seed):
             aborts.append((exc.step, k, exc.price))
     step, path, price = min(aborts)
     assert path > 0 or sorted(aborts)[1][0] == step  # the case is one of the two above
-    with pytest.raises(PricePositivityError) as err:
-        simulate_ensemble(config, params, 4)
-    assert (err.value.step, err.value.path, err.value.price) == (step, path, price)
+    for chunk_steps in (1, 7, 4096):
+        monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", chunk_steps)
+        with pytest.raises(PricePositivityError) as err:
+            simulate_ensemble(config, params, 4)
+        assert (err.value.step, err.value.path, err.value.price) == (step, path, price)
+
+
+def test_ensemble_reports_first_level_overflow_at_every_chunk_size(monkeypatch):
+    # levels near float range, and a phase s_mid*dt/(tau*s0) that stays finite
+    params = replace(BALANCED_PARAMS, sigma=0.05, tau=1.0)
+    config = balanced_config(n_steps=40, seed=0, initial_price=8.5e307)
+    root = np.random.SeedSequence(0)
+    aborts = []
+    for k in range(4):
+        try:
+            simulate_path(replace(config, seed=_child_seed(root, k)), params)
+        except ValidationError as exc:
+            message = re.fullmatch(r"price levels are not finite at step (\d+)", str(exc))
+            aborts.append((int(message[1]), k))
+    step, path = min(aborts)
+    # path 2 at step 2: the other paths step on past it to the end of its
+    # chunk, and in 7-step chunks later chunks follow
+    assert (step, path) == (2, 2)
+    for chunk_steps in (1, 7, 4096):
+        monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", chunk_steps)
+        with pytest.raises(ValidationError) as err:
+            simulate_ensemble(config, params, 4)
+        assert str(err.value) == f"price levels are not finite at step {step} of path {path}"
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,12 @@ elements = st.floats(min_value=-1.7e308, max_value=1.7e308)
 @example(1e-310, -1e-310, 5e-324, -5e-324)
 @example(1.7e308, 1.7e308, 1.7e308, 1.7e308)
 @example(-1.7e308, -1.7e308, 0.0, 0.0)
+@example(1e308, -1e308, 0.0, 0.0)
 def test_eigenprices_identities_and_batch_property(s11, s22, re12, im12):
     s12 = complex(re12, im12)
     levels = eigenprices(PriceOperator2(s11, s22, s12))
+    if s12 == 0:  # the levels are the diagonal, finite even where s11 - s22 is not
+        assert math.isfinite(levels.s_ask) and math.isfinite(levels.s_bid)
     # Where the sum passes float range, the mid is the sum of the halves.
     mid = 0.5 * (s11 + s22)
     assert levels.s_mid == (mid if math.isfinite(mid) else 0.5 * s11 + 0.5 * s22)
