@@ -58,7 +58,7 @@ EXIT_IO = 4
 
 # Size limits, checked before anything is allocated: the histogram bins of
 # `fit`/`imbalance`, the steps of one path, the paths of an ensemble (each
-# holds 3-4 random generators of about 0.9 KB) and the steps of a whole
+# holds 2-3 random generators of about 835 B) and the steps of a whole
 # ensemble. README derives them.
 MAX_BINS = 10**6
 MAX_STEPS = 10**8
@@ -73,7 +73,7 @@ log = logging.getLogger("qcw")
 
 _REQUIRED = object()
 
-_MODEL_KEYS = {"sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt", "complex_coupling"}
+_MODEL_KEYS = {"sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"}
 _SIM_KEYS = _MODEL_KEYS | {
     "n_steps", "initial_price", "mode", "c_i", "post_trade", "initial_imbalance",
 }
@@ -132,13 +132,6 @@ def _choice(cfg: dict, key: str, choices: tuple, default=_REQUIRED) -> str:
     return value
 
 
-def _flag(cfg: dict, key: str, default: bool) -> bool:
-    value = _get(cfg, key, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"config key {key!r}: expected true/false, got {value!r}")
-    return value
-
-
 def _model_params(cfg: dict) -> ModelParams:
     return ModelParams(
         sigma=_number(cfg, "sigma"),
@@ -149,7 +142,6 @@ def _model_params(cfg: dict) -> ModelParams:
         tau=_number(cfg, "tau"),
         s0=_number(cfg, "s0"),
         dt=_number(cfg, "dt"),
-        complex_coupling=_flag(cfg, "complex_coupling", False),
     )
 
 
@@ -416,6 +408,7 @@ def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     imbalance = np.empty((n_paths, sim.n_steps))
     for k0, block in _lockstep_chunks(sim, params, n_paths):
         imbalance[:, k0 : k0 + len(block.imbalance)] = block.imbalance.T
+        del block  # free the chunk before the kernel draws the next
     values = imbalance.ravel()
     hist = _pooled_q_of_i(values, bins)
     moments = _pooled_summary(values)

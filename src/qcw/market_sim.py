@@ -9,13 +9,14 @@ phase scramble, or collapse onto the executed level).
 Two modes: in ``balanced`` mode the coupling kappa is drawn around its
 configured mean; in ``imbalance-coupled`` mode its mean is replaced by
 c_i * I(t) before drawing, which ties coupling strength to the execution
-imbalance and produces persistent one-sided execution (the crash mechanism)
-when the path starts far from balance.
+imbalance. In a crash, a path that starts far from balance and mixes
+slowly (a tiny rotation angle delta*dt/(2*tau*s0) per step) keeps
+executing on one side whether or not it is coupled; the coupling widens
+the spread and so sets the size of the move.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ _CHUNK_STEPS = 4096
 #: Elements (steps x paths) of one lockstep chunk, which takes
 #: max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths)) steps: a full
 #: chunk of up to 256 paths, fewer steps beyond, so that its working memory
-#: (README, "How an ensemble runs") does not grow with the path count.
-#: Outputs do not depend on it.
+#: does not grow with the path count: 143-166 B a path-step by mode, about
+#: 175 MB (README, "How an ensemble runs"). Outputs do not depend on it.
 _CHUNK_ELEMENTS = 2**20
 
 
@@ -71,10 +72,9 @@ class SimConfig:
     """Run configuration for a single simulated path.
 
     ``seed`` may be an integer >= 0 or a numpy SeedSequence; either way the
-    run is fully deterministic. Four independent sub-streams are derived
-    from it (element draws, trade selection, phase scrambles, and the
-    coupling phases of ``complex_coupling``) so that disabling one consumer
-    cannot shift the draws seen by another.
+    run is fully deterministic. Independent sub-streams are derived from it
+    (element draws, trade selection and phase scrambles) so that disabling
+    one consumer cannot shift the draws seen by another.
     """
 
     n_steps: int
@@ -114,7 +114,7 @@ class PathSeries:
     """Column-oriented record of one simulated path.
 
     ``xi``/``kappa`` keep the per-step element draws so identities tying the
-    recorded spread to sqrt(xi^2 + |kappa|^2) can be re-checked exactly.
+    recorded spread to sqrt(xi^2 + kappa^2) can be re-checked exactly.
     ``spread_residual_max`` is the largest absolute deviation of that
     identity observed while the path was generated. ``at_ask`` marks the
     trades executed at the ask.
@@ -232,11 +232,9 @@ class _HashedSeed(ISeedSequence):
         return self.words
 
 
-def _n_streams(collapse: bool, complex_coupling: bool) -> int:
-    """Sub-streams a path uses: 0 elements, 1 trades, 2 phase scrambles (not
-    under collapse), 3 coupling phases (only with ``complex_coupling``, which
-    therefore builds stream 2 even under collapse)."""
-    return 4 if complex_coupling else 2 if collapse else 3
+def _n_streams(collapse: bool) -> int:
+    """Sub-streams a path uses: 0 elements, 1 trades, 2 phase scrambles (not under collapse)."""
+    return 2 if collapse else 3
 
 
 def _child_rngs(root: np.random.SeedSequence, *sizes: int) -> np.ndarray:
@@ -289,17 +287,15 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
-    complex_coupling = params.complex_coupling
-    rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse, complex_coupling))
+    rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse))
 
     n = config.n_steps
-    s_bid, s_ask, s_trade_arr, imb, xi_arr = (np.empty(n) for _ in range(5))
+    s_bid, s_ask, s_trade_arr, imb, xi_arr, kappa_arr = (np.empty(n) for _ in range(6))
     at_ask = np.empty(n, dtype=bool)
-    kappa_arr = np.empty(n, dtype=complex if complex_coupling else float)
 
     sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
-    isfinite, sqrt, cos, sin, exp = math.isfinite, math.sqrt, math.cos, math.sin, cmath.exp
+    isfinite, sqrt, cos, sin = math.isfinite, math.sqrt, math.cos, math.sin
     psi_ask, psi_bid = config.initial_state.psi_ask, config.initial_state.psi_bid
     ar, ai, br, bi = psi_ask.real, psi_ask.imag, psi_bid.real, psi_bid.imag
     s_trade = config.initial_price
@@ -312,22 +308,18 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     with np.errstate(all="ignore"):
         for k0 in range(0, n, _CHUNK_STEPS):
             m = min(_CHUNK_STEPS, n - k0)
-            dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
-                rngs, m, params, coupled, collapse
-            )
+            dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
             xi_arr[k0 : k0 + m] = xi
             kappas = [0.0] * m  # filled where kappa follows the state
             bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
-            steps = (dz, xi, uniforms, *(rotations or [None] * 7), *(scramble or [None] * 2),
-                     *((kappa, phases) if coupled else (None, None)))
+            steps = (dz, xi, uniforms, *(rotations or [None] * 6), *(scramble or [None] * 2),
+                     kappa if coupled else None)
 
-            for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p, q,
-                    sc, ss, k_noise, k_phase) in enumerate(zip(*map(column, steps))):
+            for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p,
+                    sc, ss, k_noise) in enumerate(zip(*map(column, steps))):
                 if coupled:
                     i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
                     kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
-                    if complex_coupling:
-                        kappa = kappa * exp(1j * k_phase)
                     kappas[j] = kappa
                     half_k = abs(0.5 * kappa)
                     delta = _norm2(xi_j, abs(kappa))
@@ -347,19 +339,19 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
                     _check_finite(k0 + j, ask, bid, phase, finite_angle)
 
                 if coupled:  # as _rotations rounds it; the identity where delta = 0
-                    c, x, p, q = 1.0, 0.0, 0.0, 0.0
+                    c, x, p = 1.0, 0.0, 0.0
                     if delta != 0.0:
                         s = sin(phi)
                         c = cos(phi)
                         x = xi_j / delta * s
-                        p = kappa.real / delta * s
-                        q = kappa.imag / delta * s
+                        p = kappa / delta * s
                 # global phase exp(-1j*phase), then the bracket, in propagate's order
+                # (its coupling products with the zero imaginary part of kappa only add +-0)
                 gc, gs = cos(-phase), sin(-phase)
-                ur = (c * ar + x * ai) + (q * br + p * bi)
-                ui = (c * ai - x * ar) + (q * bi - p * br)
-                vr = (p * ai - q * ar) + (c * br - x * bi)
-                vi = (c * bi + x * br) - (q * ai + p * ar)
+                ur = (c * ar + x * ai) + p * bi
+                ui = (c * ai - x * ar) - p * br
+                vr = p * ai + (c * br - x * bi)
+                vi = (c * bi + x * br) - p * ar
                 ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
                 br, bi = gc * vr - gs * vi, gc * vi + gs * vr
                 norm = ar * ar + ai * ai + br * br + bi * bi
@@ -425,9 +417,8 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
     n = config.n_steps
-    s_bid, s_ask, s_trade, imb, xi = (np.empty((n_paths, n)) for _ in range(5))
+    s_bid, s_ask, s_trade, imb, xi, kappa = (np.empty((n_paths, n)) for _ in range(6))
     at_ask = np.empty((n_paths, n), dtype=bool)
-    kappa = np.empty((n_paths, n), dtype=complex if params.complex_coupling else float)
     columns = (s_bid, s_ask, s_trade, at_ask, imb, xi, kappa)
     resid_max = np.zeros(n_paths)
     for k0, block in _lockstep_chunks(config, params, n_paths):
@@ -436,6 +427,7 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
             column[:, span] = rows.T
         resid = np.abs(2.0 * block.half_delta - block.delta).max(axis=0)
         np.maximum(resid_max, resid, out=resid_max)
+        del block, rows  # free the chunk before the kernel draws the next
 
     t = np.arange(n, dtype=np.int64)
     root = _seed_sequence(config.seed)
@@ -475,22 +467,15 @@ class _Block(NamedTuple):
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     """The step unitary of :func:`~qcw.wave_dynamics.propagate` for arrays of draws.
 
-    Returns ``(half_k, delta, finite_angle, c, x, p, q)``: ``half_k`` =
-    abs(kappa/2) for the levels, delta = sqrt(xi^2 + abs(kappa)^2) rounded
-    as ``propagate`` and the levels round it (:func:`_norm2_array`), whether
+    Returns ``(half_k, delta, finite_angle, c, x, p)``: ``half_k`` =
+    abs(kappa/2) for the levels, delta = sqrt(xi^2 + kappa^2) rounded as
+    ``propagate`` and the levels round it (:func:`_norm2_array`), whether
     the angle phi = delta*dt/(2*scale) is finite, and the bracket
-    [[c - i*x, q - i*p], [-q - i*p, c + i*x]] rounded as ``propagate``
-    rounds it (zero signs aside, which no output sees). Where delta = 0 the
-    bracket is the identity; ``q`` is 0 for real kappa.
+    [[c - i*x, -i*p], [-i*p, c + i*x]] rounded as ``propagate`` rounds it
+    (zero signs aside, which no output sees). Where delta = 0 the bracket is
+    the identity.
     """
-    is_complex = kappa.dtype.kind == "c"
-    if is_complex:  # np.hypot rounds as Python's complex abs does
-        re, im = kappa.real, kappa.imag
-        abs_k, half_k = np.hypot(re, im), np.hypot(0.5 * re, 0.5 * im)
-    else:
-        abs_k, half_k = np.abs(kappa), np.abs(0.5 * kappa)
-    delta = _norm2_array(xi, abs_k)
-    del abs_k
+    delta = _norm2_array(xi, np.abs(kappa))
     phi = 0.5 * delta * dt / scale
     s = np.sin(phi)
     idle = delta == 0.0
@@ -501,16 +486,7 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
         e[idle] = 0.0
         return e
 
-    x, p = entry(xi), entry(kappa.real)
-    q = entry(kappa.imag) if is_complex else np.broadcast_to(0.0, delta.shape)
-    return half_k, delta, np.isfinite(phi), np.cos(phi), x, p, q
-
-
-def _with_phase(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """kappa * exp(1j*theta) elementwise in Python's complex arithmetic, as one step forms it."""
-    exp = cmath.exp
-    values = [k * exp(1j * t) for k, t in zip(kappa.ravel().tolist(), theta.ravel().tolist())]
-    return np.array(values, dtype=complex).reshape(kappa.shape)
+    return np.abs(0.5 * kappa), delta, np.isfinite(phi), np.cos(phi), entry(xi), entry(kappa)
 
 
 def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collapse: bool):
@@ -518,11 +494,10 @@ def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collaps
 
     ``rngs`` has shape (streams, *paths). Each path draws as one draw per
     step would, and every array returned has shape (m, *paths): ``(dz, xi,
-    kappa, phases, rotations, uniforms, scramble)``. In ``imbalance-coupled``
-    mode ``kappa`` is the noise kappa1*nk and ``rotations`` None; otherwise
-    they are the coupling and its :func:`_rotations`. ``phases`` are the
-    coupling phases (None without ``complex_coupling``), ``scramble`` the
-    cos/sin of the phase scrambles (None under collapse).
+    kappa, rotations, uniforms, scramble)``. In ``imbalance-coupled`` mode
+    ``kappa`` is the noise kappa1*nk and ``rotations`` None; otherwise they
+    are the coupling and its :func:`_rotations`. ``scramble`` is the cos/sin
+    of the phase scrambles (None under collapse).
     """
     paths = rngs.shape[1:]
     streams = rngs.reshape(len(rngs), -1)
@@ -533,28 +508,48 @@ def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collaps
 
     dz, nx, nk = np.moveaxis(draw(0, Generator.standard_normal, (m, 3)), 1, 0)
     xi = params.xi0 + params.xi1 * nx
-    phases = draw(3, Generator.uniform, 0.0, 2.0 * math.pi, m) if params.complex_coupling else None
     if coupled:
         kappa, rotations = params.kappa1 * nk, None
     else:
         kappa = params.kappa0 + params.kappa1 * nk
-        if phases is not None:
-            kappa = _with_phase(kappa, phases)
         rotations = _rotations(xi, kappa, params.dt, params.tau * params.s0)
     uniforms = draw(1, Generator.random, m)
     thetas = None if collapse else draw(2, Generator.uniform, 0.0, 2.0 * math.pi, m)
     scramble = None if collapse else (np.cos(thetas), np.sin(thetas))
-    return dz, xi, kappa, phases, rotations, uniforms, scramble
+    return dz, xi, kappa, rotations, uniforms, scramble
 
 
 def _lockstep_chunks(config: SimConfig, params: ModelParams, n_paths: int):
     """:func:`simulate_path` for children 0 .. n_paths-1 of the config seed, over arrays of paths.
 
-    Yields ``(k0, block)`` for each chunk of steps k0, k0 + 1, ...: a
-    :class:`_Block` of (steps, paths) rows. A chunk's draws and rotations
-    come from :func:`_chunk`. Amplitudes are kept as four float arrays and
-    every product is written out in CPython's complex order, since numpy's
-    complex multiply rounds differently.
+    Yields ``(k0, block)`` for each chunk of steps k0, k0 + 1, ...: the
+    :class:`_Block` of (steps, paths) rows from :func:`_lockstep_chunk`.
+    Between chunks only the amplitudes and the price are kept, so a consumer
+    that drops each block before asking for the next holds one chunk at a
+    time.
+    """
+    collapse = config.post_trade == POST_TRADE_COLLAPSE
+    rngs = _child_rngs(_seed_sequence(config.seed), n_paths, _n_streams(collapse)).T
+    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths))
+    a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
+    values = (a.real, a.imag, b.real, b.imag, config.initial_price)
+    state = tuple(np.full(n_paths, v) for v in values)
+    n = config.n_steps
+    for k0 in range(0, n, rows):
+        block, state = _lockstep_chunk(config, params, rngs, k0, min(rows, n - k0), state)
+        yield k0, block
+        del block  # so that the next chunk's draws do not meet this one
+
+
+def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0: int, m: int,
+                    state: tuple):
+    """Steps k0 .. k0+m-1 of every path: their :class:`_Block`, and the state after them.
+
+    ``state`` is ``(ar, ai, br, bi, s_trade)``, arrays over the paths: the
+    amplitudes as four float arrays, since numpy's complex multiply rounds
+    differently from CPython's and every product is written out in CPython's
+    order, and the last trade price. ``rngs`` has shape (streams, paths); the
+    draws and rotations come from :func:`_chunk`.
 
     A step computes what the next step reads (the state, the price, and in
     ``imbalance-coupled`` mode the coupling) and stores its rows. What no
@@ -565,101 +560,88 @@ def _lockstep_chunks(config: SimConfig, params: ModelParams, n_paths: int):
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
-    root = _seed_sequence(config.seed)
-    rngs = _child_rngs(root, n_paths, _n_streams(collapse, params.complex_coupling)).T
-    rows = max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths))
-
-    n = config.n_steps
     sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
-    a, b = config.initial_state.psi_ask, config.initial_state.psi_bid
-    ar, ai, br, bi = (np.full(n_paths, v) for v in (a.real, a.imag, b.real, b.imag))
-    s_trade = np.full(n_paths, config.initial_price)
+    ar, ai, br, bi, s_trade = state
+    n_paths = s_trade.size
 
-    for k0 in range(0, n, rows):
-        m = min(rows, n - k0)
-        with np.errstate(all="ignore"):
-            dz, xi, kappa, phases, rotations, uniforms, scramble = _chunk(
-                rngs, m, params, coupled, collapse
-            )
-            bids, asks, prices, imbs, half_deltas, phase_rows = (
-                np.empty((m, n_paths)) for _ in range(6)
-            )
-            sides = np.empty((m, n_paths), dtype=bool)
-            if coupled:  # kappa is the noise; the coupling follows the state
-                noise = kappa
-                kappa = np.empty((m, n_paths), dtype=float if phases is None else complex)
-                deltas = np.empty((m, n_paths))
-                finite_angles = np.empty((m, n_paths), dtype=bool)
+    with np.errstate(all="ignore"):
+        dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
+        bids, asks, prices, imbs, half_deltas, phase_rows = (
+            np.empty((m, n_paths)) for _ in range(6)
+        )
+        sides = np.empty((m, n_paths), dtype=bool)
+        if coupled:  # kappa is the noise; the coupling follows the state
+            noise = kappa
+            kappa, deltas = np.empty((m, n_paths)), np.empty((m, n_paths))
+            finite_angles = np.empty((m, n_paths), dtype=bool)
+        else:
+            deltas, finite_angles = rotations[1:3]
+        half_xi = 0.5 * xi
+
+        for j in range(m):
+            if coupled:
+                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                kappa[j] = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
+                half_k, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
+                deltas[j] = delta
+                finite_angles[j] = finite_angle
             else:
-                deltas, finite_angles = rotations[1:3]
-            half_xi = 0.5 * xi
+                half_k, delta, _, c, x, p = (r[j] for r in rotations)
 
-            for j in range(m):
-                if coupled:
-                    i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                    kappa_j = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
-                    if phases is not None:
-                        kappa_j = _with_phase(kappa_j, phases[j])
-                    kappa[j] = kappa_j
-                    half_k, delta, finite_angle, c, x, p, q = _rotations(xi[j], kappa_j, dt, scale)
-                    deltas[j] = delta
-                    finite_angles[j] = finite_angle
-                else:
-                    half_k, delta, _, c, x, p, q = (r[j] for r in rotations)
+            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+            common = s_trade + s_trade * sigma * dz[j]
+            s11 = common + half_xi[j]
+            s22 = common - half_xi[j]
+            half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
+            s_mid = 0.5 * (s11 + s22)
+            ask = s_mid + half_delta
+            bid = s_mid - half_delta
 
-                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
-                common = s_trade + s_trade * sigma * dz[j]
-                s11 = common + half_xi[j]
-                s22 = common - half_xi[j]
-                half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
-                s_mid = 0.5 * (s11 + s22)
-                ask = s_mid + half_delta
-                bid = s_mid - half_delta
+            # global phase exp(-1j*s_mid*dt/scale), then the bracket
+            phase = s_mid * dt / scale
+            gc, gs = np.cos(-phase), np.sin(-phase)
+            ur = (c * ar + x * ai) + p * bi
+            ui = (c * ai - x * ar) - p * br
+            vr = p * ai + (c * br - x * bi)
+            vi = (c * bi + x * br) - p * ar
+            ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
+            br, bi = gc * vr - gs * vi, gc * vi + gs * vr
+            # propagate returns before renormalizing where delta = 0
+            norm = ar * ar + ai * ai + br * br + bi * bi
+            drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
+            if drift.any():
+                r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
+                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
 
-                # global phase exp(-1j*s_mid*dt/scale), then the bracket
-                phase = s_mid * dt / scale
-                gc, gs = np.cos(-phase), np.sin(-phase)
-                ur = (c * ar + x * ai) + (q * br + p * bi)
-                ui = (c * ai - x * ar) + (q * bi - p * br)
-                vr = (p * ai - q * ar) + (c * br - x * bi)
-                vi = (c * bi + x * br) - (q * ai + p * ar)
-                ar, ai = gc * ur - gs * ui, gc * ui + gs * ur
-                br, bi = gc * vr - gs * vi, gc * vi + gs * vr
-                # propagate returns before renormalizing where delta = 0
-                norm = ar * ar + ai * ai + br * br + bi * bi
-                drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
-                if drift.any():
-                    r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
-                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+            p_ask = ar * ar + ai * ai
+            side = uniforms[j] < p_ask
+            s_trade = np.where(side, ask, bid)
+            bids[j] = bid
+            asks[j] = ask
+            prices[j] = s_trade
+            sides[j] = side
+            imbs[j] = p_ask - (br * br + bi * bi)
+            half_deltas[j] = half_delta
+            phase_rows[j] = phase
+            if collapse:
+                ar = side.astype(float)
+                br = 1.0 - ar
+                ai = bi = np.zeros(n_paths)
+            else:
+                sc, ss = (r[j] for r in scramble)
+                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
-                p_ask = ar * ar + ai * ai
-                side = uniforms[j] < p_ask
-                s_trade = np.where(side, ask, bid)
-                bids[j] = bid
-                asks[j] = ask
-                prices[j] = s_trade
-                sides[j] = side
-                imbs[j] = p_ask - (br * br + bi * bi)
-                half_deltas[j] = half_delta
-                phase_rows[j] = phase
-                if collapse:
-                    ar = side.astype(float)
-                    br = 1.0 - ar
-                    ai = bi = np.zeros(n_paths)
-                else:
-                    sc, ss = (r[j] for r in scramble)
-                    ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
-
-            ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phase_rows)
-            ok &= finite_angles
-            ok &= prices > 0.0
-            steps_ok = ok.all(axis=1)
-            if not steps_ok.all():
-                j = int(steps_ok.argmin())
-                _abort(k0 + j, asks[j], bids[j], phase_rows[j], finite_angles[j], prices[j])
-            np.clip(imbs, -1.0, 1.0, out=imbs)
-        yield k0, _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
+        ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phase_rows)
+        ok &= finite_angles
+        ok &= prices > 0.0
+        steps_ok = ok.all(axis=1)
+        if not steps_ok.all():
+            j = int(steps_ok.argmin())
+            _abort(k0 + j, asks[j], bids[j], phase_rows[j], finite_angles[j], prices[j])
+        np.clip(imbs, -1.0, 1.0, out=imbs)
+    block = _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
+    return block, (ar, ai, br, bi, s_trade)
 
 
 def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:
@@ -689,10 +671,11 @@ def _check_finite(step: int, ask, bid, phase, finite_angle, path: int | None = N
 def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:
     """Run an imbalance-coupled path and summarize its directional mechanism.
 
-    Meant for initial states far from balance (|I(0)| near 1): with coupling
-    tied to the imbalance, executions concentrate on one side and the price
-    drifts without any exogenous force. The report carries the bid-execution
-    fraction, the net log price change and the Q(I) histogram.
+    Meant for initial states far from balance (|I(0)| near 1) that mix
+    slowly: the state stays near I(0), so executions concentrate on one
+    side, and the coupling tied to the imbalance widens the spread, so the
+    price drifts without any exogenous force. The report carries the
+    bid-execution fraction, the net log price change and the Q(I) histogram.
     """
     if config.mode != MODE_IMBALANCE_COUPLED:
         raise ValidationError("crash scenario requires mode='imbalance-coupled'")

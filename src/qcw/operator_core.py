@@ -31,8 +31,8 @@ class PriceOperator2:
 
     Only the upper triangle is stored: the (2,1) element is implicitly
     conj(s12) and the diagonal is real, so Hermiticity holds by construction.
-    s12 is kept complex even though the default model draws it real; nothing
-    downstream assumes a zero imaginary part.
+    s12 is complex, though the simulator draws it real: a phase of s12 is a
+    change of basis that leaves the levels, which see only |s12|, unchanged.
     """
 
     s11: float

@@ -34,11 +34,6 @@ class ModelParams:
     discretization. tau and s0 are the time and price constants of the
     propagation phase scale tau*s0; neither is pinned by the model, so they
     are free configuration inputs.
-
-    With ``complex_coupling`` set, each kappa draw gets a uniform random
-    phase, drawn from a sub-stream of its own; the operator stays Hermitian
-    and the spread depends on |kappa| only, so the default (real) mode is
-    statistically equivalent for spreads.
     """
 
     sigma: float
@@ -49,7 +44,6 @@ class ModelParams:
     tau: float
     s0: float
     dt: float
-    complex_coupling: bool = False
 
     def __post_init__(self):
         for name in ("sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"):

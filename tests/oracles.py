@@ -5,7 +5,6 @@ different precision, or an external library) so each check has two routes to
 the same number.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -223,14 +222,14 @@ def spreads_by_row(low, high, denom=None):
 def simulate_path_by_steps(config, params):
     """Per-step reference for ``simulate_path``.
 
-    One draw call per step on each sub-stream (elements, trade, phase, and
-    coupling phase) and the public scalar API on state objects: the operator
+    One draw call per step on each sub-stream (elements, trade and phase)
+    and the public scalar API on state objects: the operator
     as a ``PriceOperator2``, its levels from ``eigenprices``, ``propagate``,
     ``probabilities``/``imbalance`` and ``randomize_phase``.
     """
     root = _seed_sequence(config.seed)
-    rng_elem, rng_trade, rng_phase, rng_coupling = (
-        np.random.default_rng(_child_seed(root, i)) for i in range(4)
+    rng_elem, rng_trade, rng_phase = (
+        np.random.default_rng(_child_seed(root, i)) for i in range(3)
     )
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -244,8 +243,6 @@ def simulate_path_by_steps(config, params):
         xi = params.xi0 + params.xi1 * nx
         mean_k = config.c_i * imbalance(state) if coupled else params.kappa0
         kappa = mean_k + params.kappa1 * nk
-        if params.complex_coupling:
-            kappa = kappa * cmath.exp(1j * rng_coupling.uniform(0.0, 2.0 * math.pi))
         common = s_trade + s_trade * params.sigma * dz
         levels = eigenprices(PriceOperator2(common + 0.5 * xi, common - 0.5 * xi, 0.5 * kappa))
         state = propagate(state, xi, kappa, levels.s_mid, params)
@@ -273,7 +270,7 @@ def simulate_path_by_steps(config, params):
         at_ask=np.array(cols["at_ask"], dtype=bool),
         imbalance=np.array(cols["imbalance"]),
         xi=np.array(cols["xi"]),
-        kappa=np.array(cols["kappa"], dtype=complex if params.complex_coupling else float),
+        kappa=np.array(cols["kappa"]),
         initial_price=config.initial_price,
         seed=config.seed,
         spread_residual_max=resid_max,

@@ -238,10 +238,12 @@ def test_unknown_command_exit_code():
 
 
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
-    cfg = simulate_config(tmp_path, post_trad="collapse")
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "'post_trad'" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "path.csv").exists()
+    # a misspelled key, and the removed complex_coupling option
+    for key, value in (("post_trad", "collapse"), ("complex_coupling", True)):
+        cfg = simulate_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "path.csv").exists()
 
 
 def test_shipped_config_keys_are_accepted():
@@ -487,9 +489,11 @@ def test_imbalance_rerun_is_byte_identical(tmp_path):
 
 
 def test_imbalance_rejects_unknown_config_key(tmp_path, capsys):
-    cfg = imbalance_config(tmp_path, n_path=5)
-    assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "'n_path'" in capsys.readouterr().err
+    # a misspelled key, and the removed complex_coupling option
+    for key, value in (("n_path", 5), ("complex_coupling", True)):
+        cfg = imbalance_config(tmp_path, **{key: value})
+        assert main(["imbalance", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_imbalance_positivity_abort_names_path(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from qcw import (
     simulate_path,
 )
 from qcw.cli import _model_params, _sim_config
-from qcw.market_sim import _child_rngs, _child_seed
+from qcw.market_sim import _child_rngs, _child_seed, _lockstep_chunks
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 PATH_FIELDS = ("t", "s_bid", "s_ask", "s_trade", "at_ask", "imbalance", "xi", "kappa")
@@ -232,10 +233,6 @@ def kernel_cases():
             replace(config, n_steps=3000),
             replace(params, xi0=0.02, kappa0=-0.03),
         ),
-        "complex_coupling": (
-            replace(config, n_steps=3000),
-            replace(params, complex_coupling=True),
-        ),
         # kappa follows the state: the rotation is formed step by step
         "imbalance_crash": (replace(crash_config, n_steps=3000), crash_params),
         # the Wiener limit xi = kappa = 0: delta = 0 at every step, so a norm
@@ -291,16 +288,13 @@ def test_ensemble_paths_match_per_step_oracle(name):
     n_steps=st.integers(1, 60),
     mode=st.sampled_from(["balanced", "imbalance-coupled"]),
     post_trade=st.sampled_from(["phase-scramble", "collapse"]),
-    complex_coupling=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     chunk_steps=st.sampled_from([1, 7, 4096]),
 )
-def test_ensemble_matches_paths_property(
-    n_paths, n_steps, mode, post_trade, complex_coupling, seed, chunk_steps
-):
+def test_ensemble_matches_paths_property(n_paths, n_steps, mode, post_trade, seed, chunk_steps):
     config = crash_config(n_steps=n_steps, seed=seed, initial_imbalance=-0.5)
     config = replace(config, mode=mode, post_trade=post_trade)
-    params = replace(BALANCED_PARAMS, kappa0=0.01, complex_coupling=complex_coupling)
+    params = replace(BALANCED_PARAMS, kappa0=0.01)
     # one-step and ragged last chunks in both kernels; set by hand, since
     # hypothesis runs every example inside one function-scoped monkeypatch
     default = qcw.market_sim._CHUNK_STEPS
@@ -329,6 +323,25 @@ def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
                 assert_bit_equal(path, ref_path)
 
 
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_lockstep_chunks_hold_one_chunk_at_a_time(name, monkeypatch):
+    # 1000 paths in 100-step chunks: a consumer that drops each block peaks
+    # at one chunk's working memory, however many chunks the run takes
+    monkeypatch.setattr(qcw.market_sim, "_CHUNK_ELEMENTS", 1000 * 100)
+    config, params = shipped(name)
+
+    def peak(n_chunks):
+        tracemalloc.start()
+        try:
+            for _, block in _lockstep_chunks(replace(config, n_steps=100 * n_chunks), params, 1000):
+                del block
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5) <= 1.05 * peak(1)
+
+
 def test_kernel_rejects_non_finite_propagation_phase():
     # finite levels near 1e300, but s_mid*dt/(tau*s0) overflows
     params = replace(BALANCED_PARAMS, tau=1e-9, s0=1.0)
@@ -354,7 +367,7 @@ NON_INT_ROOT = np.random.SeedSequence([2**70, 5], spawn_key=(3, 2**40))
 
 
 @pytest.mark.parametrize("chunk_steps", [None, 7])
-@pytest.mark.parametrize("case", ["complex_coupling", "imbalance_crash"])
+@pytest.mark.parametrize("case", ["nonzero_mean", "imbalance_crash"])
 def test_non_int_root_seed_matches_per_step_oracle(case, chunk_steps, monkeypatch):
     if chunk_steps is not None:
         monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", chunk_steps)
@@ -422,7 +435,7 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 @example(pairs=[(1e308, 1e308), (3.0, 4.0), (1e-300, 1e300)])
 @example(pairs=[(1.2711610061536462e308, 1.2711610061536464e308)])
 def test_numpy_hypot_rounds_as_python_complex_abs(pairs):
-    """_rotations takes abs(kappa) of complex kappa as np.hypot(re, im).
+    """eigenprices_batch takes abs(s12) of complex s12 as np.hypot(re, im).
 
     Bitwise wherever the result is a number; a NaN stays a NaN, though its
     sign and payload bits may differ (a NaN coupling aborts the run anyway).

@@ -5,6 +5,7 @@ acceptance criterion needs it, so the exported set is pinned here and cannot
 grow back unnoticed.
 """
 
+import ast
 import json
 import os
 import re
@@ -99,3 +100,76 @@ def test_fit_loads_scipy_special_but_not_optimize(tmp_path):
     loaded = scipy_modules_after(FIT, tmp_path)
     assert "scipy.special" in loaded
     assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]}
+
+
+# Dead code: an import a module never uses, and a top-level name that nothing
+# in src/, tests/ or perfbench/ refers to (by name, attribute or string, as
+# monkeypatch and perfbench's wrap points do). The one exception:
+# perfbench's layer tracer wraps ``propagate`` at ``qcw.market_sim``, which
+# imports it only for that, until the tracer wraps the code that runs.
+UNUSED_IMPORTS_KEPT = {("market_sim.py", "propagate")}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def references(tree):
+    """Names a module loads, attributes it reads and strings it holds, ``__all__`` aside."""
+    exported = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for n in ast.walk(node.value)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exported:
+                names.add(node.value)
+    return names
+
+
+def imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def defined_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_src_has_no_unused_imports_or_unreferenced_names():
+    modules = {path: parse(path) for path in sorted((ROOT / "src" / "qcw").glob("*.py"))}
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= references(parse(path))
+    dead = []
+    for path, tree in modules.items():
+        if path.name != "__init__.py":
+            loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            dead += [
+                f"{path.name}: unused import {name}"
+                for name in imported_names(tree)
+                if name not in loaded and (path.name, name) not in UNUSED_IMPORTS_KEPT
+            ]
+        dead += [
+            f"{path.name}: {name} is referenced nowhere"
+            for name in defined_names(tree)
+            if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+        ]
+    assert dead == []

@@ -14,7 +14,6 @@ import pytest
 
 from qcw import (
     ModelParams,
-    PriceOperator2,
     SimConfig,
     StateVector,
     ValidationError,
@@ -136,31 +135,6 @@ def test_kappa_mean_override():
         initial_state=StateVector.from_imbalance(1.0),
     )
     assert coupled.kappa[0] == 0.7
-
-
-def test_complex_coupling_mode():
-    params = make_params(kappa0=0.0, kappa1=0.06, complex_coupling=True)
-    path = run(params, n_steps=20_000, seed=51)
-    assert path.kappa.dtype == complex
-    assert np.all(path.kappa.imag != 0.0)
-    # the random phase must not touch the modulus statistics
-    assert np.mean(np.abs(path.kappa) ** 2) == pytest.approx(params.kappa1**2, rel=0.03)
-    # operator stays Hermitian and the spread still sees only |kappa|
-    mid = 0.5 * (path.s_ask[-1] + path.s_bid[-1])
-    xi, kappa = float(path.xi[-1]), complex(path.kappa[-1])
-    mat = PriceOperator2(mid + 0.5 * xi, mid - 0.5 * xi, 0.5 * kappa).matrix()
-    assert np.allclose(mat, mat.conj().T)
-    recomputed = np.hypot(path.xi, np.abs(path.kappa))
-    assert np.max(np.abs((path.s_ask - path.s_bid) - recomputed)) <= 1e-10
-
-
-def test_complex_coupling_keeps_xi_and_kappa_noise():
-    # the coupling phase has its own sub-stream: switching it on changes
-    # neither the xi draws nor the modulus of kappa (kappa0 = 0 here)
-    real = run(make_params(kappa0=0.0), n_steps=3000, seed=61)
-    rotated = run(make_params(kappa0=0.0, complex_coupling=True), n_steps=3000, seed=61)
-    assert np.array_equal(real.xi, rotated.xi)
-    assert np.allclose(np.abs(rotated.kappa), np.abs(real.kappa), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [10**400, True, math.nan], ids=["huge_int", "bool", "nan"])

@@ -131,6 +131,39 @@ def test_propagate_preserves_norm_property(mix, phase_a, phase_b, xi, re_k, im_k
     assert abs(out.norm_sq() - 1.0) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    angles,
+    angles,
+    angles,
+    elements,
+    elements,
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_coupling_phase_is_a_change_of_basis_property(
+    mix, phase_a, phase_b, theta, xi, k, s_mid, dt
+):
+    """kappa = |k|*e^{i*theta} is the real coupling |k| in the basis D = diag(e^{i*theta}, 1).
+
+    So propagate(psi, kappa) = D*propagate(D^-1*psi, |k|): the levels see
+    only |kappa|, and the execution probabilities do not see D at all. The
+    real side takes abs(kappa), so that both sides form the same angle.
+    """
+    state = StateVector(
+        math.cos(mix) * cmath.exp(1j * phase_a), math.sin(mix) * cmath.exp(1j * phase_b)
+    )
+    params = phase_params(dt)
+    d = cmath.exp(1j * theta)
+    kappa = abs(k) * d
+    out = propagate(state, xi, kappa, s_mid, params)
+    real = propagate(StateVector(state.psi_ask / d, state.psi_bid), xi, abs(kappa), s_mid, params)
+    assert abs(out.psi_ask - d * real.psi_ask) <= 1e-12
+    assert abs(out.psi_bid - real.psi_bid) <= 1e-12
+    assert probabilities(out) == pytest.approx(probabilities(real), abs=1e-12)
+
+
 def test_propagate_rejects_non_finite_phase():
     with pytest.raises(ValidationError, match="phase"):
         propagate(StateVector.balanced(), 0.1, 0.1, 1e300, phase_params(1.0, tau=1e-9))
