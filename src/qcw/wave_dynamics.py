@@ -177,7 +177,8 @@ def propagate(
     with D = sqrt(xi^2 + |kappa|^2) and phi = D*dt/(2*tau*s0). The prefactor
     is a global phase (it carries the mid price and never affects
     probabilities); the bracket rotates probability between the two levels at
-    a rate set by the coupling kappa.
+    a rate set by the coupling kappa. The simulator steps in the frame of the
+    mid, that is, it applies the bracket alone, as ``s_mid=0.0`` does here.
 
     D = 0 forces xi = kappa = 0, so the bracket degenerates to the identity
     and the state is returned unchanged up to the global phase; no division

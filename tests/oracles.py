@@ -224,7 +224,8 @@ def simulate_path_by_steps(config, params):
 
     One draw call per step on each sub-stream (elements, trade and phase)
     and the public scalar API on state objects: the operator
-    as a ``PriceOperator2``, its levels from ``eigenprices``, ``propagate``,
+    as a ``PriceOperator2``, its levels from ``eigenprices``, ``propagate``
+    in the frame of the mid (``s_mid`` 0, so no global phase),
     ``probabilities``/``imbalance`` and ``randomize_phase``.
     """
     root = _seed_sequence(config.seed)
@@ -245,7 +246,7 @@ def simulate_path_by_steps(config, params):
         kappa = mean_k + params.kappa1 * nk
         common = s_trade + s_trade * params.sigma * dz
         levels = eigenprices(PriceOperator2(common + 0.5 * xi, common - 0.5 * xi, 0.5 * kappa))
-        state = propagate(state, xi, kappa, levels.s_mid, params)
+        state = propagate(state, xi, kappa, 0.0, params)
         i_k = imbalance(state)
         p_ask, _ = probabilities(state)
         at_ask = rng_trade.random() < p_ask
@@ -275,6 +276,37 @@ def simulate_path_by_steps(config, params):
         seed=config.seed,
         spread_residual_max=resid_max,
     )
+
+
+def centered_by_fsum(values):
+    """``(mean, centered, e)``: the mean of ``values`` and the values
+    centered on it as ``imbalance_summary`` centers them, from exactly
+    rounded sums (``math.fsum``), then scaled by 2^-e, the power of two that
+    brings the largest into [0.5, 1).
+
+    The values are centered on their rounded mean, then on the mean of what
+    that left, so a constant sample centers to zeros.
+    """
+    x = [float(v) for v in values]
+    n = len(x)
+    mean = math.fsum(x) / n
+    residuals = [v - mean for v in x]
+    shift = math.fsum(residuals) / n
+    centered = [r - shift for r in residuals]
+    e = math.frexp(max(map(abs, centered)))[1]
+    return mean + shift, [math.ldexp(c, -e) for c in centered], e
+
+
+def moments_by_fsum(values):
+    """``(mean, variance, skewness)`` of ``values`` from exactly rounded
+    sums and cubes by ``**`` over :func:`centered_by_fsum`; the skewness is
+    0.0 where the variance is 0."""
+    mean, scaled, e = centered_by_fsum(values)
+    n = len(scaled)
+    variance = math.fsum(c * c for c in scaled) / n
+    third = math.fsum(c**3 for c in scaled) / n
+    skewness = third / variance**1.5 if variance > 0 else 0.0
+    return mean, math.ldexp(variance, 2 * e), skewness
 
 
 def path_csv_rows_by_repr(series):

@@ -504,7 +504,9 @@ def test_imbalance_positivity_abort_names_path(tmp_path, capsys):
 
 def test_imbalance_level_overflow_names_path(tmp_path, capsys):
     cfg = json.loads((CONFIGS_DIR / "imbalance_balanced.json").read_text(encoding="utf-8"))
-    path = write_config(tmp_path, "imbalance.json", dict(cfg, initial_price=1e308, sigma=1.0))
+    # tau*s0 >= dt keeps the phase s_mid*dt/(tau*s0) finite, so a level is what overflows
+    overrides = dict(initial_price=1e308, sigma=1.0, tau=1.0)
+    path = write_config(tmp_path, "imbalance.json", dict(cfg, **overrides))
     assert main(["imbalance", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.strip()
     assert re.search(r"levels are not finite at step \d+ of path \d+$", err)
@@ -559,7 +561,7 @@ def test_imbalance_outputs_do_not_depend_on_chunk_size(tmp_path, monkeypatch, ca
     [
         ({"sigma": 0.5, "n_paths": 4, "seed": 3}, 3, r"<= 0 at step 11 of path 0$"),
         (
-            {"sigma": 0.05, "tau": 1.0, "initial_price": 8.5e307, "n_paths": 4,
+            {"sigma": 0.05, "tau": 1.0, "initial_price": 1.7e308, "n_paths": 4,
              "n_steps": 40, "seed": 0},
             2,
             r"levels are not finite at step 2 of path 2$",

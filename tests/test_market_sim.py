@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import simulate_path_by_steps
+from oracles import centered_by_fsum, moments_by_fsum, simulate_path_by_steps
 
 import qcw.market_sim
 from qcw import (
@@ -28,7 +28,7 @@ from qcw import (
     simulate_path,
 )
 from qcw.cli import _model_params, _sim_config
-from qcw.market_sim import _child_rngs, _child_seed, _lockstep_chunks
+from qcw.market_sim import _child_rngs, _child_seed, _lockstep_chunks, _pooled_summary
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 PATH_FIELDS = ("t", "s_bid", "s_ask", "s_trade", "at_ask", "imbalance", "xi", "kappa")
@@ -362,6 +362,50 @@ def test_kernel_rejects_non_finite_rotation_angle():
         simulate_ensemble(config, params, 3)
 
 
+@pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
+@pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
+def test_kernels_take_the_mid_of_the_halves_past_float_range(mode, post_trade):
+    # s11 + s22 passes float range at every step, though the levels do not
+    # (tiny sigma), and tau*s0 >= dt keeps the phase s_mid*dt/(tau*s0) finite:
+    # both kernels take the mid as eigenprices does and run to the end
+    params = replace(BALANCED_PARAMS, sigma=1e-4, tau=1.0, kappa0=0.01)
+    config = replace(crash_config(n_steps=200, seed=5, initial_imbalance=-0.5),
+                     initial_price=1.7e308, mode=mode, post_trade=post_trade)
+    path = simulate_path(config, params)
+    assert np.all(np.isfinite(path.s_ask)) and np.all(path.s_trade > 9e307)
+    assert_bit_equal(path, simulate_path_by_steps(config, params))
+    root = np.random.SeedSequence(config.seed)
+    for k, path in enumerate(simulate_ensemble(config, params, 4)):
+        ref = simulate_path_by_steps(replace(config, seed=_child_seed(root, k)), params)
+        assert_bit_equal(path, ref)
+
+
+@pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
+@pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
+@settings(max_examples=10, deadline=None)
+@given(
+    prices=st.tuples(st.floats(10.0, 1e300), st.floats(10.0, 1e300)),
+    sigmas=st.tuples(st.floats(0.0, 0.01), st.floats(0.0, 0.01)),
+    n_steps=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_does_not_read_the_price_property(mode, post_trade, prices, sigmas, n_steps, seed):
+    # the kernels step the amplitudes in the frame of the mid, so runs that
+    # differ only in the price (initial level and volatility) execute on the
+    # same sides with the same imbalance, bit for bit
+    config = crash_config(n_steps=n_steps, seed=seed, initial_imbalance=-0.5)
+    config = replace(config, mode=mode, post_trade=post_trade)
+    runs = [
+        (replace(config, initial_price=price), replace(BALANCED_PARAMS, kappa0=0.01, sigma=sigma))
+        for price, sigma in zip(prices, sigmas)
+    ]
+    paths = [simulate_path(*run) for run in runs]
+    ensembles = [simulate_ensemble(*run, 3) for run in runs]
+    for a, b in [paths, *zip(*ensembles)]:
+        assert a.imbalance.tobytes() == b.imbalance.tobytes()
+        assert a.at_ask.tobytes() == b.at_ask.tobytes()
+
+
 # spawn-key words >= 2**32 and two entropy words, one above 2**64
 NON_INT_ROOT = np.random.SeedSequence([2**70, 5], spawn_key=(3, 2**40))
 
@@ -481,9 +525,11 @@ def test_ensemble_reports_first_abort_in_step_order(seed, monkeypatch):
 
 
 def test_ensemble_reports_first_level_overflow_at_every_chunk_size(monkeypatch):
-    # levels near float range, and a phase s_mid*dt/(tau*s0) that stays finite
+    # levels near float range, and a phase s_mid*dt/(tau*s0) that stays finite;
+    # s11 + s22 overflows from step 0, so only the mid of the halves keeps the
+    # levels finite until a common part s_trade*(1 + sigma*dz) passes float range
     params = replace(BALANCED_PARAMS, sigma=0.05, tau=1.0)
-    config = balanced_config(n_steps=40, seed=0, initial_price=8.5e307)
+    config = balanced_config(n_steps=40, seed=0, initial_price=1.7e308)
     root = np.random.SeedSequence(0)
     aborts = []
     for k in range(4):
@@ -589,6 +635,95 @@ def test_q_of_i_balanced_symmetry_and_crash_asymmetry():
     assert mirrored_summary["negative_fraction"] < 0.5
     assert mirrored_summary["mean"] > 0.5
     assert mirrored_summary["skewness"] * crash_summary["skewness"] < 0.0
+
+
+U = 2.0**-53  # unit roundoff
+TINY = 2.0**-1074  # bounds the error of a product or quotient that underflows (half of it)
+
+
+def moment_error_bounds(values, runs):
+    """First-order bounds on how far ``_pooled_summary`` and the
+    ``math.fsum`` oracle can differ in (mean, variance, skewness): the sum
+    over ``runs`` of bounds on each run's rounding error against the exact
+    moments. The skewness bound is None where the variance itself is not
+    known to a quarter of its size, so the skewness is rounding noise.
+
+    A run is the term count whose gamma (terms*u/(1 - terms*u)) bounds one
+    sum divided by the sample size, in any order: the sample size for
+    numpy's sums, 2 for a correctly rounded ``math.fsum`` and its division.
+    A product or quotient errs by u of itself plus TINY, where it
+    underflows; a sum or difference that underflows is exact. Scaling by
+    2^-e is exact, and the moments below are of the centered values c
+    scaled by it, as both runs scale them (so their products underflow only
+    far below the largest).
+
+    The first mean errs by delta <= gamma*mean|x| + TINY. What centering on
+    it and on the mean of the residuals leaves errs, per value, by at most
+    2u|c| + E, with E = (gamma + 2u)*(mean|c| + delta) + 2u*delta + 2*TINY.
+    The variance then errs by 4u*M2 + 2E*mean|c| from the centered values
+    and by (gamma + 2u)*M2 + 2*TINY from one product and the sum; the third
+    moment by 6u*M3 + 3E*M2 and (gamma + 3u)*M3 + 4*TINY from two products
+    and the sum, with M2 = mean c^2 and M3 = mean |c|^3. To first order the
+    skewness (mean c^3)/M2^1.5 moves by d_third/M2^1.5 +
+    1.5|skewness|*d_var/M2, and by 3u of itself for the quotient and the
+    power. Each first-order
+    bound is doubled, which covers the second-order terms while every
+    first-order relative error is below 1/4.
+    """
+    n = len(values)
+    _, centered, e = centered_by_fsum(values)
+
+    def average(v):
+        return math.fsum(v) / n
+
+    a = average(abs(v) for v in values)
+    b1, m2, m3 = (average(abs(c) ** k for c in centered) for k in (1, 2, 3))
+    skewness = average(c**3 for c in centered) / m2**1.5 if m2 > 0 else 0.0
+    d_mean = d_var = d_third = 0.0
+    for terms in runs:
+        gamma = terms * U / (1.0 - terms * U)
+        delta = gamma * a + TINY
+        e_abs = (gamma + 2 * U) * (b1 + delta) + 2 * U * delta + 2 * TINY
+        e_scaled = math.ldexp(e_abs, -e) + TINY
+        d_mean += 2.0 * (e_abs + U * a + TINY)
+        d_var += 2.0 * ((gamma + 6 * U) * m2 + 2 * e_scaled * b1 + 2 * TINY)
+        d_third += 2.0 * ((gamma + 9 * U) * m3 + 3 * e_scaled * m2 + 4 * TINY)
+    d_skew = None
+    if d_var <= m2 / 4:
+        d_skew = 2.0 * (d_third / m2**1.5 + 1.5 * abs(skewness) * d_var / m2)
+        d_skew += 3 * U * abs(skewness) * len(runs)
+    # the variance leaves the scaled units by one more rounding, in each run
+    return d_mean, math.ldexp(d_var, 2 * e) + len(runs) * TINY, d_skew
+
+
+NEAR_CONSTANT = st.builds(
+    lambda v, steps: [min(1.0, max(-1.0, v + k * math.ulp(v))) for k in steps],
+    st.floats(-1.0, 1.0),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300),
+        st.builds(lambda v, n: [v] * n, st.floats(-1.0, 1.0), st.integers(1, 300)),
+        NEAR_CONSTANT,
+    )
+)
+@example(values=[0.1] * 3)  # a mean that rounds off the constant
+@example(values=[0.0, 3.254547213096818e-163])  # squares that underflow unscaled
+@example(values=[4.817012924860141e-115, 4.817012924860142e-115])  # and so does V^1.5
+def test_pooled_summary_matches_fsum_moments(values):
+    got = _pooled_summary(np.array(values))
+    if len(set(values)) == 1:  # a constant sample centers to zeros
+        assert (got["mean"], got["variance"], got["skewness"]) == (values[0], 0.0, 0.0)
+    mean, variance, skewness = moments_by_fsum(values)
+    d_mean, d_var, d_skew = moment_error_bounds(values, runs=(len(values), 2))
+    assert abs(got["mean"] - mean) <= d_mean
+    assert abs(got["variance"] - variance) <= d_var
+    if d_skew is not None:
+        assert abs(got["skewness"] - skewness) <= d_skew
 
 
 def test_q_of_i_empty_inputs():
