@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import logging
@@ -73,9 +74,10 @@ log = logging.getLogger("qcw")
 
 _REQUIRED = object()
 
-_MODEL_KEYS = {"sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"}
-_SIM_KEYS = _MODEL_KEYS | {
-    "n_steps", "initial_price", "mode", "c_i", "post_trade", "initial_imbalance",
+_MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ModelParams))
+_MODEL_DEFAULTS = {"xi0": 0.0, "kappa0": 0.0}
+_SIM_KEYS = {
+    *_MODEL_KEYS, "n_steps", "initial_price", "mode", "c_i", "post_trade", "initial_imbalance",
 }
 _RUN_KEYS = {"seed", "out_dir"}
 _CONFIG_KEYS = {
@@ -110,16 +112,9 @@ def _integer(cfg: dict, key: str, default=_REQUIRED, limit: int | None = None) -
     value = _get(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"config key {key!r}: expected an integer, got {value!r}")
-    if limit is not None and value > limit:
-        raise ValidationError(f"config key {key!r}: {value} exceeds the limit {limit}")
+    if limit is not None and not 1 <= value <= limit:
+        raise ValidationError(f"config key {key!r}: {value} is outside [1, {limit}]")
     return value
-
-
-def _bins(cfg: dict, default: int) -> int:
-    bins = _integer(cfg, "bins", default, limit=MAX_BINS)
-    if bins < 1:
-        raise ValidationError("config key 'bins': must be >= 1")
-    return bins
 
 
 def _choice(cfg: dict, key: str, choices: tuple, default=_REQUIRED) -> str:
@@ -134,14 +129,7 @@ def _choice(cfg: dict, key: str, choices: tuple, default=_REQUIRED) -> str:
 
 def _model_params(cfg: dict) -> ModelParams:
     return ModelParams(
-        sigma=_number(cfg, "sigma"),
-        xi0=_number(cfg, "xi0", 0.0),
-        xi1=_number(cfg, "xi1"),
-        kappa0=_number(cfg, "kappa0", 0.0),
-        kappa1=_number(cfg, "kappa1"),
-        tau=_number(cfg, "tau"),
-        s0=_number(cfg, "s0"),
-        dt=_number(cfg, "dt"),
+        **{key: _number(cfg, key, _MODEL_DEFAULTS.get(key, _REQUIRED)) for key in _MODEL_KEYS}
     )
 
 
@@ -227,15 +215,6 @@ def _path_rows(series):
             yield f"{t},{bid},{ask},{trade},{side},{imb}"
 
 
-def _params_hash(effective_cfg: dict) -> str:
-    canonical = json.dumps(effective_cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _meta_line(seed, params_hash: str) -> str:
-    return f"# qcw={__version__} seed={seed} params_sha256={params_hash}"
-
-
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
 
@@ -256,14 +235,24 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_outputs(
+    out_dir: Path, effective: dict, table: str, header: str, rows, summary: str, payload: dict
+) -> None:
+    """Write the CSV ``table`` and then the JSON ``summary``, each atomically.
 
-
-def _write_csv(path: Path, meta: str, header: str, rows) -> None:
-    lines = [meta, header]
+    Both carry the seed, the SHA-256 of the effective config and the version:
+    the CSV in its ``#`` metadata line, the JSON beside the ``payload`` keys.
+    """
+    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
+    seed = effective["seed"]
+    phash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    lines = [f"# qcw={__version__} seed={seed} params_sha256={phash}", header]
     lines.extend(rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(out_dir / table, "\n".join(lines) + "\n")
+    stamp = {"version": __version__, "seed": seed, "params_sha256": phash}
+    text = json.dumps({**payload, **stamp}, sort_keys=True, indent=2)
+    _atomic_write(out_dir / summary, text + "\n")
+    print(f"wrote {out_dir / table} and {out_dir / summary}")
 
 
 def read_path_csv(path) -> dict:
@@ -303,20 +292,14 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed) -> None:
     params = _model_params(cfg)
     sim = _sim_config(cfg, seed)
     effective = dict(cfg, seed=seed)
-    phash = _params_hash(effective)
 
     log.info("simulate: %d steps, mode=%s, seed=%s", sim.n_steps, sim.mode, seed)
     series = simulate_path(sim, params)
 
-    rows = _path_rows(series)
-    _write_csv(out_dir / "path.csv", _meta_line(seed, phash), PATH_CSV_HEADER, rows)
-    _write_json(
-        out_dir / "summary.json",
+    _write_outputs(
+        out_dir, effective, "path.csv", PATH_CSV_HEADER, _path_rows(series), "summary.json",
         {
             "command": "simulate",
-            "version": __version__,
-            "seed": seed,
-            "params_sha256": phash,
             "config": effective,
             "rows": len(series),
             "final_price": float(series.s_trade[-1]),
@@ -325,7 +308,6 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed) -> None:
             "spread_residual_max": series.spread_residual_max,
         },
     )
-    print(f"wrote {out_dir / 'path.csv'} and {out_dir / 'summary.json'}")
 
 
 def _ingest_fit_input(cfg: dict, config_dir: Path):
@@ -352,10 +334,8 @@ def _ingest_fit_input(cfg: dict, config_dir: Path):
 
 
 def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
-    bins = _bins(cfg, 50)
+    bins = _integer(cfg, "bins", 50, limit=MAX_BINS)
     ingest, metadata = _ingest_fit_input(cfg, config_dir)
-    effective = dict(cfg, seed=seed)
-    phash = _params_hash(effective)
 
     values = ingest.values
     log.info("fit: %d usable samples from %d rows", values.size, ingest.n_rows)
@@ -366,15 +346,11 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
     centers = hist.centers()
     model = spread_pdf(centers, law)
     empirical = hist.densities()
-    rows = _float_rows(centers, empirical, model)
-    _write_csv(out_dir / "pdf.csv", _meta_line(seed, phash), PDF_CSV_HEADER, rows)
-    _write_json(
-        out_dir / "fit.json",
+    _write_outputs(
+        out_dir, dict(cfg, seed=seed), "pdf.csv", PDF_CSV_HEADER,
+        _float_rows(centers, empirical, model), "fit.json",
         {
             "command": "fit",
-            "version": __version__,
-            "seed": seed,
-            "params_sha256": phash,
             "metadata": metadata,
             "xi1_hat": fit.xi1_hat,
             "kappa1_hat": fit.kappa1_hat,
@@ -387,20 +363,16 @@ def cmd_fit(cfg: dict, out_dir: Path, seed, config_dir: Path) -> None:
             "ingestion": ingest.drop_counts(),
         },
     )
-    print(f"wrote {out_dir / 'fit.json'} and {out_dir / 'pdf.csv'}")
 
 
 def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     params = _model_params(cfg)
     sim = _sim_config(cfg, seed)
     n_paths = _integer(cfg, "n_paths", limit=MAX_PATHS)
-    if n_paths < 1:
-        raise ValidationError("config key 'n_paths': must be >= 1")
     if n_paths * sim.n_steps > MAX_ENSEMBLE_STEPS:
         raise ValidationError(f"config keys 'n_paths' x 'n_steps' exceed the limit {MAX_ENSEMBLE_STEPS}")
-    bins = _bins(cfg, 41)
+    bins = _integer(cfg, "bins", 41, limit=MAX_BINS)
     effective = dict(cfg, seed=seed)
-    phash = _params_hash(effective)
 
     log.info("imbalance: %d paths x %d steps, mode=%s", n_paths, sim.n_steps, sim.mode)
     # Only the imbalance is kept; its path-major ravel is the pooled sample
@@ -413,20 +385,11 @@ def cmd_imbalance(cfg: dict, out_dir: Path, seed) -> None:
     hist = _pooled_q_of_i(values, bins)
     moments = _pooled_summary(values)
 
-    rows = _float_rows(hist.edges[:-1], hist.edges[1:], hist.masses)
-    _write_csv(out_dir / "qi.csv", _meta_line(seed, phash), QI_CSV_HEADER, rows)
-    _write_json(
-        out_dir / "moments.json",
-        {
-            "command": "imbalance",
-            "version": __version__,
-            "seed": seed,
-            "params_sha256": phash,
-            "config": effective,
-            **moments,
-        },
+    _write_outputs(
+        out_dir, effective, "qi.csv", QI_CSV_HEADER,
+        _float_rows(hist.edges[:-1], hist.edges[1:], hist.masses), "moments.json",
+        {"command": "imbalance", "config": effective, **moments},
     )
-    print(f"wrote {out_dir / 'qi.csv'} and {out_dir / 'moments.json'}")
 
 
 # ---------------------------------------------------------------------------

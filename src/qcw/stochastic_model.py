@@ -18,7 +18,7 @@ forms the levels; this module holds their parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError, is_finite_number
 
@@ -46,11 +46,11 @@ class ModelParams:
     dt: float
 
     def __post_init__(self):
-        for name in ("sigma", "xi0", "xi1", "kappa0", "kappa1", "tau", "s0", "dt"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not is_finite_number(value):
-                raise ValidationError(f"parameter {name!r} must be a finite number")
-            object.__setattr__(self, name, float(value))
+                raise ValidationError(f"parameter {field.name!r} must be a finite number")
+            object.__setattr__(self, field.name, float(value))
         if self.sigma < 0:
             raise ValidationError("sigma must be >= 0")
         if self.xi1 < 0 or self.kappa1 < 0:

@@ -413,9 +413,16 @@ def test_read_csv_missing_file():
 
 def test_read_csv_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "quotes.csv"
-    path.write_bytes(b"timestamp,bid,ask\nt0,1.0,\xff2.0\n")
-    with pytest.raises(ValidationError, match="quotes.csv"):
-        read_quotes_csv(path)
+    for content in (
+        b"timestamp,bid,ask\nt0,1.0,\xff2.0\n",
+        # in the header line or a comment before it, where the loadtxt path
+        # hands the file to the line reader
+        b"timestamp,bid,ask\xff\n1,100.0,100.1\n",
+        b"# c\xff\ntimestamp,bid,ask\n1,100.0,100.1\n",
+    ):
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="quotes.csv: unreadable CSV"):
+            read_quotes_csv(path)
 
 
 _JUNK_LINE = st.sampled_from(["", "# comment", "  # indented, with commas"])

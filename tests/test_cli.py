@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -199,8 +201,10 @@ def test_simulate_positivity_abort_exit_code(tmp_path, capsys):
 def test_simulate_validation_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
-    bad = write_config(tmp_path, "bad.json", {"n_steps": "many"})
+    capsys.readouterr()
+    bad = simulate_config(tmp_path, n_steps="many")
     assert main(["simulate", "--config", str(bad)]) == 2
+    assert "config key 'n_steps': expected an integer" in capsys.readouterr().err
 
     not_json = tmp_path / "broken.json"
     not_json.write_text("{\n  \"n_steps\": 5,\n", encoding="utf-8")
@@ -221,6 +225,48 @@ def test_unreadable_config_is_validation_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("qcw: validation error: ") and "bad.json" in err
     assert "Traceback" not in err
+
+
+def test_validation_errors_name_their_key_or_file(tmp_path, capsys):
+    quotes_file(tmp_path)
+    # each config is written just before its run: the makers reuse one file name
+    cases = [
+        ("simulate", lambda: simulate_config(tmp_path, mode="sideways"), "'mode'"),
+        ("simulate", lambda: simulate_config(tmp_path, n_steps=0), "'n_steps'"),
+        ("simulate", lambda: write_config(tmp_path, "array.json", [1, 2]), "array.json"),
+        ("imbalance", lambda: imbalance_config(tmp_path, bins=0), "'bins'"),
+        ("fit", lambda: fit_config(tmp_path, bins=0), "'bins'"),
+        ("fit", lambda: fit_config(tmp_path, input=5), "'input'"),
+        ("fit", lambda: fit_config(tmp_path, input="absent.csv"), "absent.csv"),
+    ]
+    for command, make_config, named in cases:
+        cfg = make_config()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qcw: validation error: ") and named in err, (cfg, err)
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_output_dir_through_a_file_is_io_error(tmp_path, capsys, out):
+    cfg = simulate_config(tmp_path, n_steps=10)
+    (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("qcw: I/O error: ") and "Traceback" not in err
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    good = simulate_config(tmp_path, n_steps=10)
+    unknown = write_config(tmp_path, "unknown.json", dict(json.loads(good.read_text()), n_step=1))
+    (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(qcw.__file__).resolve().parents[1]))
+    for cfg, out, status in ((good, "run", 0), (unknown, "run", 2), (good, "taken", 4)):
+        done = subprocess.run(
+            [sys.executable, "-m", "qcw", "simulate", "--config", str(cfg), "--out", out],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_negative_seed_is_validation_error(tmp_path, capsys):
@@ -612,14 +658,15 @@ def test_simulate_level_overflow_is_validation_error(tmp_path, capsys):
 
 
 def test_simulate_overflowing_phase_config_is_validation_error(tmp_path, capsys):
-    # the shipped config's seed at a price of 1e308: the mid price overflows,
-    # and with it the propagation phase s_mid*dt/(tau*s0); it used to end in
-    # a "math domain error" traceback
+    # the shipped config's seed at a price of 1e308: the mid, taken from the
+    # halves, stays finite, but the propagation phase s_mid*dt/(tau*s0)
+    # overflows; it used to end in a "math domain error" traceback
     cfg = simulate_config(
         tmp_path, initial_price=1e308, sigma=1.0, tau=0.0008, s0=100.0, seed=20190925
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "propagation phase" in err and "not finite" in err
 
 
 def test_huge_integer_parameter_is_validation_error(tmp_path, capsys):

@@ -235,6 +235,12 @@ def kernel_cases():
         ),
         # kappa follows the state: the rotation is formed step by step
         "imbalance_crash": (replace(crash_config, n_steps=3000), crash_params),
+        # a norm drift of 2.2e-10, within NORM_TOL but above RENORM_TRIGGER:
+        # the first rotation renormalizes the state
+        "renormalized": (
+            replace(config, initial_state=StateVector(0.8, 0.6 * (1.0 + 3e-10))),
+            params,
+        ),
         # the Wiener limit xi = kappa = 0: delta = 0 at every step, so a norm
         # drift within NORM_TOL but above RENORM_TRIGGER is never renormalized
         "wiener": (
