@@ -434,7 +434,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _check_keys(cfg, args.command)
         config_dir = Path(args.config).resolve().parent
-        out_dir = Path(args.out) if args.out is not None else Path(_get(cfg, "out_dir", "."))
+        out_dir = args.out if args.out is not None else _get(cfg, "out_dir", ".")
+        if not isinstance(out_dir, str) or "\0" in out_dir:
+            raise ValidationError(
+                f"config key 'out_dir': expected a directory name, got {reprlib.repr(out_dir)}"
+            )
+        out_dir = Path(out_dir)
         seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")

@@ -62,8 +62,9 @@ _CHUNK_STEPS = 4096
 #: Elements (steps x paths) of one lockstep chunk, which takes
 #: max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths)) steps: a full
 #: chunk of up to 256 paths, fewer steps beyond, so that its working memory
-#: does not grow with the path count: 143-166 B a path-step by mode, about
-#: 175 MB (README, "How an ensemble runs"). Outputs do not depend on it.
+#: does not grow with the path count: 126-166 B a path-step by mode and
+#: post-trade rule, about 175 MB (README, "How an ensemble runs"). Outputs
+#: do not depend on it.
 _CHUNK_ELEMENTS = 2**20
 
 
@@ -280,8 +281,9 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     rounded as :func:`_rotations` rounds it. The amplitudes are stepped in
     the frame of the mid: the global phase of
     :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is
-    checked but not applied. The mid is taken as
-    :func:`~qcw.operator_core.eigenprices` takes it.
+    checked but not applied. The mid and the half-difference come from the
+    halves of the diagonal: bitwise :func:`~qcw.operator_core.eigenprices`'
+    wherever the halves are exact (|s11|, |s22| >= 2^-1021 or 0).
 
     Raises :class:`ValidationError` if a level, the propagation phase or the
     rotation angle is not finite, and :class:`PricePositivityError` if a
@@ -330,21 +332,17 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
                     phi = 0.5 * delta * dt / scale
                     finite_angle = isfinite(phi)
 
-                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
+                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
+                # from the halves h11, h22 of the diagonal
                 common = s_trade + s_trade * sigma * dz_j
-                s11 = common + 0.5 * xi_j
-                s22 = common - 0.5 * xi_j
-                half_delta = _norm2(0.5 * (s11 - s22), half_k)
-                s_mid = 0.5 * (s11 + s22)
+                h11 = 0.5 * (common + 0.5 * xi_j)
+                h22 = 0.5 * (common - 0.5 * xi_j)
+                half_delta = _norm2(h11 - h22, half_k)
+                s_mid = h11 + h22
                 ask = s_mid + half_delta
                 bid = s_mid - half_delta
                 phase = s_mid * dt / scale
                 if not (isfinite(ask) and isfinite(bid) and isfinite(phase) and finite_angle):
-                    if math.isinf(s_mid):  # the sum passed float range: the halves, as eigenprices
-                        s_mid = 0.5 * s11 + 0.5 * s22
-                        ask = s_mid + half_delta
-                        bid = s_mid - half_delta
-                        phase = s_mid * dt / scale
                     _check_finite(k0 + j, ask, bid, phase, finite_angle)
 
                 if coupled:  # as _rotations rounds it; the identity where delta = 0
@@ -557,122 +555,96 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
     draws and rotations come from :func:`_chunk`.
 
     A step computes what the next step reads (the state, the price, and in
-    ``imbalance-coupled`` mode the coupling) and stores its rows. What no
-    later step reads is settled once per chunk: the propagation phase, the
-    abort test, whose first failing step goes to :func:`_abort`, and the
-    imbalance clip. Steps after an abort in the same chunk run on whatever
-    values it left, and nothing of them is kept.
-
-    Where s11 + s22 passes float range the mid is the sum of the halves, as
-    in :func:`~qcw.operator_core.eigenprices`. The sum leaves a level that
-    is not finite, which fails the abort test, so only a chunk with a
-    failing step is stepped again, from its entry state and draws, under
-    that rule.
-    """
-    coupled = config.mode == MODE_IMBALANCE_COUPLED
-    collapse = config.post_trade == POST_TRADE_COLLAPSE
-    with np.errstate(all="ignore"):
-        draws = _chunk(rngs, m, params, coupled, collapse)
-        for halves in (False, True):
-            block, phases, finite_angles, end = _lockstep_steps(config, params, draws, state, halves)
-            phases *= params.dt  # in place, as s_mid*dt/scale rounds, without a temporary
-            phases /= params.tau * params.s0
-            ok = np.isfinite(block.s_ask) & np.isfinite(block.s_bid) & np.isfinite(phases)
-            ok &= finite_angles
-            ok &= block.s_trade > 0.0
-            steps_ok = ok.all(axis=1)
-            if steps_ok.all():
-                break
-            if halves:  # a step fails under the halves rule too
-                j = int(steps_ok.argmin())
-                rows = (block.s_ask, block.s_bid, phases, finite_angles, block.s_trade)
-                _abort(k0 + j, *(r[j] for r in rows))
-            del block, phases, finite_angles, ok  # free the first pass before the second
-        np.clip(block.imbalance, -1.0, 1.0, out=block.imbalance)
-    return block, end
-
-
-def _lockstep_steps(config: SimConfig, params: ModelParams, draws: tuple, state: tuple,
-                    halves: bool):
-    """Step every path over the :func:`_chunk` ``draws``, from ``state``.
-
-    Returns the chunk's :class:`_Block` (the imbalance not yet clipped),
-    its mids and whether its rotation angles are finite, each as (steps,
-    paths) rows, and the state after it. The amplitude pair is propagated
-    in the frame of the mid: the global phase exp(-1j*s_mid*dt/scale) of
+    ``imbalance-coupled`` mode the coupling) and stores its rows, the levels
+    formed from the halves of the diagonal as :func:`simulate_path` forms
+    them. The amplitude pair is propagated in the frame of the mid: the
+    global phase exp(-1j*s_mid*dt/scale) of
     :func:`~qcw.wave_dynamics.propagate` is dropped, since no probability
-    sees it, and only its abort test reads the mid. With ``halves`` set, a
-    mid whose sum s11 + s22 passed float range is the sum of the halves.
+    sees it. What no later step reads is settled once per chunk: the
+    propagation phase, scaled in place from the stored mids, the abort test,
+    whose first failing step goes to :func:`_abort`, and the imbalance clip.
+    Steps after an abort in the same chunk run on whatever values it left,
+    and nothing of them is kept.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
     sigma, c_i = params.sigma, config.c_i
     dt, scale = params.dt, params.tau * params.s0
-    dz, xi, kappa, rotations, uniforms, scramble = draws
     ar, ai, br, bi, s_trade = state
-    m, n_paths = xi.shape
+    n_paths = s_trade.size
 
-    bids, asks, prices, imbs, half_deltas, mids = (np.empty((m, n_paths)) for _ in range(6))
-    sides = np.empty((m, n_paths), dtype=bool)
-    if coupled:  # kappa is the noise; the coupling follows the state
-        noise = kappa
-        kappa, deltas = np.empty((m, n_paths)), np.empty((m, n_paths))
-        finite_angles = np.empty((m, n_paths), dtype=bool)
-    else:
-        deltas, finite_angles = rotations[1:3]
-    half_xi = 0.5 * xi
-
-    for j in range(m):
-        if coupled:
-            i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-            kappa[j] = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
-            half_k, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
-            deltas[j] = delta
-            finite_angles[j] = finite_angle
+    with np.errstate(all="ignore"):
+        dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
+        bids, asks, prices, imbs, half_deltas, phases = (np.empty((m, n_paths)) for _ in range(6))
+        sides = np.empty((m, n_paths), dtype=bool)
+        if coupled:  # kappa is the noise; the coupling follows the state
+            noise = kappa
+            kappa, deltas = np.empty((m, n_paths)), np.empty((m, n_paths))
+            finite_angles = np.empty((m, n_paths), dtype=bool)
         else:
-            half_k, delta, _, c, x, p = (r[j] for r in rotations)
+            deltas, finite_angles = rotations[1:3]
+        half_xi = 0.5 * xi
 
-        # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]]
-        common = s_trade + s_trade * sigma * dz[j]
-        s11 = common + half_xi[j]
-        s22 = common - half_xi[j]
-        half_delta = _norm2_array(0.5 * (s11 - s22), half_k)
-        s_mid = 0.5 * (s11 + s22)
-        if halves:
-            s_mid = np.where(np.isinf(s_mid), 0.5 * s11 + 0.5 * s22, s_mid)
-        ask = s_mid + half_delta
-        bid = s_mid - half_delta
+        for j in range(m):
+            if coupled:
+                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                kappa[j] = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
+                half_k, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
+                deltas[j] = delta
+                finite_angles[j] = finite_angle
+            else:
+                half_k, delta, _, c, x, p = (r[j] for r in rotations)
 
-        # the bracket, in the frame of the mid
-        ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
-                          p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
-        # propagate returns before renormalizing where delta = 0
-        norm = ar * ar + ai * ai + br * br + bi * bi
-        drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
-        if drift.any():
-            r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
-            ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
+            # from the halves h11, h22 of the diagonal
+            common = s_trade + s_trade * sigma * dz[j]
+            h11 = 0.5 * (common + half_xi[j])
+            h22 = 0.5 * (common - half_xi[j])
+            half_delta = _norm2_array(h11 - h22, half_k)
+            s_mid = h11 + h22
+            ask = s_mid + half_delta
+            bid = s_mid - half_delta
 
-        p_ask = ar * ar + ai * ai
-        side = uniforms[j] < p_ask
-        s_trade = np.where(side, ask, bid)
-        bids[j] = bid
-        asks[j] = ask
-        prices[j] = s_trade
-        sides[j] = side
-        imbs[j] = p_ask - (br * br + bi * bi)
-        half_deltas[j] = half_delta
-        mids[j] = s_mid
-        if collapse:
-            ar = side.astype(float)
-            br = 1.0 - ar
-            ai = bi = np.zeros(n_paths)
-        else:
-            sc, ss = (r[j] for r in scramble)
-            ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+            # the bracket, in the frame of the mid
+            ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
+                              p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
+            # propagate returns before renormalizing where delta = 0
+            norm = ar * ar + ai * ai + br * br + bi * bi
+            drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
+            if drift.any():
+                r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
+                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
 
+            p_ask = ar * ar + ai * ai
+            side = uniforms[j] < p_ask
+            s_trade = np.where(side, ask, bid)
+            bids[j] = bid
+            asks[j] = ask
+            prices[j] = s_trade
+            sides[j] = side
+            imbs[j] = p_ask - (br * br + bi * bi)
+            half_deltas[j] = half_delta
+            phases[j] = s_mid  # the phase once scaled, after the loop
+            if collapse:
+                ar = side.astype(float)
+                br = 1.0 - ar
+                ai = bi = np.zeros(n_paths)
+            else:
+                sc, ss = (r[j] for r in scramble)
+                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+
+        phases *= dt  # in place, as s_mid*dt/scale rounds, without a temporary
+        phases /= scale
+        ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phases)
+        ok &= finite_angles
+        ok &= prices > 0.0
+        steps_ok = ok.all(axis=1)
+        if not steps_ok.all():
+            j = int(steps_ok.argmin())
+            _abort(k0 + j, *(r[j] for r in (asks, bids, phases, finite_angles, prices)))
+        np.clip(imbs, -1.0, 1.0, out=imbs)
     block = _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
-    return block, mids, finite_angles, (ar, ai, br, bi, s_trade)
+    return block, (ar, ai, br, bi, s_trade)
 
 
 def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:

@@ -246,6 +246,22 @@ def test_validation_errors_name_their_key_or_file(tmp_path, capsys):
         assert err.startswith("qcw: validation error: ") and named in err, (cfg, err)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("out_dir", 5), ("out_dir", None), ("out_dir", ["x"]), ("out_dir", "o\0"), ("--out", "o\0")],
+    ids=["int", "null", "list", "nul_byte", "flag_nul_byte"],
+)
+def test_bad_output_dir_is_validation_error(tmp_path, capsys, key, value):
+    if key == "--out":
+        cfg, argv = simulate_config(tmp_path, n_steps=10), ["--out", value]
+    else:
+        cfg, argv = simulate_config(tmp_path, n_steps=10, out_dir=value), []
+    assert main(["simulate", "--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcw: validation error: config key 'out_dir': ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
 def test_output_dir_through_a_file_is_io_error(tmp_path, capsys, out):
     cfg = simulate_config(tmp_path, n_steps=10)

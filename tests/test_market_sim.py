@@ -386,6 +386,26 @@ def test_kernels_take_the_mid_of_the_halves_past_float_range(mode, post_trade):
         assert_bit_equal(path, ref)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+@pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
+@pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
+def test_kernels_match_per_step_oracle_at_extreme_price_scales(mode, post_trade, scale):
+    # every price-valued quantity scaled together: the price, the element
+    # means and scales, the coupling c_i and s0, so the phase and the rotation
+    # angle keep their size while the squares of the spread's parts under- or
+    # overflow, and the halves of the diagonal stay exact
+    params = replace(BALANCED_PARAMS, xi0=0.02 * scale, xi1=0.05 * scale,
+                     kappa0=-0.03 * scale, kappa1=0.05 * scale, s0=100.0 * scale)
+    config = replace(crash_config(n_steps=300, seed=7, initial_imbalance=-0.5),
+                     initial_price=100.0 * scale, c_i=CRASH_COUPLING * scale,
+                     mode=mode, post_trade=post_trade)
+    assert_bit_equal(simulate_path(config, params), simulate_path_by_steps(config, params))
+    root = np.random.SeedSequence(config.seed)
+    for k, path in enumerate(simulate_ensemble(config, params, 3)):
+        ref = simulate_path_by_steps(replace(config, seed=_child_seed(root, k)), params)
+        assert_bit_equal(path, ref)
+
+
 @pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
 @pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
 @settings(max_examples=10, deadline=None)

@@ -12,6 +12,7 @@ from qcw import (
     eigenprices_batch,
     eigenvectors,
 )
+from qcw.wave_dynamics import _modulus, _norm2
 
 from oracles import eig_2x2_hermitian_extended
 
@@ -124,6 +125,29 @@ def test_eigenprices_identities_and_batch_property(s11, s22, re12, im12):
     batch = eigenprices_batch([s11], [s22], [s12])
     scalar = np.array([levels.s_ask, levels.s_bid, levels.s_mid, levels.delta])
     assert np.array_equal(np.concatenate(batch).view(np.int64), scalar.view(np.int64))
+
+
+# The diagonal elements whose halves 0.5*s are exact: 0, and |s| >= 2^-1021.
+exact_halves = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda s: s == 0.0 or abs(s) >= 2.0**-1021
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_halves, exact_halves, elements, elements)
+@example(1.7e308, 1.7e308, 0.0, 0.0)  # the sum passes float range
+@example(-1.7e308, -1.7e308, 1.0, 0.0)
+@example(1.7e308, -1.7e308, 0.0, 1.7e308)  # and the difference
+@example(-1.7e308, 1.7e308, 1.7e308, 1.7e308)
+@example(2.0**-1021, -(2.0**-1021), 5e-324, 0.0)
+@example(-0.0, 0.0, -0.0, 0.0)
+def test_halves_of_the_diagonal_give_eigenprices_mid_and_spread_property(s11, s22, re12, im12):
+    # the simulation kernels form the levels from h11 = s11/2 and h22 = s22/2
+    s12 = complex(re12, im12)
+    levels = eigenprices(PriceOperator2(s11, s22, s12))
+    h11, h22 = 0.5 * s11, 0.5 * s22
+    assert (h11 + h22).hex() == levels.s_mid.hex()
+    assert (2.0 * _norm2(h11 - h22, _modulus(s12))).hex() == levels.delta.hex()
 
 
 def test_delta_invariant_under_coupling_phase():

@@ -173,3 +173,30 @@ def test_src_has_no_unused_imports_or_unreferenced_names():
             if name not in referenced and not (name.startswith("__") and name.endswith("__"))
         ]
     assert dead == []
+
+
+# A parameter its function never reads. The one exception: numpy's
+# ``ISeedSequence`` fixes the signature of ``generate_state``.
+UNREAD_PARAMETERS_KEPT = {("market_sim.py", "generate_state", "n_words"),
+                          ("market_sim.py", "generate_state", "dtype")}
+
+
+def test_src_functions_read_every_parameter():
+    unread = []
+    for path in sorted((ROOT / "src" / "qcw").glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.name}:{node.lineno}: {name} never reads {param}"
+                for param in params
+                if param not in read and (path.name, name, param) not in UNREAD_PARAMETERS_KEPT
+            ]
+    assert unread == []
