@@ -30,7 +30,9 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import PricePositivityError, ValidationError, is_finite_number
 from .spread_stats import Histogram
 from .stochastic_model import ModelParams
-from .wave_dynamics import RENORM_TRIGGER, StateVector, _norm2, _norm2_array
+from .wave_dynamics import (
+    _NORM2_HI, _NORM2_LO, RENORM_TRIGGER, StateVector, _norm2, _norm2_array,
+)
 # ``propagate`` is not called here; perfbench's layer tracer wraps it at this name.
 from .wave_dynamics import propagate  # noqa: F401
 
@@ -481,12 +483,13 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     delta = _norm2_array(xi, np.abs(kappa))
     phi = 0.5 * delta * dt / scale
     s = np.sin(phi)
-    idle = delta == 0.0
+    idle = None if delta.min() > 0.0 else delta == 0.0  # a norm: >= 0 or NaN
 
     def entry(v):  # s * (v / delta), 0 where delta = 0
         e = v / delta
         e *= s
-        e[idle] = 0.0
+        if idle is not None:
+            e[idle] = 0.0
         return e
 
     return np.abs(0.5 * kappa), delta, np.isfinite(phi), np.cos(phi), entry(xi), entry(kappa)
@@ -501,15 +504,22 @@ def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collaps
     ``kappa`` is the noise kappa1*nk and ``rotations`` None; otherwise they
     are the coupling and its :func:`_rotations`. ``scramble`` is the cos/sin
     of the phase scrambles (None under collapse).
+
+    Each path's sub-stream fills its own contiguous row of one buffer
+    (``out=``), and one copy moves the paths to the last axis. A scramble
+    angle is ``random() * 2*pi``: numpy's ``uniform(0, 2*pi)`` is
+    ``0 + 2*pi * random()``, the same bits from the same stream position.
     """
     paths = rngs.shape[1:]
     streams = rngs.reshape(len(rngs), -1)
 
-    def draw(stream, sample, *args):  # the paths stacked on the trailing axis
-        out = np.stack([sample(rng, *args) for rng in streams[stream]], axis=-1)
-        return out.reshape(out.shape[:-1] + paths)
+    def draw(stream, sample, *shape):  # each path in place, then the paths on the last axis
+        out = np.empty((streams.shape[1], *shape))
+        for rng, row in zip(streams[stream], out):
+            sample(rng, out=row)
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1)).reshape(shape + paths)
 
-    dz, nx, nk = np.moveaxis(draw(0, Generator.standard_normal, (m, 3)), 1, 0)
+    dz, nx, nk = np.moveaxis(draw(0, Generator.standard_normal, m, 3), 1, 0)
     xi = params.xi0 + params.xi1 * nx
     if coupled:
         kappa, rotations = params.kappa1 * nk, None
@@ -517,8 +527,11 @@ def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collaps
         kappa = params.kappa0 + params.kappa1 * nk
         rotations = _rotations(xi, kappa, params.dt, params.tau * params.s0)
     uniforms = draw(1, Generator.random, m)
-    thetas = None if collapse else draw(2, Generator.uniform, 0.0, 2.0 * math.pi, m)
-    scramble = None if collapse else (np.cos(thetas), np.sin(thetas))
+    scramble = None
+    if not collapse:
+        thetas = draw(2, Generator.random, m)
+        thetas *= 2.0 * math.pi
+        scramble = (np.cos(thetas), np.sin(thetas))
     return dz, xi, kappa, rotations, uniforms, scramble
 
 
@@ -560,11 +573,20 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
     them. The amplitude pair is propagated in the frame of the mid: the
     global phase exp(-1j*s_mid*dt/scale) of
     :func:`~qcw.wave_dynamics.propagate` is dropped, since no probability
-    sees it. What no later step reads is settled once per chunk: the
-    propagation phase, scaled in place from the stored mids, the abort test,
-    whose first failing step goes to :func:`_abort`, and the imbalance clip.
-    Steps after an abort in the same chunk run on whatever values it left,
-    and nothing of them is kept.
+    sees it. What no later step reads is settled once per chunk: the trade
+    prices, taken from the sides, the propagation phase, scaled in place
+    from the stored mids, the abort test, whose first failing step goes to
+    :func:`_abort`, and the imbalance clip. Steps after an abort in the same
+    chunk run on whatever values it left, and nothing of them is kept.
+
+    A step makes few numpy calls over the paths, each rounding as
+    :func:`simulate_path` does, and writes every kept row through ``out=``.
+    The half-spread is sqrt(d*d + k^2), k^2 squared once per chunk outside
+    ``imbalance-coupled`` mode; :func:`_norm2_array` scales it only when the
+    row's least or largest value leaves that function's window. The four
+    squares of the amplitudes serve the norm, p_ask and the imbalance, and
+    one maximum of |norm - 1| decides whether any path may need
+    renormalizing.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -575,7 +597,7 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
 
     with np.errstate(all="ignore"):
         dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
-        bids, asks, prices, imbs, half_deltas, phases = (np.empty((m, n_paths)) for _ in range(6))
+        bids, asks, imbs, half_deltas, phases = (np.empty((m, n_paths)) for _ in range(5))
         sides = np.empty((m, n_paths), dtype=bool)
         if coupled:  # kappa is the noise; the coupling follows the state
             noise = kappa
@@ -583,48 +605,67 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
             finite_angles = np.empty((m, n_paths), dtype=bool)
         else:
             deltas, finite_angles = rotations[1:3]
+            np.square(rotations[0], out=rotations[0])  # |kappa/2|^2 in place
         half_xi = 0.5 * xi
 
         for j in range(m):
             if coupled:
                 i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                kappa[j] = c_i * np.clip(i_now, -1.0, 1.0) + noise[j]
-                half_k, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
+                np.maximum(i_now, -1.0, out=i_now)  # the clip to [-1, 1]
+                np.minimum(i_now, 1.0, out=i_now)
+                i_now *= c_i
+                np.add(i_now, noise[j], out=kappa[j])
+                half_k2, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
                 deltas[j] = delta
                 finite_angles[j] = finite_angle
+                half_k2 *= half_k2
             else:
-                half_k, delta, _, c, x, p = (r[j] for r in rotations)
+                half_k2, delta, _, c, x, p = (r[j] for r in rotations)
 
             # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
             # from the halves h11, h22 of the diagonal
-            common = s_trade + s_trade * sigma * dz[j]
-            h11 = 0.5 * (common + half_xi[j])
-            h22 = 0.5 * (common - half_xi[j])
-            half_delta = _norm2_array(h11 - h22, half_k)
-            s_mid = h11 + h22
-            ask = s_mid + half_delta
-            bid = s_mid - half_delta
+            common = s_trade * sigma
+            common *= dz[j]
+            common += s_trade
+            h11 = common + half_xi[j]
+            h11 *= 0.5
+            h22 = common
+            h22 -= half_xi[j]
+            h22 *= 0.5
+            # the half-spread, as _norm2_array rounds it when no result needs scaling
+            half_delta = np.subtract(h11, h22, out=half_deltas[j])
+            half_delta *= half_delta
+            half_delta += half_k2
+            np.sqrt(half_delta, out=half_delta)
+            if not (half_delta.min() >= _NORM2_LO and half_delta.max() < _NORM2_HI):
+                half_delta[:] = _norm2_array(h11 - h22, np.abs(0.5 * kappa[j]))
+            s_mid = np.add(h11, h22, out=phases[j])  # the phase once scaled, after the loop
+            ask = np.add(s_mid, half_delta, out=asks[j])
+            bid = np.subtract(s_mid, half_delta, out=bids[j])
 
             # the bracket, in the frame of the mid
             ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
                               p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
-            # propagate returns before renormalizing where delta = 0
-            norm = ar * ar + ai * ai + br * br + bi * bi
-            drift = (np.abs(norm - 1.0) > RENORM_TRIGGER) & (delta != 0.0)
-            if drift.any():
-                r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
-                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+            ar2, ai2, br2, bi2 = ar * ar, ai * ai, br * br, bi * bi
+            p_ask = ar2 + ai2
+            norm = p_ask + br2
+            norm += bi2
+            deviation = norm - 1.0
+            np.abs(deviation, out=deviation)
+            # `not <=` sends a NaN maximum on to the mask, which reads NaN as no drift
+            if not deviation.max() <= RENORM_TRIGGER:
+                # propagate returns before renormalizing where delta = 0
+                drift = (deviation > RENORM_TRIGGER) & (delta != 0.0)
+                if drift.any():
+                    r = np.where(drift, 1.0 / np.sqrt(norm), 1.0)
+                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+                    ar2, ai2, br2, bi2 = ar * ar, ai * ai, br * br, bi * bi
+                    p_ask = ar2 + ai2
 
-            p_ask = ar * ar + ai * ai
-            side = uniforms[j] < p_ask
+            side = np.less(uniforms[j], p_ask, out=sides[j])
             s_trade = np.where(side, ask, bid)
-            bids[j] = bid
-            asks[j] = ask
-            prices[j] = s_trade
-            sides[j] = side
-            imbs[j] = p_ask - (br * br + bi * bi)
-            half_deltas[j] = half_delta
-            phases[j] = s_mid  # the phase once scaled, after the loop
+            br2 += bi2  # p_bid
+            np.subtract(p_ask, br2, out=imbs[j])
             if collapse:
                 ar = side.astype(float)
                 br = 1.0 - ar
@@ -633,6 +674,7 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 sc, ss = (r[j] for r in scramble)
                 ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
+        prices = np.where(sides, asks, bids)
         phases *= dt  # in place, as s_mid*dt/scale rounds, without a temporary
         phases /= scale
         ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phases)

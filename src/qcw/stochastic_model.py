@@ -57,5 +57,7 @@ class ModelParams:
             raise ValidationError("xi1 and kappa1 must be >= 0")
         if self.tau <= 0 or self.s0 <= 0:
             raise ValidationError("tau and s0 must be > 0")
+        if self.tau * self.s0 == 0.0:  # the phase and the angle divide by it
+            raise ValidationError("tau*s0 underflows to 0; it must be > 0")
         if self.dt <= 0:
             raise ValidationError("dt must be > 0")

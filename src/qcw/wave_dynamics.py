@@ -56,18 +56,21 @@ def _norm2_array(h, k) -> np.ndarray:
     IEEE multiply, add and sqrt round alike in Python floats and numpy
     arrays, so :func:`_norm2` is bitwise this. Where the result leaves
     2^+-500 (or is 0, inf or NaN) the pair is scaled by the power of two of
-    its larger part, which is exact; a norm past float range is inf.
+    its larger part, which is exact; a norm past float range is inf. When
+    the least and the largest result both lie inside (a NaN fails the test),
+    nothing is scaled and no mask is formed.
     """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN part is a NaN norm
         r = np.asarray(np.sqrt(h * h + k * k))  # a 0-d sqrt is a scalar
+        if r.size and r.min() >= _NORM2_LO and r.max() < _NORM2_HI:
+            return r
         outside = ~((r >= _NORM2_LO) & (r < _NORM2_HI))
-        if outside.any():
-            h, k = (np.broadcast_to(v, r.shape)[outside] for v in (h, k))
-            e = np.frexp(np.maximum(np.abs(h), np.abs(k)))[1]
-            h, k = np.ldexp(h, -e), np.ldexp(k, -e)
-            r[outside] = np.ldexp(np.sqrt(h * h + k * k), e)
+        h, k = (np.broadcast_to(v, r.shape)[outside] for v in (h, k))
+        e = np.frexp(np.maximum(np.abs(h), np.abs(k)))[1]
+        h, k = np.ldexp(h, -e), np.ldexp(k, -e)
+        r[outside] = np.ldexp(np.sqrt(h * h + k * k), e)
     return r
 
 

@@ -319,3 +319,36 @@ def path_csv_rows_by_repr(series):
         f"{fmt(series.s_trade[k])},{side(k)},{fmt(series.imbalance[k])}"
         for k in range(len(series))
     ]
+
+
+def chunk_draws_by_stacking(rngs, m, collapse):
+    """The raw draws of ``market_sim._chunk``: one call per path and sub-stream,
+    the results stacked on a new last axis, and the scramble angles from
+    ``Generator.uniform(0, 2*pi)``.
+
+    ``rngs`` has shape (streams, *paths); returns ``(dz, nx, nk, uniforms,
+    thetas)``, each of shape (m, *paths), with ``thetas`` None under collapse.
+    """
+    paths = rngs.shape[1:]
+    streams = rngs.reshape(len(rngs), -1)
+
+    def draw(stream, sample, *args):
+        out = np.stack([sample(rng, *args) for rng in streams[stream]], axis=-1)
+        return out.reshape(out.shape[:-1] + paths)
+
+    dz, nx, nk = np.moveaxis(draw(0, np.random.Generator.standard_normal, (m, 3)), 1, 0)
+    uniforms = draw(1, np.random.Generator.random, m)
+    thetas = None if collapse else draw(2, np.random.Generator.uniform, 0.0, 2.0 * math.pi, m)
+    return dz, nx, nk, uniforms, thetas
+
+
+def norm2_by_scaling(h, k):
+    """sqrt(h*h + k*k) on Python floats with both parts first scaled by the
+    power of two of the larger one, which is exact: the larger square can
+    neither overflow nor underflow. A norm past float range is inf."""
+    e = math.frexp(max(abs(h), abs(k)))[1]
+    h, k = math.ldexp(h, -e), math.ldexp(k, -e)
+    try:
+        return math.ldexp(math.sqrt(h * h + k * k), e)
+    except OverflowError:
+        return math.inf

@@ -299,6 +299,31 @@ def test_unknown_command_exit_code():
     assert main(["frobnicate", "--config", "x.json"]) == 2
 
 
+def test_consecutive_calls_parse_independently(tmp_path, monkeypatch):
+    """The parser is built once; each call parses its own command and overrides."""
+    calls = []
+    for name in ("simulate", "fit", "imbalance"):
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda cfg, out_dir, seed, *rest, name=name: calls.append(
+                                (name, out_dir.name, seed)))
+    sim = simulate_config(tmp_path, seed=12, out_dir=str(tmp_path / "sim-default"))
+    imb = imbalance_config(tmp_path, seed=8, out_dir=str(tmp_path / "imb-default"))
+    fit = fit_config(tmp_path, seed=4, out_dir=str(tmp_path / "fit-default"))
+    runs = [
+        (["simulate", "--config", str(sim), "--seed", "5", "--out", str(tmp_path / "a")],
+         ("simulate", "a", 5)),
+        (["imbalance", "--config", str(imb)], ("imbalance", "imb-default", 8)),
+        (["fit", "--config", str(fit), "--out", str(tmp_path / "b")], ("fit", "b", 4)),
+        (["simulate", "--config", str(sim)], ("simulate", "sim-default", 12)),
+        (["imbalance", "--config", str(imb), "--seed", "0"], ("imbalance", "imb-default", 0)),
+    ]
+    for argv, call in runs:
+        assert main(argv) == 0
+        assert calls.pop() == call
+        assert main(["simulate", "--seed", "3"]) == 2  # a failed parse leaves nothing behind
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     # a misspelled key, and the removed complex_coupling option
     for key, value in (("post_trad", "collapse"), ("complex_coupling", True)):
@@ -683,6 +708,18 @@ def test_simulate_overflowing_phase_config_is_validation_error(tmp_path, capsys)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "propagation phase" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "imbalance"])
+def test_underflowing_phase_scale_is_validation_error(tmp_path, capsys, command):
+    # s0 = 5e-324 is > 0, but tau*s0 = 0.0008 * 5e-324 rounds to 0; it used to
+    # end in a ZeroDivisionError traceback with exit 1
+    make = simulate_config if command == "simulate" else imbalance_config
+    cfg = make(tmp_path, s0=5e-324)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcw: validation error: tau*s0 underflows to 0")
+    assert "Traceback" not in err
 
 
 def test_huge_integer_parameter_is_validation_error(tmp_path, capsys):

@@ -10,7 +10,12 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import centered_by_fsum, moments_by_fsum, simulate_path_by_steps
+from oracles import (
+    centered_by_fsum,
+    chunk_draws_by_stacking,
+    moments_by_fsum,
+    simulate_path_by_steps,
+)
 
 import qcw.market_sim
 from qcw import (
@@ -28,7 +33,15 @@ from qcw import (
     simulate_path,
 )
 from qcw.cli import _model_params, _sim_config
-from qcw.market_sim import _child_rngs, _child_seed, _lockstep_chunks, _pooled_summary
+from qcw.market_sim import (
+    _chunk,
+    _child_rngs,
+    _child_seed,
+    _lockstep_chunk,
+    _lockstep_chunks,
+    _pooled_summary,
+    _rotations,
+)
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 PATH_FIELDS = ("t", "s_bid", "s_ask", "s_trade", "at_ask", "imbalance", "xi", "kappa")
@@ -493,6 +506,77 @@ def test_child_rngs_match_seed_sequence_children_property(
 ):
     root = np.random.SeedSequence(entropy, spawn_key=spawn_prefix)
     assert_children_match_seed_sequence(root, n_paths, n_streams)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**128),
+    size=st.one_of(st.sampled_from([0, 1]), st.integers(2, 5000)),
+)
+def test_scaled_random_is_the_uniform_scramble_angle_property(seed, size):
+    """random(m) * 2*pi is bitwise uniform(0, 2*pi, m), which numpy forms as
+    low + (high - low) * next_double, and leaves the stream where it does."""
+    scaled_rng, uniform_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    scaled = scaled_rng.random(size) * (2.0 * math.pi)
+    uniform = uniform_rng.uniform(0.0, 2.0 * math.pi, size)
+    assert scaled.tobytes() == uniform.tobytes()
+    assert scaled_rng.bit_generator.state == uniform_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("collapse", [False, True], ids=["scramble", "collapse"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["balanced", "coupled"])
+@pytest.mark.parametrize("n_paths", [None, 1, 5], ids=["path", "1_path", "5_paths"])
+def test_chunk_draws_equal_stacked_per_path_draws(n_paths, coupled, collapse):
+    """_chunk's in-place draws are the per-path draws stacked on the last
+    axis, for the rngs of simulate_path (streams,) and of the lockstep kernel
+    (streams, paths), and leave every generator where those leave it."""
+    params = replace(BALANCED_PARAMS, xi0=0.02, kappa0=-0.03)
+    root = np.random.SeedSequence(20240917)
+    sizes = (2 if collapse else 3,) if n_paths is None else (n_paths, 2 if collapse else 3)
+    rngs, ref_rngs = (_child_rngs(root, *sizes).T for _ in range(2))
+    for m in (1, 6):  # the second chunk starts where the first left off
+        dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
+        ref_dz, nx, nk, ref_uniforms, thetas = chunk_draws_by_stacking(ref_rngs, m, collapse)
+        ref_xi = params.xi0 + params.xi1 * nx
+        ref_kappa = params.kappa1 * nk if coupled else params.kappa0 + params.kappa1 * nk
+        pairs = [(dz, ref_dz), (xi, ref_xi), (kappa, ref_kappa), (uniforms, ref_uniforms)]
+        if collapse:
+            assert scramble is None
+        else:
+            pairs += zip(scramble, (np.cos(thetas), np.sin(thetas)))
+        if coupled:
+            assert rotations is None
+        else:
+            pairs += zip(rotations, _rotations(ref_xi, ref_kappa, params.dt, params.tau * params.s0))
+        for got, ref in pairs:
+            assert got.shape == ref.shape == (m, *sizes[:-1])
+            assert got.tobytes() == ref.tobytes()
+    for rng, ref in zip(rngs.ravel(), ref_rngs.ravel()):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
+@pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
+def test_lockstep_chunk_renormalizes_only_the_drifting_paths(mode, post_trade):
+    """Paths 1 and 3 start off unit norm by about 2e-10, within NORM_TOL but
+    above RENORM_TRIGGER, and the others on it, so the first step
+    renormalizes some paths and not others. Every path is still bitwise
+    simulate_path from its own initial state and child seed."""
+    config, params = shipped("simulate_balanced.json")
+    config = replace(config, n_steps=40, mode=mode, c_i=0.05, post_trade=post_trade)
+    states = [StateVector(0.8, 0.6 * (1.0 + 3e-10)) if k % 2 else StateVector.from_imbalance(0.28)
+              for k in range(5)]
+    root = np.random.SeedSequence(config.seed)
+    rngs = _child_rngs(root, len(states), 2 if post_trade == "collapse" else 3).T
+    values = [(s.psi_ask.real, s.psi_ask.imag, s.psi_bid.real, s.psi_bid.imag, config.initial_price)
+              for s in states]
+    state = tuple(np.array(column) for column in zip(*values))
+    block, _ = _lockstep_chunk(config, params, rngs, 0, config.n_steps, state)
+    for k, initial in enumerate(states):
+        path = simulate_path(replace(config, initial_state=initial, seed=_child_seed(root, k)),
+                             params)
+        for field in PATH_FIELDS[1:]:
+            assert getattr(block, field)[:, k].tobytes() == getattr(path, field).tobytes(), (k, field)
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

@@ -164,3 +164,15 @@ def test_parameter_validation():
         run(make_params(sigma=1e10), n_steps=10, initial_price=1e300)
     with pytest.raises(ValidationError, match="levels are not finite"):
         run(make_params(kappa0=1.5e308, kappa1=1e308), n_steps=1)
+
+
+@pytest.mark.parametrize("tau, s0", [(8e-4, 5e-324), (1e-200, 1e-200)])
+def test_phase_scale_must_not_underflow(tau, s0):
+    # tau and s0 are each > 0, but tau*s0 rounds to 0 and would divide the
+    # propagation phase and the rotation angle
+    with pytest.raises(ValidationError, match=r"tau\*s0 underflows to 0"):
+        make_params(tau=tau, s0=s0)
+
+
+def test_subnormal_phase_scale_is_accepted():
+    assert make_params(tau=1.0, s0=5e-324).s0 == 5e-324

@@ -17,7 +17,7 @@ from qcw import (
 )
 from qcw.wave_dynamics import _norm2, _norm2_array
 
-from oracles import propagate_expm
+from oracles import norm2_by_scaling, propagate_expm
 
 
 def phase_params(dt, tau=1.0, s0=1.0):
@@ -322,3 +322,33 @@ def test_state_validation():
     StateVector.balanced().require_normalized()
     with pytest.raises(ValidationError):
         StateVector(0.0, 0.0).normalized()
+
+
+_LO, _HI = 2.0**-500, 2.0**500
+NORM2_EDGES = [
+    _LO, math.nextafter(_LO, 0.0), math.nextafter(_HI, 0.0), _HI, 0.0, math.inf, math.nan,
+    1.0, 1.7e308,
+]
+NORM2_EDGE_PAIRS = [pair for v in NORM2_EDGES for pair in ((v, 0.0), (0.0, -v), (v, 5e-324))] + [
+    (3.0 * 2.0**-502, 4.0 * 2.0**-502),  # a norm of 1.25 * 2^-500
+    (3.0 * 2.0**498, 4.0 * 2.0**498),  # 1.25 * 2^500
+    (1.7e308, 1.7e308),  # past float range
+    (5e-324, 0.0), (5e-324, -5e-324), (1.1e-308, 1e-310), (-1e-310, 3e-310),  # subnormal parts
+    (2.0**-500, 2.0**-540), (2.0**-520, 2.0**-500),
+]
+
+
+def test_norm2_array_matches_the_scaled_evaluation_at_its_window_edges():
+    """At the edges of the unscaled window [2^-500, 2^500), at 0, inf and NaN,
+    and on subnormal parts, _norm2_array is bitwise the evaluation that scales
+    every pair first: one pair at a time (the early return wherever the pair
+    is inside), all pairs at once and beside an inside pair (the masked
+    scaling), and as _norm2."""
+    hs, ks = (np.array(v) for v in zip(*NORM2_EDGE_PAIRS))
+    together = _norm2_array(hs, ks).tolist()
+    for (h, k), in_bulk in zip(NORM2_EDGE_PAIRS, together):
+        expected = norm2_by_scaling(h, k).hex()
+        alone = float(_norm2_array(h, k))
+        beside_inside = _norm2_array([1.0, h], [1.0, k])[1]
+        for got in (alone, in_bulk, float(beside_inside), _norm2(h, k)):
+            assert got.hex() == expected, (h, k)
