@@ -17,8 +17,10 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
 import reprlib
 import sys
@@ -45,9 +47,10 @@ from .market_sim import (
     POST_TRADE_SCRAMBLE,
     SimConfig,
     _lockstep_chunks,
+    _path_chunks,
     _pooled_q_of_i,
     _pooled_summary,
-    simulate_path,
+    _residual_max,
 )
 from .spread_stats import Histogram, SpreadLaw, spread_pdf
 from .stochastic_model import ModelParams
@@ -193,42 +196,42 @@ def _fmt_column(values) -> list[str]:
 
 
 def _float_rows(*columns):
-    """CSV rows of equal-length float columns, formatted chunk by chunk."""
+    """CSV text of equal-length float columns, one piece of rows per chunk."""
     for k0 in range(0, len(columns[0]), _FORMAT_ROWS):
         span = slice(k0, k0 + _FORMAT_ROWS)
-        yield from map(",".join, zip(*(_fmt_column(c[span]) for c in columns)))
+        yield "\n".join(map(",".join, zip(*(_fmt_column(c[span]) for c in columns)))) + "\n"
 
 
-def _path_rows(series):
-    """``path.csv`` rows of a simulated path, formatted chunk by chunk.
+def _path_rows(chunks):
+    """``path.csv`` text of a simulated path, one piece of rows per ``(k0, block)`` chunk.
 
     ``s_trade`` is bitwise the executed level, so its text is that level's.
     """
-    for k0 in range(0, len(series), _FORMAT_ROWS):
-        span = slice(k0, k0 + _FORMAT_ROWS)
-        bids, asks, imbs = (
-            _fmt_column(c[span]) for c in (series.s_bid, series.s_ask, series.imbalance)
-        )
+    for k0, block in chunks:
+        bids, asks, imbs = (_fmt_column(c) for c in (block.s_bid, block.s_ask, block.imbalance))
+        rows = []
         for t, bid, ask, at_ask, imb in zip(
-            series.t[span].tolist(), bids, asks, series.at_ask[span].tolist(), imbs
+            itertools.count(k0), bids, asks, block.at_ask.tolist(), imbs
         ):
             trade, side = (ask, "ask") if at_ask else (bid, "bid")
-            yield f"{t},{bid},{ask},{trade},{side},{imb}"
+            rows.append(f"{t},{bid},{ask},{trade},{side},{imb}\n")
+        yield "".join(rows)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+def _atomic_write(path: Path, pieces) -> None:
+    """Write the text ``pieces`` to a temp file beside ``path``, then rename it over ``path``.
 
     The temp file gets a fresh name and is created with O_EXCL, so concurrent
     runs into one directory never share one; mode 0o666 lets the umask set
-    the permissions, as for any file the process creates. On failure the
-    temp file is removed and ``path`` is left as it was.
+    the permissions, as for any file the process creates. ``pieces`` may be
+    a generator, consumed as it is written. On failure, its own included,
+    the temp file is removed and ``path`` is left as it was.
     """
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -241,18 +244,20 @@ def _write_outputs(
 ) -> None:
     """Write the CSV ``table`` and then the JSON ``summary``, each atomically.
 
-    Both carry the seed, the SHA-256 of the effective config and the version:
-    the CSV in its ``#`` metadata line, the JSON beside the ``payload`` keys.
+    ``rows`` is the table's text below its header, in pieces of whole lines.
+    It is consumed before ``payload`` is read, so a generator may fill
+    ``payload`` as it goes. Both files carry the seed, the SHA-256 of the
+    effective config and the version: the CSV in its ``#`` metadata line,
+    the JSON beside the ``payload`` keys.
     """
     canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     seed = effective["seed"]
     phash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    lines = [f"# qcw={__version__} seed={seed} params_sha256={phash}", header]
-    lines.extend(rows)
-    _atomic_write(out_dir / table, "\n".join(lines) + "\n")
+    head = f"# qcw={__version__} seed={seed} params_sha256={phash}\n{header}\n"
+    _atomic_write(out_dir / table, itertools.chain([head], rows))
     stamp = {"version": __version__, "seed": seed, "params_sha256": phash}
     text = json.dumps({**payload, **stamp}, sort_keys=True, indent=2)
-    _atomic_write(out_dir / summary, text + "\n")
+    _atomic_write(out_dir / summary, [text + "\n"])
     print(f"wrote {out_dir / table} and {out_dir / summary}")
 
 
@@ -293,21 +298,26 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed) -> None:
     params = _model_params(cfg)
     sim = _sim_config(cfg, seed)
     effective = dict(cfg, seed=seed)
+    summary = {"command": "simulate", "config": effective, "rows": sim.n_steps}
+
+    def chunks():  # the path's blocks on their way to path.csv, folded into the summary
+        bids, resid_max = 0, 0.0
+        for k0, block in _path_chunks(sim, params):
+            bids += block.at_ask.size - int(np.count_nonzero(block.at_ask))
+            resid_max = max(resid_max, float(_residual_max(block)))
+            final_price = float(block.s_trade[-1])
+            yield k0, block
+        summary.update(
+            final_price=final_price,
+            net_log_return=math.log(final_price / sim.initial_price),
+            bid_fraction=bids / sim.n_steps,
+            spread_residual_max=resid_max,
+        )
 
     log.info("simulate: %d steps, mode=%s, seed=%s", sim.n_steps, sim.mode, seed)
-    series = simulate_path(sim, params)
-
     _write_outputs(
-        out_dir, effective, "path.csv", PATH_CSV_HEADER, _path_rows(series), "summary.json",
-        {
-            "command": "simulate",
-            "config": effective,
-            "rows": len(series),
-            "final_price": float(series.s_trade[-1]),
-            "net_log_return": series.net_log_return(),
-            "bid_fraction": series.bid_fraction(),
-            "spread_residual_max": series.spread_residual_max,
-        },
+        out_dir, effective, "path.csv", PATH_CSV_HEADER, _path_rows(chunks()), "summary.json",
+        summary,
     )
 
 

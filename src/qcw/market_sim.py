@@ -273,19 +273,9 @@ def _child_rngs(root: np.random.SeedSequence, *sizes: int) -> np.ndarray:
 
 
 def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
-    """Generate one coordinated bid/ask/trade path.
-
-    Deterministic given (config, params): the same seed yields an identical
-    series. The step loop runs on plain floats over the draws and step
-    rotations of :func:`_chunk`, as the lockstep kernel does, so a step
-    computes only what depends on the state. In ``imbalance-coupled`` mode
-    kappa follows the state, and the rotation is formed step by step,
-    rounded as :func:`_rotations` rounds it. The amplitudes are stepped in
-    the frame of the mid: the global phase of
-    :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is
-    checked but not applied. The mid and the half-difference come from the
-    halves of the diagonal: bitwise :func:`~qcw.operator_core.eigenprices`'
-    wherever the halves are exact (|s11|, |s22| >= 2^-1021 or 0).
+    """Generate one coordinated bid/ask/trade path: the blocks of
+    :func:`_path_chunks`, collected. The same (config, params) yield an
+    identical series.
 
     Raises :class:`ValidationError` if a level, the propagation phase or the
     rotation angle is not finite, and :class:`PricePositivityError` if a
@@ -293,115 +283,7 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     permits it; aborting keeps recorded statistics unbiased). Each names
     its step.
     """
-    coupled = config.mode == MODE_IMBALANCE_COUPLED
-    collapse = config.post_trade == POST_TRADE_COLLAPSE
-    rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse))
-
-    n = config.n_steps
-    s_bid, s_ask, s_trade_arr, imb, xi_arr, kappa_arr = (np.empty(n) for _ in range(6))
-    at_ask = np.empty(n, dtype=bool)
-
-    sigma, c_i = params.sigma, config.c_i
-    dt, scale = params.dt, params.tau * params.s0
-    isfinite, sqrt, cos, sin = math.isfinite, math.sqrt, math.cos, math.sin
-    psi_ask, psi_bid = config.initial_state.psi_ask, config.initial_state.psi_bid
-    ar, ai, br, bi = psi_ask.real, psi_ask.imag, psi_bid.real, psi_bid.imag
-    s_trade = config.initial_price
-    resid_max = 0.0
-    unused = repeat(None)  # stands in for a column that a mode does not use
-
-    def column(values):  # the Python values of a chunk's column, one per step
-        return unused if values is None else values.tolist()
-
-    with np.errstate(all="ignore"):
-        for k0 in range(0, n, _CHUNK_STEPS):
-            m = min(_CHUNK_STEPS, n - k0)
-            dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
-            xi_arr[k0 : k0 + m] = xi
-            kappas = [0.0] * m  # filled where kappa follows the state
-            bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
-            steps = (dz, xi, uniforms, *(rotations or [None] * 6), *(scramble or [None] * 2),
-                     kappa if coupled else None)
-
-            for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p,
-                    sc, ss, k_noise) in enumerate(zip(*map(column, steps))):
-                if coupled:
-                    i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                    kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
-                    kappas[j] = kappa
-                    half_k = abs(0.5 * kappa)
-                    delta = _norm2(xi_j, abs(kappa))
-                    phi = 0.5 * delta * dt / scale
-                    finite_angle = isfinite(phi)
-
-                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
-                # from the halves h11, h22 of the diagonal
-                common = s_trade + s_trade * sigma * dz_j
-                h11 = 0.5 * (common + 0.5 * xi_j)
-                h22 = 0.5 * (common - 0.5 * xi_j)
-                half_delta = _norm2(h11 - h22, half_k)
-                s_mid = h11 + h22
-                ask = s_mid + half_delta
-                bid = s_mid - half_delta
-                phase = s_mid * dt / scale
-                if not (isfinite(ask) and isfinite(bid) and isfinite(phase) and finite_angle):
-                    _check_finite(k0 + j, ask, bid, phase, finite_angle)
-
-                if coupled:  # as _rotations rounds it; the identity where delta = 0
-                    c, x, p = 1.0, 0.0, 0.0
-                    if delta != 0.0:
-                        s = sin(phi)
-                        c = cos(phi)
-                        x = xi_j / delta * s
-                        p = kappa / delta * s
-                # the bracket in propagate's order, in the frame of the mid: the global
-                # phase exp(-1j*phase) is dropped, since no probability sees it (the
-                # coupling products with the zero imaginary part of kappa only add +-0)
-                ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
-                                  p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
-                norm = ar * ar + ai * ai + br * br + bi * bi
-                if abs(norm - 1.0) > RENORM_TRIGGER and delta != 0.0:
-                    r = 1.0 / sqrt(norm)
-                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
-
-                p_ask = ar * ar + ai * ai
-                side = u < p_ask
-                price = ask if side else bid
-                if price <= 0.0:
-                    raise PricePositivityError(step=k0 + j, price=price)
-                bids[j] = bid
-                asks[j] = ask
-                sides[j] = side
-                imbs[j] = p_ask - (br * br + bi * bi)
-                half_deltas[j] = half_delta
-                deltas[j] = delta
-                if collapse:
-                    ar, ai, br, bi = (1.0, 0.0, 0.0, 0.0) if side else (0.0, 0.0, 1.0, 0.0)
-                else:
-                    ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
-                s_trade = price
-
-            span = slice(k0, k0 + m)
-            s_bid[span], s_ask[span], at_ask[span], imb[span] = bids, asks, sides, imbs
-            np.clip(imb[span], -1.0, 1.0, out=imb[span])
-            s_trade_arr[span] = np.where(at_ask[span], s_ask[span], s_bid[span])
-            kappa_arr[span] = kappas if coupled else kappa
-            resid = np.abs(2.0 * np.array(half_deltas) - np.array(deltas)).max()
-            resid_max = max(resid_max, float(resid))
-
-    return PathSeries(
-        t=np.arange(n, dtype=np.int64),
-        s_bid=s_bid,
-        s_ask=s_ask,
-        s_trade=s_trade_arr,
-        at_ask=at_ask,
-        imbalance=imb,
-        xi=xi_arr,
-        kappa=kappa_arr,
-        initial_price=config.initial_price,
-        seed=config.seed,
-        spread_residual_max=resid_max,
-    )
+    return _collect(_path_chunks(config, params), config, [config.seed])[0]
 
 
 def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> list[PathSeries]:
@@ -421,42 +303,148 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ValidationError("n_paths must be an integer >= 1")
-    n = config.n_steps
-    s_bid, s_ask, s_trade, imb, xi, kappa = (np.empty((n_paths, n)) for _ in range(6))
-    at_ask = np.empty((n_paths, n), dtype=bool)
-    columns = (s_bid, s_ask, s_trade, at_ask, imb, xi, kappa)
+    root = _seed_sequence(config.seed)
+    seeds = [_child_seed(root, k) for k in range(n_paths)]
+    return _collect(_lockstep_chunks(config, params, n_paths), config, seeds)
+
+
+def _collect(chunks, config: SimConfig, seeds: list) -> list[PathSeries]:
+    """The :class:`PathSeries` of each seed's path from the ``(k0, block)``
+    chunks of either kernel, whose rows have shape (steps,) or (steps, paths)."""
+    n, n_paths = config.n_steps, len(seeds)
+    # the block's columns, in the order of the PathSeries fields after t
+    columns = [np.empty((n_paths, n), dtype=bool if name == "at_ask" else float)
+               for name in _Block._fields[:7]]
     resid_max = np.zeros(n_paths)
-    for k0, block in _lockstep_chunks(config, params, n_paths):
+    for k0, block in chunks:
         span = slice(k0, k0 + len(block.xi))
         for column, rows in zip(columns, block):
             column[:, span] = rows.T
-        resid = np.abs(2.0 * block.half_delta - block.delta).max(axis=0)
-        np.maximum(resid_max, resid, out=resid_max)
+        np.maximum(resid_max, _residual_max(block), out=resid_max)
         del block, rows  # free the chunk before the kernel draws the next
 
     t = np.arange(n, dtype=np.int64)
-    root = _seed_sequence(config.seed)
     return [
-        PathSeries(
-            t=t,
-            s_bid=s_bid[k],
-            s_ask=s_ask[k],
-            s_trade=s_trade[k],
-            at_ask=at_ask[k],
-            imbalance=imb[k],
-            xi=xi[k],
-            kappa=kappa[k],
-            initial_price=config.initial_price,
-            seed=_child_seed(root, k),
-            spread_residual_max=float(resid_max[k]),
-        )
-        for k in range(n_paths)
+        PathSeries(t, *(column[k] for column in columns), initial_price=config.initial_price,
+                   seed=seed, spread_residual_max=float(resid_max[k]))
+        for k, seed in enumerate(seeds)
     ]
 
 
+def _residual_max(block) -> np.ndarray:
+    """Per path, the largest |2*half_delta - delta| of a block: ``spread_residual_max``."""
+    with np.errstate(all="ignore"):
+        return np.abs(2.0 * block.half_delta - block.delta).max(axis=0)
+
+
+def _path_chunks(config: SimConfig, params: ModelParams):
+    """One path on plain floats: ``(k0, block)`` for each chunk of steps k0,
+    k0 + 1, ..., its :class:`_Block` rows of shape (steps,), as
+    :func:`_lockstep_chunks` yields them for an array of paths.
+
+    A step runs over the draws and rotations of :func:`_chunk`, so it
+    computes only what depends on the state; in ``imbalance-coupled`` mode
+    kappa follows the state, and the rotation is formed step by step,
+    rounded as :func:`_rotations` rounds it. The amplitudes are stepped in
+    the frame of the mid: the global phase of
+    :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is
+    checked but not applied. The mid and the half-difference come from the
+    halves of the diagonal: bitwise :func:`~qcw.operator_core.eigenprices`'
+    wherever the halves are exact (|s11|, |s22| >= 2^-1021 or 0). An abort
+    raises at its step.
+    """
+    coupled = config.mode == MODE_IMBALANCE_COUPLED
+    collapse = config.post_trade == POST_TRADE_COLLAPSE
+    rngs = _child_rngs(_seed_sequence(config.seed), _n_streams(collapse))
+
+    n, sigma, c_i = config.n_steps, params.sigma, config.c_i
+    dt, scale = params.dt, params.tau * params.s0
+    isfinite, sqrt, cos, sin = math.isfinite, math.sqrt, math.cos, math.sin
+    psi_ask, psi_bid = config.initial_state.psi_ask, config.initial_state.psi_bid
+    ar, ai, br, bi = psi_ask.real, psi_ask.imag, psi_bid.real, psi_bid.imag
+    s_trade = config.initial_price
+    unused = repeat(None)  # stands in for a column that a mode does not use
+
+    def column(values):  # the Python values of a chunk's column, one per step
+        return unused if values is None else values.tolist()
+
+    for k0 in range(0, n, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n - k0)
+        with np.errstate(all="ignore"):
+            dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
+        kappas = [0.0] * m  # filled where kappa follows the state
+        bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
+        steps = (dz, xi, uniforms, *(rotations or [None] * 6), *(scramble or [None] * 2),
+                 kappa if coupled else None)
+
+        for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p,
+                sc, ss, k_noise) in enumerate(zip(*map(column, steps))):
+            if coupled:
+                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
+                kappas[j] = kappa
+                half_k = abs(0.5 * kappa)
+                delta = _norm2(xi_j, abs(kappa))
+                phi = 0.5 * delta * dt / scale
+                finite_angle = isfinite(phi)
+
+            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
+            # from the halves h11, h22 of the diagonal
+            common = s_trade + s_trade * sigma * dz_j
+            h11 = 0.5 * (common + 0.5 * xi_j)
+            h22 = 0.5 * (common - 0.5 * xi_j)
+            half_delta = _norm2(h11 - h22, half_k)
+            s_mid = h11 + h22
+            ask = s_mid + half_delta
+            bid = s_mid - half_delta
+            phase = s_mid * dt / scale
+            if not (isfinite(ask) and isfinite(bid) and isfinite(phase) and finite_angle):
+                _check_finite(k0 + j, ask, bid, phase, finite_angle)
+
+            if coupled:  # as _rotations rounds it; the identity where delta = 0
+                c, x, p = 1.0, 0.0, 0.0
+                if delta != 0.0:
+                    s = sin(phi)
+                    c = cos(phi)
+                    x = xi_j / delta * s
+                    p = kappa / delta * s
+            # the bracket in propagate's order, in the frame of the mid: the global
+            # phase exp(-1j*phase) is dropped, since no probability sees it (the
+            # coupling products with the zero imaginary part of kappa only add +-0)
+            ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
+                              p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
+            norm = ar * ar + ai * ai + br * br + bi * bi
+            if abs(norm - 1.0) > RENORM_TRIGGER and delta != 0.0:
+                r = 1.0 / sqrt(norm)
+                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+
+            p_ask = ar * ar + ai * ai
+            side = u < p_ask
+            price = ask if side else bid
+            if price <= 0.0:
+                raise PricePositivityError(step=k0 + j, price=price)
+            bids[j] = bid
+            asks[j] = ask
+            sides[j] = side
+            imbs[j] = p_ask - (br * br + bi * bi)
+            half_deltas[j] = half_delta
+            deltas[j] = delta
+            if collapse:
+                ar, ai, br, bi = (1.0, 0.0, 0.0, 0.0) if side else (0.0, 0.0, 1.0, 0.0)
+            else:
+                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+            s_trade = price
+
+        bids, asks, sides = np.array(bids), np.array(asks), np.array(sides, dtype=bool)
+        yield k0, _Block(bids, asks, np.where(sides, asks, bids), sides, np.clip(imbs, -1.0, 1.0),
+                         xi, np.array(kappas) if coupled else kappa,
+                         np.array(half_deltas), np.array(deltas))
+
+
 class _Block(NamedTuple):
-    """The rows of one lockstep chunk, each a (steps, paths) array: the
-    columns of :class:`PathSeries` and the two spreads of its residual."""
+    """The rows of one chunk, each a (steps, paths) array, or (steps,) from
+    :func:`_path_chunks`: the columns of :class:`PathSeries` and the two
+    spreads of its residual."""
 
     s_bid: np.ndarray
     s_ask: np.ndarray

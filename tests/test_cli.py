@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import path_csv_rows_by_repr
 
@@ -174,11 +174,17 @@ def test_column_formatting_matches_repr_per_float(rows):
         seed=0,
         spread_residual_max=0.0,
     )
+    columns = (bid, ask, series.s_trade, at_ask, imb, series.xi, series.kappa, bid, bid)
+    blocks = [  # several chunks per example
+        (k0, market_sim._Block(*(c[k0 : k0 + 7] for c in columns)))
+        for k0 in range(0, len(rows), 7)
+    ]
+    lines = lambda rows: "".join(f"{row}\n" for row in rows)  # noqa: E731
+    assert "".join(cli._path_rows(blocks)) == lines(path_csv_rows_by_repr(series))
     with mock.patch.object(cli, "_FORMAT_ROWS", 7):  # several chunks per example
-        assert list(cli._path_rows(series)) == path_csv_rows_by_repr(series)
-        assert list(cli._float_rows(bid, ask, imb)) == [
-            ",".join(map(repr, row[:3])) for row in zip(bid.tolist(), ask.tolist(), imb.tolist())
-        ]
+        assert "".join(cli._float_rows(bid, ask, imb)) == lines(
+            ",".join(map(repr, row)) for row in zip(bid.tolist(), ask.tolist(), imb.tolist())
+        )
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -196,6 +202,98 @@ def test_simulate_positivity_abort_exit_code(tmp_path, capsys):
     cfg = simulate_config(tmp_path, xi1=2.0, initial_price=0.5, n_steps=5000, sigma=0.0)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     assert "step" in capsys.readouterr().err
+
+
+def shipped_config(tmp_path, name, **overrides):
+    cfg = json.loads((CONFIGS_DIR / name).read_text(encoding="utf-8"))
+    if name.startswith("imbalance"):  # as a `simulate` config
+        del cfg["n_paths"], cfg["bins"]
+    return write_config(tmp_path, f"shipped-{name}", dict(cfg, **overrides))
+
+
+def run_simulate(config, out, capsys):
+    """The exit code and stderr of one `qcw simulate`, and the files it left in ``out``."""
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+    return code, capsys.readouterr().err, files
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("simulate_balanced.json", {}),
+        ("imbalance_crash.json", {"post_trade": "collapse", "n_steps": 3000}),
+    ],
+    ids=["balanced", "coupled_collapse"],
+)
+def test_simulate_outputs_do_not_depend_on_chunking(tmp_path, monkeypatch, capsys, name, overrides):
+    config = shipped_config(tmp_path, name, **overrides)
+    ref = run_simulate(config, tmp_path / "ref", capsys)
+    assert ref[0] == 0 and sorted(ref[2]) == ["path.csv", "summary.json"]
+    for chunk_steps in (1, 7):
+        with monkeypatch.context() as patch:
+            patch.setattr(market_sim, "_CHUNK_STEPS", chunk_steps)
+            assert run_simulate(config, tmp_path / f"c{chunk_steps}", capsys) == ref
+
+    # the summary folded over the streamed blocks is bitwise the collected path's
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    series = simulate_path(_sim_config(cfg, cfg["seed"]), _model_params(cfg))
+    summary = json.loads(ref[2]["summary.json"])
+    assert summary["rows"] == len(series)
+    folded = [summary[key] for key in (
+        "final_price", "net_log_return", "bid_fraction", "spread_residual_max"
+    )]
+    collected = [float(series.s_trade[-1]), series.net_log_return(), series.bid_fraction(),
+                 series.spread_residual_max]
+    assert list(map(float.hex, folded)) == list(map(float.hex, collected))
+
+
+def test_simulate_abort_in_a_later_chunk_leaves_no_table(tmp_path, monkeypatch, capsys):
+    # the first trade price <= 0 is at step 8128: in the second 4096-step
+    # chunk, after path.csv has taken the first, and with 22 chunks after it
+    config = shipped_config(tmp_path, "simulate_balanced.json", sigma=0.05, n_steps=100_000)
+    message = "qcw: numeric abort: trade price -0.0254183 <= 0 at step 8128\n"
+    for chunk_steps in (market_sim._CHUNK_STEPS, 1, 7):
+        with monkeypatch.context() as patch:
+            patch.setattr(market_sim, "_CHUNK_STEPS", chunk_steps)
+            assert run_simulate(config, tmp_path / "x", capsys) == (3, message, {}), chunk_steps
+
+
+# Prints the exit code of `qcw.cli.main` on its arguments and the peak RSS of
+# its own process image, in bytes. RUSAGE_CHILDREN in the test process would
+# keep the peak of every earlier child, and on Linux a child's own ru_maxrss
+# starts from the RSS of the process it was forked from (about 100 MB under
+# pytest), so where /proc exists the peak is VmHWM, which is per image.
+PEAK_RSS_PROBE = """
+import os, re, resource, sys
+from qcw import cli
+code = cli.main(sys.argv[1:])
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        peak = 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1])
+else:  # bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
+"""
+
+
+def test_simulate_peak_memory_does_not_grow_with_steps(tmp_path):
+    # Measured on a 2-vCPU VM (Python 3.11, numpy 2.4): a peak of 37.5 MiB at
+    # 1e3 steps and 41.9 MiB at 1e5 (43.2 MiB at 1e6), for one chunk of
+    # working memory. Keeping the whole path, as `qcw simulate` once did,
+    # takes about 390 B a step: 74.7 MiB at 1e5, 37 MiB over the 1e3 run.
+    env = dict(os.environ, PYTHONPATH=str(Path(qcw.__file__).resolve().parents[1]))
+
+    def peak_bytes(n_steps):
+        config = shipped_config(tmp_path, "simulate_balanced.json", n_steps=n_steps)
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / str(n_steps))]
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+                              env=env, capture_output=True, text=True, check=True)
+        code, peak = map(int, done.stdout.split("\n")[-2].split())
+        assert code == 0, done.stderr
+        return peak
+
+    assert peak_bytes(100_000) - peak_bytes(1_000) < 10 * 2**20
 
 
 def test_simulate_validation_errors(tmp_path, capsys):
@@ -687,7 +785,7 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started despite an over-limit config")
 
-    for name in ("simulate_path", "_ingest_fit_input"):
+    for name in ("_path_chunks", "_ingest_fit_input"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(market_sim, "_child_rngs", refuse)  # both kernels' first call
 
@@ -765,3 +863,29 @@ def test_fit_init_must_be_finite_positive_numbers(tmp_path, capsys, no_work, ini
     cfg = fit_config(tmp_path, init=init)
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "'init'" in capsys.readouterr().err
+
+
+# A fuzz gate for the exit-code contract of `qcw simulate`: 1-2 keys of the
+# shipped config (n_steps cut to 100), or a misspelt one, set to values from a
+# fixed menu. Run in a temporary working directory, since a string `out_dir` is
+# taken relative to it.
+FUZZ_KEYS = sorted(json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text())) + ["n_step"]
+FUZZ_VALUES = [None, "x", "x\0", [1.0], True, 2**64, 10**400, 1e308, -1e308, 5e-324, -5e-324]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_simulate_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys, mutations):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+    cfg = json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text(encoding="utf-8"))
+    cfg = {**cfg, "n_steps": 100, **dict(mutations)}
+    config = write_config(tmp_path, "fuzz.json", cfg)
+    code = main(["simulate", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (mutations, code)
+    if code != 0:
+        assert err.startswith("qcw:") and "Traceback" not in err, (mutations, err)
+    assert not list(tmp_path.rglob("*.tmp")), mutations

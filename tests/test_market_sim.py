@@ -708,6 +708,26 @@ def test_coupled_mode_with_zero_coupling_matches_balanced():
     assert p_value > 0.05
 
 
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_collapse_imbalance_follows_the_one_step_law(name):
+    # A step rotates the Bloch vector by 2*phi, phi = delta*dt/(2*tau*s0),
+    # about an axis whose z-component is xi/delta. Under collapse the state
+    # before step k >= 1 is the level of trade k-1, so exactly
+    # I_k = +-(1 - 2*(kappa_k/delta_k)^2 * sin^2(phi_k)), + after an ask trade.
+    config, params = shipped(name)
+    paths = simulate_ensemble(replace(config, n_steps=60, post_trade="collapse"), params, 200)
+    # a rounding bound: either side is a dozen or so roundings of terms in
+    # [-1, 1] away from the exact law (measured: at most 2 eps)
+    bound = 8 * np.finfo(float).eps
+    for path in paths:
+        xi, kappa = path.xi[1:], path.kappa[1:]
+        delta = np.sqrt(xi * xi + kappa * kappa)
+        phi = delta * params.dt / (2.0 * params.tau * params.s0)
+        law = 1.0 - 2.0 * (kappa / delta) ** 2 * np.sin(phi) ** 2
+        sign = np.where(path.at_ask[:-1], 1.0, -1.0)
+        assert np.abs(path.imbalance[1:] - sign * law).max() <= bound
+
+
 # ---------------------------------------------------------------------------
 # Q(I) histogram and moments
 # ---------------------------------------------------------------------------
