@@ -62,7 +62,7 @@ _BOUND_FROM = 1.5
 class FitResult:
     """MLE output, canonically ordered so that xi1_hat >= kappa1_hat.
 
-    ``iterations`` counts root-finder iterations and ``nfev`` the
+    ``iterations`` counts the root finder's scored steps and ``nfev`` the
     evaluations over the samples: of the profile score, of its bound and of
     the log-likelihood.
     """
@@ -232,18 +232,27 @@ def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
     last (at the score's rounding noise, near the root) is doubled, which
     likely lands past the root and closes the bracket, and a step that would
     not land inside the bracket is replaced by bisection. Stops at a b whose
-    Newton step, or whose bracket, is within 4 ulps (relative), or after
-    ``max_iterations`` scores. Returns ``(root, iterations, converged)``.
+    Newton step, or whose bracket, is within 4 ulps (relative). After a
+    plain Newton step ``last`` (neither doubled nor bisected), quadratic
+    convergence puts the step after the next ``step`` near
+    |step|^3 / last^2; where that is within 4 ulps and b - step is inside
+    the bracket, b - step is returned without scoring it. Otherwise stops
+    after ``max_iterations`` scored steps. Returns
+    ``(root, iterations, converged)``, with ``iterations`` the scored steps.
     """
     (s_lo, slope_lo), (s_hi, slope_hi) = score(lo), score(hi)
     b, s, slope = (lo, s_lo, slope_lo) if abs(s_lo) < abs(s_hi) else (hi, s_hi, slope_hi)
     before = last = math.inf
+    plain = False
     for iterations in range(max_iterations + 1):
         step = s / slope if slope else math.inf
         if abs(step) <= _ROOT_RTOL * b or hi - lo <= _ROOT_RTOL * b:
             return b, iterations, True
+        if plain and abs(step) ** 3 <= _ROOT_RTOL * b * last**2 and lo < b - step < hi:
+            return b - step, iterations, True
         if iterations == max_iterations:
             break
+        plain = abs(step) <= 0.5 * before and lo < b - step < hi
         if abs(step) > 0.5 * before:
             step *= 2.0
         next_b = b - step if lo < b - step < hi else 0.5 * (lo + hi)
@@ -330,11 +339,13 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
     a positive score. From there it steps up over powers of two until
     every sample has b t >= 1.5, past which the score is provably
     negative. Each sign change from + to - is solved by Newton steps on the
-    score's slope, kept inside the bracket, to 4 ulps in at most
-    ``max_iterations`` scores (``converged=False`` if that cap is hit), and
-    the local maximum with the highest
-    log-likelihood wins: with few samples against the scale ratio, the
-    smallest samples can make the profile multimodal, and b = 0 need not
+    score's slope, kept inside the bracket, until a step is within 4 ulps,
+    or quadratic convergence predicts that the next step leaves less than
+    4 ulps (that step is then taken unscored), in at most
+    ``max_iterations`` scored steps (``converged=False`` if that cap is
+    hit), and the local maximum with the highest log-likelihood wins: with
+    few samples against the scale ratio, the smallest samples can make the
+    profile multimodal, and b = 0 need not
     be the best even when mean(t^2) <= 2. The estimates scale with the
     samples at any magnitude, and the log-likelihood shifts by -n log c
     when the samples are scaled by c.

@@ -189,6 +189,34 @@ def root_by_brentq(f, lo, hi):
     return optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
 
 
+def root_by_scored_newton(score, lo, hi, max_iterations):
+    """The fit's bracketed Newton root before it took its last step unscored:
+    every step is scored, and the solve stops only where the Newton step, or
+    the bracket, is within 4 ulps (relative). ``score(b)`` returns the value
+    and its slope; returns ``(root, iterations, converged)``."""
+    rtol = 4.0 * np.finfo(float).eps
+    (s_lo, slope_lo), (s_hi, slope_hi) = score(lo), score(hi)
+    b, s, slope = (lo, s_lo, slope_lo) if abs(s_lo) < abs(s_hi) else (hi, s_hi, slope_hi)
+    before = last = math.inf
+    for iterations in range(max_iterations + 1):
+        step = s / slope if slope else math.inf
+        if abs(step) <= rtol * b or hi - lo <= rtol * b:
+            return b, iterations, True
+        if iterations == max_iterations:
+            break
+        if abs(step) > 0.5 * before:
+            step *= 2.0
+        next_b = b - step if lo < b - step < hi else 0.5 * (lo + hi)
+        before, last = last, abs(next_b - b)
+        b = next_b
+        s, slope = score(b)
+        if s > 0.0:
+            lo = b
+        else:
+            hi = b
+    return b, max_iterations, False
+
+
 def spreads_by_row(low, high, denom=None):
     """Scalar per-row reference for the masked spread extraction.
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import fit_by_nelder_mead, root_by_brentq, spreads_by_row
+from oracles import fit_by_nelder_mead, root_by_brentq, root_by_scored_newton, spreads_by_row
 from qcw import (
     FitResult,
     SpreadLaw,
@@ -105,10 +105,10 @@ def test_moment_sanity_at_optimum():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    fit = fit_spread_params(synthetic_samples(0.1, 0.05, 1000, seed=17), max_iterations=3)
+    fit = fit_spread_params(synthetic_samples(0.1, 0.05, 1000, seed=17), max_iterations=1)
     assert isinstance(fit, FitResult)
     assert not fit.converged
-    assert fit.iterations <= 3
+    assert fit.iterations <= 1
     assert fit.xi1_hat > 0 and fit.kappa1_hat > 0
 
 
@@ -201,6 +201,47 @@ def test_root_matches_brent_oracle(ratios, sizes, branch, where, size, seed):
     # Count the example only where a root is on the branch under test.
     t = scale_free(values)
     assume(any(branch(root, t) for *_, root, _ in solved))
+
+
+def counted(score, calls):
+    def f(beta):
+        calls.append(beta)
+        return score(beta)
+    return f
+
+
+# The fit takes the last Newton step of each root without scoring it. Against
+# the rule that scores every step, it may only save scores: same convergence,
+# the same root to the Brent test's tolerance, and never outside the bracket.
+@settings(max_examples=100, deadline=None)
+@given(log_ratio=st.floats(0.0, 4.0), n=st.integers(50, 20_000), seed=st.integers(0, 2**32 - 1))
+@example(log_ratio=math.log10(2.0), n=20_000, seed=5)
+@example(log_ratio=math.log10(20.0), n=20_000, seed=5)
+def test_unscored_last_step_matches_scored_newton_oracle(log_ratio, n, seed):
+    values = synthetic_samples(0.10, 0.10 / 10.0**log_ratio, n, seed)
+    _, solved = solved_brackets(values)
+    for score, lo, hi, root, converged in solved:
+        calls, oracle_calls = [], []
+        assert calibration._bracketed_root(counted(score, calls), lo, hi, 500) == (
+            root, len(calls) - 2, converged)
+        oracle_root, _, oracle_converged = root_by_scored_newton(
+            counted(score, oracle_calls), lo, hi, 500)
+        assert len(calls) <= len(oracle_calls)
+        assert converged == oracle_converged
+        assert lo <= root <= hi
+        assert root == pytest.approx(oracle_root, rel=1e-12)
+
+
+def test_unscored_step_is_taken_only_inside_the_bracket():
+    # The root is 1.25. The slope at 1 is a little off, so the first step
+    # stops short of the root, at a positive score; there the slope has the
+    # wrong sign, and the tiny step it gives would leave the bracket.
+    def score(beta):
+        slope = -1.0 / (1.0 - 4e-6) if beta == 1.0 else (1e3 if 1.2 < beta < 1.25 else -1.0)
+        return 1.25 - beta, slope
+
+    solved = calibration._bracketed_root(score, 1.0, 2.0, 500)
+    assert solved == root_by_scored_newton(score, 1.0, 2.0, 500) == (1.25, 4, True)
 
 
 def assert_matches_oracle(values):
