@@ -63,8 +63,8 @@ class FitResult:
     """MLE output, canonically ordered so that xi1_hat >= kappa1_hat.
 
     ``iterations`` counts the root finder's scored steps and ``nfev`` the
-    evaluations over the samples: of the profile score, of its bound and of
-    the log-likelihood.
+    evaluations over the samples: of the profile score, of its bound (once
+    a check, over both of its stages) and of the log-likelihood.
     """
 
     xi1_hat: float
@@ -98,7 +98,7 @@ class IngestResult:
 
 def _asymptotic_series(nu: int, terms: int = 16) -> np.ndarray:
     """Coefficients c_k of e^-x sqrt(2 pi x) I_nu(x) ~ sum_k c_k x^-k
-    (Abramowitz & Stegun 9.7.1), highest power first for ``np.polyval``."""
+    (Abramowitz & Stegun 9.7.1), highest power first for :func:`_horner`."""
     coeffs = [1.0]
     for k in range(1, terms + 1):
         coeffs.append(coeffs[-1] * ((2 * k - 1) ** 2 - 4 * nu * nu) / (8 * k))
@@ -132,11 +132,35 @@ _X_PHI_SLOPE_SERIES = -np.polymul(np.polyder(_quotient_series(_PHI_EXCESS_SERIES
                                   [1.0, 0.0])
 
 
+# I1(x)/I0(x) = x/2 - x^3/16 + x^5/96 - 11 x^7/6144 + ... alternates with
+# shrinking terms on [0, 1.5), so its sum through x^5 bounds it from above
+# there; the relative margin covers the rounding of that sum and of scipy's
+# ratio (which lies up to ~3e-18 above x/2 - x^3/16 + x^5/96 at small x).
+_RATIO_UPPER = (1.0 + 2.0**-40) * np.array([1.0 / 96.0, -1.0 / 16.0, 0.5])
+
+
+def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` (highest power first) at y, in one buffer:
+    bitwise ``np.polyval``, whose first step 0 y + c_0 is c_0."""
+    acc = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= y
+        acc += c
+    return acc
+
+
 def _bessel_ratio(x: np.ndarray) -> np.ndarray:
     """I1(x)/I0(x) from the exponentially scaled Bessel functions."""
     from scipy import special  # deferred: only the fit needs scipy
 
     return special.i1e(x) / special.i0e(x)
+
+
+def _ratio_upper(x: np.ndarray) -> np.ndarray:
+    """An upper bound on I1(x)/I0(x) for x in [0, 1.5), free of Bessel functions."""
+    u = _horner(_RATIO_UPPER, x * x)
+    u *= x
+    return u
 
 
 def _sum_psi_minus_phi(x: np.ndarray, gap: float) -> tuple[float, float]:
@@ -149,13 +173,15 @@ def _sum_psi_minus_phi(x: np.ndarray, gap: float) -> tuple[float, float]:
     j = int(np.searchsorted(x, _SERIES_FROM))
     near, y = x[:j], 1.0 / x[j:]
     r = _bessel_ratio(near)
+    excess = _horner(_PHI_EXCESS_SERIES, y)
+    excess /= _horner(_I0_SERIES, y)
     total = (
         float(np.sum((1.0 - gap) - 2.0 * near * (1.0 - r)))
-        - float(np.sum(np.polyval(_PHI_EXCESS_SERIES, y) / np.polyval(_I0_SERIES, y)))
+        - float(np.sum(excess))
         - (x.size - j) * gap
     )
     slope = float(np.sum(2.0 * near * (1.0 - near * (1.0 - r * r)))) + float(
-        np.sum(np.polyval(_X_PHI_SLOPE_SERIES, y))
+        np.sum(_horner(_X_PHI_SLOPE_SERIES, y))
     )
     return total, slope
 
@@ -189,16 +215,26 @@ def _profile_score(beta: float, t: np.ndarray) -> tuple[float, float]:
 def _score_is_negative(beta: float, t: np.ndarray, tail_inv: np.ndarray) -> bool:
     """A sufficient test for a negative profile score at b = ``beta``.
 
-    Where b t_i >= 1.5, phi(b t_i) >= 1 + 1/(4 b t_i), so only the sorted
-    samples below 1.5/b need Bessel functions; ``tail_inv[j]`` is the sum
-    of 1/t from index j on.
+    Where b t_i >= 1.5, phi(b t_i) >= 1 + 1/(4 b t_i); ``tail_inv[j]`` is
+    the sum of 1/t from index j on. Below that, phi(x) = 2x (1 - r(x)) is
+    bounded first with :func:`_ratio_upper` in place of r, and only where
+    that fails with r itself. The first bound is elementwise the larger in
+    floating point, so it proves nothing that the second does not.
     """
     j = int(np.searchsorted(t, _BOUND_FROM / beta))
     gap = 1.0 / (math.hypot(1.0, 2.0 * beta) + 2.0 * beta)
-    bound = _sum_psi_minus_phi(beta * t[:j], gap)[0]
-    if j < t.size:
-        bound -= (t.size - j) * gap + tail_inv[j] / (4.0 * beta)
-    return bound < 0.0
+    tail = (t.size - j) * gap + tail_inv[j] / (4.0 * beta) if j < t.size else 0.0
+    near = beta * t[:j]
+    twice = 2.0 * near
+    for ratio in (_ratio_upper, _bessel_ratio):
+        # (1 - gap) - 2x (1 - ratio), summed, with the ratio's buffer reused
+        term = ratio(near)
+        np.subtract(1.0, term, out=term)
+        term *= twice
+        np.subtract(1.0 - gap, term, out=term)
+        if float(np.sum(term)) - tail < 0.0:
+            return True
+    return False
 
 
 def _a_minus_plus_b(beta: float) -> tuple[float, float]:
@@ -357,8 +393,9 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
         )
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("spread samples must all be finite and > 0")
-    if max_iterations < 0:
-        raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
+    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, int)
+            or max_iterations < 0):
+        raise ValidationError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
 
     n = int(values.size)
     scale = float(values.max())
@@ -563,7 +600,7 @@ def _loadtxt_columns(path, expected_header: list[str], names) -> list | None:
                 and not any(byte in chunk for byte in (b",", b"\n", b"\r"))
             ):
                 return None
-            commas += chunk.count(b",")
+            commas += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 0x2C))
         if not commas:
             return None  # no rows, on which loadtxt warns
         handle.seek(body)

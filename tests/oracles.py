@@ -27,6 +27,7 @@ from qcw import (
     spread_cdf,
     spread_log_pdf,
 )
+from qcw.calibration import _sum_psi_minus_phi
 from qcw.market_sim import MODE_IMBALANCE_COUPLED, POST_TRADE_COLLAPSE, _child_seed, _seed_sequence
 from qcw.wave_dynamics import _norm2
 
@@ -215,6 +216,19 @@ def root_by_scored_newton(score, lo, hi, max_iterations):
         else:
             hi = b
     return b, max_iterations, False
+
+
+def score_is_negative_by_bessel(beta, t, tail_inv):
+    """The fit's sufficient test for a negative profile score before its
+    Bessel-free first stage: where b t_i >= 1.5, phi(b t_i) >= 1 + 1/(4 b t_i),
+    and every sample below 1.5/b is bounded with I1/I0 itself.
+    ``tail_inv[j]`` is the sum of 1/t from index j on."""
+    j = int(np.searchsorted(t, 1.5 / beta))
+    gap = 1.0 / (math.hypot(1.0, 2.0 * beta) + 2.0 * beta)
+    bound = _sum_psi_minus_phi(beta * t[:j], gap)[0]
+    if j < t.size:
+        bound -= (t.size - j) * gap + tail_inv[j] / (4.0 * beta)
+    return bound < 0.0
 
 
 def spreads_by_row(low, high, denom=None):

@@ -9,7 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import fit_by_nelder_mead, root_by_brentq, root_by_scored_newton, spreads_by_row
+from oracles import (
+    fit_by_nelder_mead,
+    root_by_brentq,
+    root_by_scored_newton,
+    score_is_negative_by_bessel,
+    spreads_by_row,
+)
 from qcw import (
     FitResult,
     SpreadLaw,
@@ -23,7 +29,16 @@ from qcw import (
     spreads_from_quotes,
 )
 from qcw import calibration
-from qcw.calibration import _profile_score, _read_csv, _sum_psi_minus_phi
+from qcw.calibration import (
+    _I0_SERIES,
+    _PHI_EXCESS_SERIES,
+    _X_PHI_SLOPE_SERIES,
+    _horner,
+    _profile_score,
+    _ratio_upper,
+    _read_csv,
+    _sum_psi_minus_phi,
+)
 
 
 def synthetic_samples(xi1, kappa1, n, seed):
@@ -117,6 +132,60 @@ def test_max_iterations_must_be_nonnegative():
     assert not fit_spread_params(values, max_iterations=0).converged
     with pytest.raises(ValidationError, match="max_iterations"):
         fit_spread_params(values, max_iterations=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, None, "3", True, False])
+def test_max_iterations_must_be_an_integer(bad):
+    values = synthetic_samples(0.1, 0.05, 100, seed=17)
+    with pytest.raises(ValidationError, match="max_iterations must be an integer >= 0"):
+        fit_spread_params(values, max_iterations=bad)
+
+
+def test_ratio_upper_bounds_the_bessel_ratio():
+    # The search's first bound replaces I1/I0 below x = 1.5 by a polynomial
+    # with a relative margin; it must stay above scipy's ratio there, down
+    # to the subnormals.
+    x = np.concatenate([
+        np.linspace(0.0, 1.5, 1_000_001)[:-1],
+        np.geomspace(5e-324, 1.5, 200_001)[:-1],
+        np.arange(1, 1000) * 5e-324,
+    ])
+    assert np.all(_ratio_upper(x) >= special.i1e(x) / special.i0e(x))
+
+
+@pytest.mark.parametrize("series", [_PHI_EXCESS_SERIES, _I0_SERIES, _X_PHI_SLOPE_SERIES],
+                         ids=["phi_excess", "i0", "x_phi_slope"])
+def test_horner_is_bitwise_polyval(series):
+    y = np.concatenate([1.0 / np.geomspace(50.0, 1e300, 2001),
+                        1.0 / np.random.default_rng(7).uniform(50.0, 1e4, 2000), [0.0]])
+    assert _horner(series, y).tobytes() == np.polyval(series, y).tobytes()
+
+
+# The search's bound checks first try a Bessel-free bound and then the
+# Bessel bound of the oracle. The first may only save Bessel passes: where it
+# proves a negative score the oracle does too, and the fit is bitwise the
+# oracle-driven one.
+@settings(max_examples=80, deadline=None)
+@given(log_ratio=st.floats(0.0, 4.0), n=st.integers(50, 20_000), seed=st.integers(0, 2**32 - 1))
+@example(log_ratio=math.log10(2.0), n=20_000, seed=5)
+@example(log_ratio=math.log10(20.0), n=20_000, seed=5)
+def test_bound_check_matches_bessel_oracle(log_ratio, n, seed):
+    values = synthetic_samples(0.10, 0.10 / 10.0**log_ratio, n, seed)
+    check = calibration._score_is_negative
+
+    def spy(beta, t, tail_inv):
+        negative = check(beta, t, tail_inv)
+        assert not negative or score_is_negative_by_bessel(beta, t, tail_inv), beta
+        return negative
+
+    try:
+        calibration._score_is_negative = spy
+        fit = fit_spread_params(values)
+        calibration._score_is_negative = score_is_negative_by_bessel
+        oracle = fit_spread_params(values)
+    finally:
+        calibration._score_is_negative = check
+    assert repr(fit) == repr(oracle)
 
 
 def test_series_and_bound_behind_the_profile_score():

@@ -889,3 +889,49 @@ def test_simulate_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys, mutatio
     if code != 0:
         assert err.startswith("qcw:") and "Traceback" not in err, (mutations, err)
     assert not list(tmp_path.rglob("*.tmp")), mutations
+
+
+# The same gate for `qcw fit`: 1-3 keys of a quote or an OHLC config over a
+# 200-row input, or a misspelt key, set to values from the menu above.
+FIT_FUZZ_BASES = {
+    "quotes": {"input": "quotes.csv", "format": "quotes", "bins": 20, "seed": 4, "out_dir": "out"},
+    "ohlc": {"input": "bars.csv", "format": "ohlc", "ohlc_mode": "relative", "bins": 20,
+             "seed": 4, "out_dir": "out"},
+}
+FIT_FUZZ_KEYS = ["bins", "format", "input", "ohlc_mode", "out_dir", "seed", "bin"]
+
+
+def bars_file(tmp_path, n=200, seed=5):
+    draws = sample_spread(SpreadLaw(xi1=0.02, kappa1=0.01), np.random.default_rng(seed), n)
+    lines = ["timestamp,open,high,low,close"]
+    lines += [f"d{k},100.0,{100.0 + 100.0 * float(d)!r},100.0,100.0" for k, d in enumerate(draws)]
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def file_bytes(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FIT_FUZZ_BASES)),
+       st.lists(st.tuples(st.sampled_from(FIT_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=3))
+def test_fit_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys, base, mutations):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_BINS", 1000)
+    quotes_file(tmp_path, n=200)
+    bars_file(tmp_path)
+    config = write_config(tmp_path, "fuzz.json", {**FIT_FUZZ_BASES[base], **dict(mutations)})
+    code = main(["fit", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (mutations, code)
+    if code != 0:
+        assert err.startswith("qcw:") and "Traceback" not in err, (mutations, err)
+    else:
+        written = file_bytes(tmp_path)
+        assert main(["fit", "--config", str(config)]) == 0, mutations
+        assert file_bytes(tmp_path) == written, mutations
+    assert not list(tmp_path.rglob("*.tmp")), mutations

@@ -250,6 +250,23 @@ def test_cdf_rejects_ratio_beyond_convergence():
         ks_distance(sample_spread(law, np.random.default_rng(113), 1000), law)
 
 
+def test_cdf_raises_at_the_first_slice_that_does_not_converge(monkeypatch):
+    # The first knot batch of a KS distance over 1e4 samples is 41 points;
+    # at 1e6:1 most of them do not converge, and each costs about 10 ms.
+    chndtr, points = scipy.special.chndtr, []
+
+    def spy(x, df, nc):
+        points.append(np.size(x))
+        return chndtr(x, df, nc)
+
+    law = SpreadLaw(xi1=1.0, kappa1=1e-6)
+    samples = sample_spread(law, np.random.default_rng(0), 10_000)
+    monkeypatch.setattr(scipy.special, "chndtr", spy)
+    with pytest.raises(ValidationError, match="does not converge"):
+        ks_distance(samples, law)
+    assert sum(points) <= 2 * 16 < 2 * 41
+
+
 @given(laws, st.floats(allow_nan=False, allow_infinity=False))
 def test_cdf_within_unit_interval(law, r):
     assert 0.0 <= spread_cdf(r, law) <= 1.0
