@@ -49,8 +49,10 @@ OHLC_MODE_RELATIVE = "relative"
 # near 7e7) the score is smaller than the rounding of its own terms.
 _B_EXPONENTS = (-60, 50)
 
-# The root of the profile score is found to 4 ulps, relative.
+# The root of the profile score is found to 4 ulps, relative, in at most
+# this many scored steps (``FitResult.converged`` is False past it).
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
+_MAX_ITERATIONS = 500
 
 # phi(x) = 2x (1 - I1(x)/I0(x)) >= 1 + 1/(4x) holds from x = 1.31 on, which
 # bounds the profile score from above without Bessel functions for the
@@ -302,7 +304,7 @@ def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
     return b, max_iterations, False
 
 
-def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
+def _score_roots(t: np.ndarray, start: int, rising: bool):
     """Local maxima of the profile likelihood in b >= 0, for sorted t with
     mean(t) = 1: b = 0 if the score starts out negative (not ``rising``),
     and every b where the score turns from + to -.
@@ -311,8 +313,8 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
     to a positive value; a falling one is known to be negative at 2^start.
     From there the steps go up until every sample has b t >= 1.5, past which
     :func:`_score_is_negative` holds for every larger b. Each sign change is
-    solved by :func:`_bracketed_root`. Returns
-    ``(roots, iterations, converged, evaluations)``.
+    solved by :func:`_bracketed_root` in at most :data:`_MAX_ITERATIONS`
+    scored steps. Returns ``(roots, iterations, converged, evaluations)``.
     """
     lowest, highest = _B_EXPONENTS
     scores = {}
@@ -350,7 +352,7 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
 
     iterations, converged = 0, not positive
     for hi in brackets:
-        root, used, done = _bracketed_root(score, hi / 2.0, hi, max_iterations)
+        root, used, done = _bracketed_root(score, hi / 2.0, hi, _MAX_ITERATIONS)
         roots.append(root)
         iterations += used
         converged = converged and done
@@ -359,7 +361,7 @@ def _score_roots(t: np.ndarray, start: int, rising: bool, max_iterations: int):
     return roots, iterations, converged, len(scores) + bound_checks
 
 
-def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
+def fit_spread_params(samples) -> FitResult:
     """Maximum-likelihood estimate of (xi1, kappa1) from spread samples.
 
     ``samples`` is any array-like of positive floats; at least
@@ -377,14 +379,13 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
     negative. Each sign change from + to - is solved by Newton steps on the
     score's slope, kept inside the bracket, until a step is within 4 ulps,
     or quadratic convergence predicts that the next step leaves less than
-    4 ulps (that step is then taken unscored), in at most
-    ``max_iterations`` scored steps (``converged=False`` if that cap is
-    hit), and the local maximum with the highest log-likelihood wins: with
-    few samples against the scale ratio, the smallest samples can make the
-    profile multimodal, and b = 0 need not
-    be the best even when mean(t^2) <= 2. The estimates scale with the
-    samples at any magnitude, and the log-likelihood shifts by -n log c
-    when the samples are scaled by c.
+    4 ulps (that step is then taken unscored), in at most 500 scored
+    steps (``converged=False`` if that cap is hit), and the local maximum
+    with the highest log-likelihood wins: with few samples against the
+    scale ratio, the smallest samples can make the profile multimodal, and
+    b = 0 need not be the best even when mean(t^2) <= 2. The estimates
+    scale with the samples at any magnitude, and the log-likelihood shifts
+    by -n log c when the samples are scaled by c.
     """
     values = np.asarray(samples, dtype=float)
     if values.size < MIN_FIT_SAMPLES:
@@ -393,9 +394,6 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
         )
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("spread samples must all be finite and > 0")
-    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, int)
-            or max_iterations < 0):
-        raise ValidationError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
 
     n = int(values.size)
     scale = float(values.max())
@@ -419,8 +417,7 @@ def fit_spread_params(samples, *, max_iterations: int = 500) -> FitResult:
         # b^2 < 2/m2 - 1.
         start = max(math.sqrt(2.0 / m2 - 1.0), 2.0 ** _B_EXPONENTS[0])
     roots, iterations, converged, evaluations = _score_roots(
-        t, min(math.floor(math.log2(start)), _B_EXPONENTS[1]), m2 > 2.0, max_iterations
-    )
+        t, min(math.floor(math.log2(start)), _B_EXPONENTS[1]), m2 > 2.0)
 
     logliks = [_profile_loglik(beta, t) for beta in roots]
     best = int(np.argmax(logliks))

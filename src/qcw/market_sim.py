@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -64,8 +64,8 @@ _CHUNK_STEPS = 4096
 #: Elements (steps x paths) of one lockstep chunk, which takes
 #: max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths)) steps: a full
 #: chunk of up to 256 paths, fewer steps beyond, so that its working memory
-#: does not grow with the path count: 126-166 B a path-step by mode and
-#: post-trade rule, about 175 MB (README, "How an ensemble runs"). Outputs
+#: does not grow with the path count: 118-158 B a path-step by mode and
+#: post-trade rule, about 165 MB (README, "How an ensemble runs"). Outputs
 #: do not depend on it.
 _CHUNK_ELEMENTS = 2**20
 
@@ -277,11 +277,10 @@ def simulate_path(config: SimConfig, params: ModelParams) -> PathSeries:
     :func:`_path_chunks`, collected. The same (config, params) yield an
     identical series.
 
-    Raises :class:`ValidationError` if a level, the propagation phase or the
-    rotation angle is not finite, and :class:`PricePositivityError` if a
-    trade price reaches zero or below (the arithmetic price formulation
-    permits it; aborting keeps recorded statistics unbiased). Each names
-    its step.
+    Raises :class:`ValidationError` if a level or the rotation angle is not
+    finite, and :class:`PricePositivityError` if a trade price reaches zero
+    or below (the arithmetic price formulation permits it; aborting keeps
+    recorded statistics unbiased). Each names its step.
     """
     return _collect(_path_chunks(config, params), config, [config.seed])[0]
 
@@ -297,7 +296,7 @@ def simulate_ensemble(config: SimConfig, params: ModelParams, n_paths: int) -> l
 
     A path that aborts stops the whole ensemble. The abort reported is the
     first in step order, the lowest path index on a tie, and its message
-    names that step and path: :class:`ValidationError` for a level, phase or
+    names that step and path: :class:`ValidationError` for a level or
     rotation angle that is not finite, :class:`PricePositivityError` (with
     ``step`` and ``path`` set) for a trade price at or below zero.
     """
@@ -347,11 +346,11 @@ def _path_chunks(config: SimConfig, params: ModelParams):
     kappa follows the state, and the rotation is formed step by step,
     rounded as :func:`_rotations` rounds it. The amplitudes are stepped in
     the frame of the mid: the global phase of
-    :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is
-    checked but not applied. The mid and the half-difference come from the
-    halves of the diagonal: bitwise :func:`~qcw.operator_core.eigenprices`'
-    wherever the halves are exact (|s11|, |s22| >= 2^-1021 or 0). An abort
-    raises at its step.
+    :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is not
+    computed. The mid and the half-difference come from the halves of the
+    diagonal: bitwise :func:`~qcw.operator_core.eigenprices`' wherever the
+    halves are exact (|s11|, |s22| >= 2^-1021 or 0). A step that fails a
+    check goes to :func:`_abort` once its trade price is known.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -397,20 +396,17 @@ def _path_chunks(config: SimConfig, params: ModelParams):
             s_mid = h11 + h22
             ask = s_mid + half_delta
             bid = s_mid - half_delta
-            phase = s_mid * dt / scale
-            if not (isfinite(ask) and isfinite(bid) and isfinite(phase) and finite_angle):
-                _check_finite(k0 + j, ask, bid, phase, finite_angle)
 
             if coupled:  # as _rotations rounds it; the identity where delta = 0
                 c, x, p = 1.0, 0.0, 0.0
-                if delta != 0.0:
+                if delta != 0.0 and finite_angle:  # an infinite angle aborts below
                     s = sin(phi)
                     c = cos(phi)
                     x = xi_j / delta * s
                     p = kappa / delta * s
             # the bracket in propagate's order, in the frame of the mid: the global
-            # phase exp(-1j*phase) is dropped, since no probability sees it (the
-            # coupling products with the zero imaginary part of kappa only add +-0)
+            # phase exp(-1j*s_mid*dt/scale) is left out, since no probability sees it
+            # (the coupling products with the zero imaginary part of kappa only add +-0)
             ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
                               p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
             norm = ar * ar + ai * ai + br * br + bi * bi
@@ -421,8 +417,8 @@ def _path_chunks(config: SimConfig, params: ModelParams):
             p_ask = ar * ar + ai * ai
             side = u < p_ask
             price = ask if side else bid
-            if price <= 0.0:
-                raise PricePositivityError(step=k0 + j, price=price)
+            if not (price > 0.0 and isfinite(ask) and isfinite(bid) and finite_angle):
+                _abort(k0 + j, ask, bid, finite_angle, price)
             bids[j] = bid
             asks[j] = ask
             sides[j] = side
@@ -560,12 +556,12 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
     formed from the halves of the diagonal as :func:`simulate_path` forms
     them. The amplitude pair is propagated in the frame of the mid: the
     global phase exp(-1j*s_mid*dt/scale) of
-    :func:`~qcw.wave_dynamics.propagate` is dropped, since no probability
-    sees it. What no later step reads is settled once per chunk: the trade
-    prices, taken from the sides, the propagation phase, scaled in place
-    from the stored mids, the abort test, whose first failing step goes to
-    :func:`_abort`, and the imbalance clip. Steps after an abort in the same
-    chunk run on whatever values it left, and nothing of them is kept.
+    :func:`~qcw.wave_dynamics.propagate` is not computed, since no
+    probability sees it. What no later step reads is settled once per chunk:
+    the trade prices, taken from the sides, the abort test, whose first
+    failing step and lowest failing path there go to :func:`_abort`, and the
+    imbalance clip. Steps after an abort in the same chunk run on whatever
+    values it left, and nothing of them is kept.
 
     A step makes few numpy calls over the paths, each rounding as
     :func:`simulate_path` does, and writes every kept row through ``out=``.
@@ -585,7 +581,7 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
 
     with np.errstate(all="ignore"):
         dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
-        bids, asks, imbs, half_deltas, phases = (np.empty((m, n_paths)) for _ in range(5))
+        bids, asks, imbs, half_deltas = (np.empty((m, n_paths)) for _ in range(4))
         sides = np.empty((m, n_paths), dtype=bool)
         if coupled:  # kappa is the noise; the coupling follows the state
             noise = kappa
@@ -627,9 +623,9 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
             np.sqrt(half_delta, out=half_delta)
             if not (half_delta.min() >= _NORM2_LO and half_delta.max() < _NORM2_HI):
                 half_delta[:] = _norm2_array(h11 - h22, np.abs(0.5 * kappa[j]))
-            s_mid = np.add(h11, h22, out=phases[j])  # the phase once scaled, after the loop
-            ask = np.add(s_mid, half_delta, out=asks[j])
+            s_mid = np.add(h11, h22, out=asks[j])  # in the ask's row until the bid is formed
             bid = np.subtract(s_mid, half_delta, out=bids[j])
+            ask = np.add(s_mid, half_delta, out=s_mid)
 
             # the bracket, in the frame of the mid
             ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
@@ -663,42 +659,31 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
         prices = np.where(sides, asks, bids)
-        phases *= dt  # in place, as s_mid*dt/scale rounds, without a temporary
-        phases /= scale
-        ok = np.isfinite(asks) & np.isfinite(bids) & np.isfinite(phases)
+        ok = np.isfinite(asks) & np.isfinite(bids)
         ok &= finite_angles
         ok &= prices > 0.0
         steps_ok = ok.all(axis=1)
         if not steps_ok.all():
             j = int(steps_ok.argmin())
-            _abort(k0 + j, *(r[j] for r in (asks, bids, phases, finite_angles, prices)))
+            k = int(ok[j].argmin())
+            _abort(k0 + j, *(r[j, k] for r in (asks, bids, finite_angles, prices)), path=k)
         np.clip(imbs, -1.0, 1.0, out=imbs)
     block = _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
     return block, (ar, ai, br, bi, s_trade)
 
 
-def _abort(step: int, ask, bid, phase, finite_angle, price) -> None:
-    """Raise the abort of the lowest path index that fails a check at ``step``.
-
-    The checks of one path run in the scalar kernel's order: finite levels,
-    finite propagation phase, finite rotation angle, positive trade price.
+def _abort(step: int, ask, bid, finite_angle, price, path: int | None = None) -> NoReturn:
+    """Raise the abort of one path at a ``step`` that fails a check: the
+    first it fails of finite levels, finite rotation angle and positive trade
+    price. Both kernels raise every abort here; the message names ``path``
+    if given.
     """
-    for k in range(price.size):
-        _check_finite(step, ask[k], bid[k], phase[k], finite_angle[k], path=k)
-        if not price[k] > 0.0:
-            raise PricePositivityError(step, float(price[k]), path=k)
-
-
-def _check_finite(step: int, ask, bid, phase, finite_angle, path: int | None = None) -> None:
-    """Raise :class:`ValidationError` for the first of the levels, the
-    propagation phase and the rotation angle of one step that is not finite."""
     where = f"step {step}" if path is None else f"step {step} of path {path}"
     if not (math.isfinite(ask) and math.isfinite(bid)):
         raise ValidationError(f"price levels are not finite at {where}")
-    if not math.isfinite(phase):
-        raise ValidationError(f"propagation phase s_mid*dt/(tau*s0) is not finite at {where}")
     if not finite_angle:
         raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
+    raise PricePositivityError(step, float(price), path=path)
 
 
 def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:

@@ -31,9 +31,11 @@ class ModelParams:
 
     sigma is the per-step volatility of the common (mid-price) component; the
     step duration dt is not folded into it, so the caller owns the time
-    discretization. tau and s0 are the time and price constants of the
-    propagation phase scale tau*s0; neither is pinned by the model, so they
-    are free configuration inputs.
+    discretization. tau and s0 are the time and price constants whose
+    product tau*s0 scales the rotation angle delta*dt/(2*tau*s0) of a step
+    (and the global phase of ``wave_dynamics.propagate``, which the
+    simulator leaves out); neither is pinned by the model, so they are free
+    configuration inputs.
     """
 
     sigma: float
@@ -57,7 +59,7 @@ class ModelParams:
             raise ValidationError("xi1 and kappa1 must be >= 0")
         if self.tau <= 0 or self.s0 <= 0:
             raise ValidationError("tau and s0 must be > 0")
-        if self.tau * self.s0 == 0.0:  # the phase and the angle divide by it
+        if self.tau * self.s0 == 0.0:  # the rotation angle divides by it
             raise ValidationError("tau*s0 underflows to 0; it must be > 0")
         if self.dt <= 0:
             raise ValidationError("dt must be > 0")

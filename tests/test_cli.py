@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import path_csv_rows_by_repr
+from oracles import path_csv_rows_by_repr, simulate_path_by_steps
 
 import qcw
 from qcw import (
     PathSeries,
+    PricePositivityError,
     SpreadLaw,
     ValidationError,
     cli,
@@ -689,7 +690,7 @@ def test_imbalance_positivity_abort_names_path(tmp_path, capsys):
 
 def test_imbalance_level_overflow_names_path(tmp_path, capsys):
     cfg = json.loads((CONFIGS_DIR / "imbalance_balanced.json").read_text(encoding="utf-8"))
-    # tau*s0 >= dt keeps the phase s_mid*dt/(tau*s0) finite, so a level is what overflows
+    # a price near float range and sigma = 1: a level overflows
     overrides = dict(initial_price=1e308, sigma=1.0, tau=1.0)
     path = write_config(tmp_path, "imbalance.json", dict(cfg, **overrides))
     assert main(["imbalance", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
@@ -798,14 +799,18 @@ def test_simulate_level_overflow_is_validation_error(tmp_path, capsys):
 
 def test_simulate_overflowing_phase_config_is_validation_error(tmp_path, capsys):
     # the shipped config's seed at a price of 1e308: the mid, taken from the
-    # halves, stays finite, but the propagation phase s_mid*dt/(tau*s0)
-    # overflows; it used to end in a "math domain error" traceback
+    # halves, stays finite, and the global phase s_mid*dt/(tau*s0) that would
+    # overflow is not computed; the run aborts where the per-step reference
+    # does, at a trade price below zero
     cfg = simulate_config(
         tmp_path, initial_price=1e308, sigma=1.0, tau=0.0008, s0=100.0, seed=20190925
     )
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "propagation phase" in err and "not finite" in err
+    message = "trade price -4.20553e+307 <= 0 at step 4"
+    code, err, files = run_simulate(cfg, tmp_path / "x", capsys)
+    assert (code, err, files) == (3, f"qcw: numeric abort: {message}\n", {})
+    payload = json.loads(cfg.read_text(encoding="utf-8"))
+    with pytest.raises(PricePositivityError, match=f"^{re.escape(message)}$"):
+        simulate_path_by_steps(_sim_config(payload, payload["seed"]), _model_params(payload))
 
 
 @pytest.mark.parametrize("command", ["simulate", "imbalance"])
@@ -933,5 +938,39 @@ def test_fit_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys, base, mutati
     else:
         written = file_bytes(tmp_path)
         assert main(["fit", "--config", str(config)]) == 0, mutations
+        assert file_bytes(tmp_path) == written, mutations
+    assert not list(tmp_path.rglob("*.tmp")), mutations
+
+
+# The same gate for `qcw imbalance`: 1-3 keys of either shipped config (10
+# paths of 50 steps), or a misspelt one, set to values from the menu above,
+# under size limits cut to that run.
+IMBALANCE_FUZZ_BASES = {
+    name: {**json.loads((CONFIGS_DIR / name).read_text(encoding="utf-8")),
+           "n_paths": 10, "n_steps": 50}
+    for name in ("imbalance_balanced.json", "imbalance_crash.json")
+}
+IMBALANCE_FUZZ_KEYS = sorted({key for cfg in IMBALANCE_FUZZ_BASES.values() for key in cfg}) + ["bin"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(IMBALANCE_FUZZ_BASES)),
+       st.lists(st.tuples(st.sampled_from(IMBALANCE_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=3))
+def test_imbalance_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys, base, mutations):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_PATHS", 100)
+    monkeypatch.setattr(cli, "MAX_ENSEMBLE_STEPS", 500)
+    monkeypatch.setattr(cli, "MAX_BINS", 1000)
+    config = write_config(tmp_path, "fuzz.json", {**IMBALANCE_FUZZ_BASES[base], **dict(mutations)})
+    code = main(["imbalance", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (mutations, code)
+    if code != 0:
+        assert err.startswith("qcw:") and "Traceback" not in err, (mutations, err)
+    else:
+        written = file_bytes(tmp_path)
+        assert main(["imbalance", "--config", str(config)]) == 0, mutations
         assert file_bytes(tmp_path) == written, mutations
     assert not list(tmp_path.rglob("*.tmp")), mutations

@@ -2,13 +2,13 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     centered_by_fsum,
@@ -301,7 +301,31 @@ def test_ensemble_paths_match_per_step_oracle(name):
         assert_bit_equal(path, ref)
 
 
-@settings(max_examples=40, deadline=None)
+def fuzzed(value, signed=False):
+    """``value``, or a value of any magnitude from 1e-300 to 1e300 (of either sign if ``signed``)."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    if signed:
+        magnitude = st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda v: v[0] * v[1])
+    return st.one_of(st.just(value), magnitude)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the abort it raises."""
+    try:
+        return run()
+    except (ValidationError, PricePositivityError) as exc:
+        return exc
+
+
+FUZZ_MODEL = asdict(replace(BALANCED_PARAMS, kappa0=0.01))
+
+
+# Any parameter of the model or the run may be of any magnitude. Where the
+# per-path runs abort, the ensemble raises the first abort in step order, the
+# lowest path on a tie; the examples are a rotation angle that overflows at
+# step 0 while the levels stay finite, and trade prices below zero on two
+# paths at step 11, inside the second 7-step chunk.
+@settings(max_examples=100, deadline=None)
 @given(
     n_paths=st.integers(1, 8),
     n_steps=st.integers(1, 60),
@@ -309,19 +333,44 @@ def test_ensemble_paths_match_per_step_oracle(name):
     post_trade=st.sampled_from(["phase-scramble", "collapse"]),
     seed=st.integers(0, 2**32 - 1),
     chunk_steps=st.sampled_from([1, 7, 4096]),
+    model=st.fixed_dictionaries({
+        field: fuzzed(value, signed=field in ("xi0", "kappa0"))
+        for field, value in FUZZ_MODEL.items()
+    }),
+    start=st.tuples(fuzzed(100.0), fuzzed(CRASH_COUPLING, signed=True)),
 )
-def test_ensemble_matches_paths_property(n_paths, n_steps, mode, post_trade, seed, chunk_steps):
+@example(n_paths=3, n_steps=5, mode="balanced", post_trade="phase-scramble", seed=1,
+         chunk_steps=4096, model=FUZZ_MODEL | {"tau": 1e-300, "dt": 1e300},
+         start=(100.0, CRASH_COUPLING))
+@example(n_paths=4, n_steps=40, mode="balanced", post_trade="phase-scramble", seed=3,
+         chunk_steps=7, model=FUZZ_MODEL | {"sigma": 0.5, "kappa0": 0.0},
+         start=(100.0, CRASH_COUPLING))
+def test_ensemble_matches_paths_property(n_paths, n_steps, mode, post_trade, seed, chunk_steps,
+                                         model, start):
     config = crash_config(n_steps=n_steps, seed=seed, initial_imbalance=-0.5)
-    config = replace(config, mode=mode, post_trade=post_trade)
-    params = replace(BALANCED_PARAMS, kappa0=0.01)
+    config = replace(config, mode=mode, post_trade=post_trade,
+                     initial_price=start[0], c_i=start[1])
+    params = outcome(lambda: ModelParams(**model))
+    assume(not isinstance(params, ValidationError))  # tau*s0 underflows to 0
+    root = np.random.SeedSequence(seed)
     # one-step and ragged last chunks in both kernels; set by hand, since
     # hypothesis runs every example inside one function-scoped monkeypatch
     default = qcw.market_sim._CHUNK_STEPS
     qcw.market_sim._CHUNK_STEPS = chunk_steps
     try:
-        assert_ensemble_matches_paths(config, params, n_paths)
+        paths = [outcome(lambda k=k: simulate_path(replace(config, seed=_child_seed(root, k)), params))
+                 for k in range(n_paths)]
+        ensemble = outcome(lambda: simulate_ensemble(config, params, n_paths))
     finally:
         qcw.market_sim._CHUNK_STEPS = default
+    aborts = [(int(re.search(r"at step (\d+)$", str(exc))[1]), k, exc)
+              for k, exc in enumerate(paths) if isinstance(exc, Exception)]
+    if aborts:
+        step, k, exc = min(aborts, key=lambda abort: abort[:2])
+        assert type(ensemble) is type(exc) and str(ensemble) == f"{exc} of path {k}"
+    else:
+        for path, ref in zip(ensemble, paths, strict=True):
+            assert_bit_equal(path, ref)
 
 
 def test_kernel_output_does_not_depend_on_chunk_size(monkeypatch):
@@ -362,13 +411,17 @@ def test_lockstep_chunks_hold_one_chunk_at_a_time(name, monkeypatch):
 
 
 def test_kernel_rejects_non_finite_propagation_phase():
-    # finite levels near 1e300, but s_mid*dt/(tau*s0) overflows
+    # finite levels near 1e300, whose global phase s_mid*dt/(tau*s0) would
+    # overflow: neither kernel computes it, and both run to the end as the
+    # per-step reference does
     params = replace(BALANCED_PARAMS, tau=1e-9, s0=1.0)
     config = balanced_config(n_steps=10, initial_price=1e300)
-    with pytest.raises(ValidationError, match="phase .* at step 0$"):
-        simulate_path(config, params)
-    with pytest.raises(ValidationError, match="phase .* at step 0 of path 0$"):
-        simulate_ensemble(config, params, 3)
+    assert 1e300 * params.dt / (params.tau * params.s0) == math.inf
+    assert_bit_equal(simulate_path(config, params), simulate_path_by_steps(config, params))
+    root = np.random.SeedSequence(config.seed)
+    for k, path in enumerate(simulate_ensemble(config, params, 3)):
+        ref = simulate_path_by_steps(replace(config, seed=_child_seed(root, k)), params)
+        assert_bit_equal(path, ref)
 
 
 def test_kernel_rejects_non_finite_rotation_angle():
@@ -385,8 +438,8 @@ def test_kernel_rejects_non_finite_rotation_angle():
 @pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
 def test_kernels_take_the_mid_of_the_halves_past_float_range(mode, post_trade):
     # s11 + s22 passes float range at every step, though the levels do not
-    # (tiny sigma), and tau*s0 >= dt keeps the phase s_mid*dt/(tau*s0) finite:
-    # both kernels take the mid as eigenprices does and run to the end
+    # (tiny sigma): both kernels take the mid as eigenprices does and run to
+    # the end
     params = replace(BALANCED_PARAMS, sigma=1e-4, tau=1.0, kappa0=0.01)
     config = replace(crash_config(n_steps=200, seed=5, initial_imbalance=-0.5),
                      initial_price=1.7e308, mode=mode, post_trade=post_trade)
@@ -404,9 +457,9 @@ def test_kernels_take_the_mid_of_the_halves_past_float_range(mode, post_trade):
 @pytest.mark.parametrize("mode", ["balanced", "imbalance-coupled"])
 def test_kernels_match_per_step_oracle_at_extreme_price_scales(mode, post_trade, scale):
     # every price-valued quantity scaled together: the price, the element
-    # means and scales, the coupling c_i and s0, so the phase and the rotation
-    # angle keep their size while the squares of the spread's parts under- or
-    # overflow, and the halves of the diagonal stay exact
+    # means and scales, the coupling c_i and s0, so the rotation angle keeps
+    # its size while the squares of the spread's parts under- or overflow,
+    # and the halves of the diagonal stay exact
     params = replace(BALANCED_PARAMS, xi0=0.02 * scale, xi1=0.05 * scale,
                      kappa0=-0.03 * scale, kappa1=0.05 * scale, s0=100.0 * scale)
     config = replace(crash_config(n_steps=300, seed=7, initial_imbalance=-0.5),
@@ -635,9 +688,9 @@ def test_ensemble_reports_first_abort_in_step_order(seed, monkeypatch):
 
 
 def test_ensemble_reports_first_level_overflow_at_every_chunk_size(monkeypatch):
-    # levels near float range, and a phase s_mid*dt/(tau*s0) that stays finite;
-    # s11 + s22 overflows from step 0, so only the mid of the halves keeps the
-    # levels finite until a common part s_trade*(1 + sigma*dz) passes float range
+    # levels near float range: s11 + s22 overflows from step 0, so only the
+    # mid of the halves keeps the levels finite until a common part
+    # s_trade*(1 + sigma*dz) passes float range
     params = replace(BALANCED_PARAMS, sigma=0.05, tau=1.0)
     config = balanced_config(n_steps=40, seed=0, initial_price=1.7e308)
     root = np.random.SeedSequence(0)

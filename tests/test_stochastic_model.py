@@ -169,7 +169,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize("tau, s0", [(8e-4, 5e-324), (1e-200, 1e-200)])
 def test_phase_scale_must_not_underflow(tau, s0):
     # tau and s0 are each > 0, but tau*s0 rounds to 0 and would divide the
-    # propagation phase and the rotation angle
+    # rotation angle
     with pytest.raises(ValidationError, match=r"tau\*s0 underflows to 0"):
         make_params(tau=tau, s0=s0)
 
