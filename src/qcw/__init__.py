@@ -41,7 +41,6 @@ from .operator_core import (
 )
 from .spread_stats import (
     Histogram,
-    SpreadCdfCache,
     SpreadLaw,
     bessel_i0_scaled,
     ks_distance,

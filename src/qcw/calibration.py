@@ -260,7 +260,7 @@ def _profile_loglik(beta: float, t: np.ndarray) -> float:
     )
 
 
-def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
+def _bracketed_root(score, lo: float, hi: float):
     """The b in [lo, hi] where ``score(b)[0]`` turns from > 0 at lo to <= 0
     at hi, by Newton steps on its slope ``score(b)[1]``.
 
@@ -275,20 +275,20 @@ def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
     convergence puts the step after the next ``step`` near
     |step|^3 / last^2; where that is within 4 ulps and b - step is inside
     the bracket, b - step is returned without scoring it. Otherwise stops
-    after ``max_iterations`` scored steps. Returns
+    after :data:`_MAX_ITERATIONS` scored steps. Returns
     ``(root, iterations, converged)``, with ``iterations`` the scored steps.
     """
     (s_lo, slope_lo), (s_hi, slope_hi) = score(lo), score(hi)
     b, s, slope = (lo, s_lo, slope_lo) if abs(s_lo) < abs(s_hi) else (hi, s_hi, slope_hi)
     before = last = math.inf
     plain = False
-    for iterations in range(max_iterations + 1):
+    for iterations in range(_MAX_ITERATIONS + 1):
         step = s / slope if slope else math.inf
         if abs(step) <= _ROOT_RTOL * b or hi - lo <= _ROOT_RTOL * b:
             return b, iterations, True
         if plain and abs(step) ** 3 <= _ROOT_RTOL * b * last**2 and lo < b - step < hi:
             return b - step, iterations, True
-        if iterations == max_iterations:
+        if iterations == _MAX_ITERATIONS:
             break
         plain = abs(step) <= 0.5 * before and lo < b - step < hi
         if abs(step) > 0.5 * before:
@@ -301,7 +301,7 @@ def _bracketed_root(score, lo: float, hi: float, max_iterations: int):
             lo = b
         else:
             hi = b
-    return b, max_iterations, False
+    return b, _MAX_ITERATIONS, False
 
 
 def _score_roots(t: np.ndarray, start: int, rising: bool):
@@ -352,7 +352,7 @@ def _score_roots(t: np.ndarray, start: int, rising: bool):
 
     iterations, converged = 0, not positive
     for hi in brackets:
-        root, used, done = _bracketed_root(score, hi / 2.0, hi, _MAX_ITERATIONS)
+        root, used, done = _bracketed_root(score, hi / 2.0, hi)
         roots.append(root)
         iterations += used
         converged = converged and done

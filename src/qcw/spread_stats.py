@@ -33,7 +33,6 @@ __all__ = [
     "spread_pdf",
     "spread_log_pdf",
     "spread_cdf",
-    "SpreadCdfCache",
     "sample_spread",
     "ks_distance",
 ]
@@ -179,24 +178,6 @@ def spread_cdf(delta, law: SpreadLaw):
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
-class SpreadCdfCache:
-    """CDF tabulated on a grid for repeated evaluation (KS tests).
-
-    The closed-form :func:`spread_cdf` is evaluated on 4096 panels over the
-    tail cutoff and made non-decreasing (near 1 its rounding can dip by an
-    ulp between neighbours); lookups interpolate linearly, with an error
-    < 1e-5, far below KS tolerances.
-    """
-
-    def __init__(self, law: SpreadLaw):
-        self.law = law
-        self.xs = np.linspace(0.0, law.tail_cutoff(), 4096 + 1)
-        self.cdf = np.maximum.accumulate(spread_cdf(self.xs, law))
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf, left=0.0, right=1.0)
-
-
 def sample_spread(law: SpreadLaw, rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. spread draws sqrt(xi^2 + kappa^2) with centered normal parts."""
     if n < 0:
@@ -212,15 +193,14 @@ def sample_spread(law: SpreadLaw, rng: np.random.Generator, n: int) -> np.ndarra
 _KS_STRIDE, _KS_SPLIT, _KS_SLACK = 256, 8, 1e-9
 
 
-def ks_distance(samples, law: SpreadLaw, cdf: SpreadCdfCache | None = None) -> float:
+def ks_distance(samples, law: SpreadLaw) -> float:
     """Kolmogorov-Smirnov sup-distance between samples and the spread law.
 
     The statistic is max over the sorted samples x_0 <= ... <= x_{n-1} of
-    (i+1)/n - F(x_i) and F(x_i) - i/n, with F the closed-form CDF or, if a
-    :class:`SpreadCdfCache` is passed in, its interpolation. Any nonempty
-    sample set of finite values gives a statistic in (0, 1]; samples <= 0
-    have F = 0. Meaningful comparisons want far more than a handful of
-    points.
+    (i+1)/n - F(x_i) and F(x_i) - i/n, with F the closed-form
+    :func:`spread_cdf`. Any nonempty sample set of finite values gives a
+    statistic in (0, 1]; samples <= 0 have F = 0. Meaningful comparisons
+    want far more than a handful of points.
 
     F is evaluated only where the sup can be. It is evaluated first at
     every 256th sorted index and the last one. Between two evaluated
@@ -235,9 +215,8 @@ def ks_distance(samples, law: SpreadLaw, cdf: SpreadCdfCache | None = None) -> f
     The slack, 1e-9, must exceed the largest drop of F between two ordered
     points, plus the rounding of the bound: the closed form's difference of
     two ``chndtr`` values dips by about an ulp near 1 and stays within 1e-12
-    of the integrated density (tested), and the cache is non-decreasing up
-    to an interpolation rounding. 1e-9 keeps a margin of about 500 over
-    those, and costs only blocks whose bound ties the sup to 1e-9.
+    of the integrated density (tested). 1e-9 keeps a margin of about 500
+    over that, and costs only blocks whose bound ties the sup to 1e-9.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
@@ -245,13 +224,12 @@ def ks_distance(samples, law: SpreadLaw, cdf: SpreadCdfCache | None = None) -> f
         raise ValidationError("cannot compute a KS distance for an empty sample set")
     if not np.isfinite(x).all():
         raise ValidationError("KS samples must be finite")
-    model = (lambda v: spread_cdf(v, law)) if cdf is None else cdf
     f = np.empty(n)  # F(x_i), read only where evaluated
     new = np.unique(np.r_[0:n:_KS_STRIDE, n - 1])
     lo, hi = new[:-1], new[1:]
     best = 0.0
     while new.size:
-        f[new] = model(x[new])
+        f[new] = spread_cdf(x[new], law)
         best = max(best, np.max((new + 1) / n - f[new]), np.max(f[new] - new / n))
         bound = np.maximum(hi / n - f[lo], f[hi] - (lo + 1) / n)
         keep = (hi - lo > 1) & (bound + _KS_SLACK > best)

@@ -128,12 +128,12 @@ def cdf_by_simpson(pdf, x, scale, tol=1e-12):
     )
 
 
-def ks_by_full_evaluation(samples, law, cdf=None):
+def ks_by_full_evaluation(samples, law):
     """Kolmogorov-Smirnov distance with the model CDF evaluated at every
     sorted sample: ``ks_distance`` before it pruned blocks of samples."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
-    model = spread_cdf(x, law) if cdf is None else cdf(x)
+    model = spread_cdf(x, law)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - model)
     d_minus = np.max(model - (i - 1.0) / n)

@@ -10,7 +10,6 @@ import numpy as np
 from qcw import (
     ModelParams,
     SimConfig,
-    SpreadCdfCache,
     SpreadLaw,
     StateVector,
     bessel_i0_scaled,
@@ -77,16 +76,14 @@ def test_criterion_02_spread_law_consistency():
     details = []
     worst = 0.0
     for k, law in enumerate(settings):
-        cache = SpreadCdfCache(law)
         draws = sample_spread(law, np.random.default_rng(300 + k), 100_000)
-        d = ks_distance(draws, law, cdf=cache)
+        d = ks_distance(draws, law)
         worst = max(worst, d)
         details.append(f"({law.xi1:g},{law.kappa1:g}) KS={d:.4f}")
     # second, analytic oracle for the equal-scale case
     ray = settings[1]
-    cache = SpreadCdfCache(ray)
     grid = np.linspace(0.0, ray.tail_cutoff(), 200)
-    cdf_gap = float(np.max(np.abs(cache(grid) - rayleigh_cdf(grid, ray.xi1))))
+    cdf_gap = float(np.max(np.abs(spread_cdf(grid, ray) - rayleigh_cdf(grid, ray.xi1))))
     elapsed = time.perf_counter() - t0
     report(
         2,

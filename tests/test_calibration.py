@@ -222,16 +222,16 @@ def test_slope_of_the_profile_score(beta):
     assert slope == pytest.approx(central_difference(score, beta), rel=1e-6)
 
 
-def solved_brackets(values, max_iterations=500):
-    """Each (score, lo, hi, root, converged) the fit of ``values`` solves in
-    at most ``max_iterations`` scored steps a root. The cap is set by hand,
-    since hypothesis runs every example inside one function-scoped
-    monkeypatch."""
+def solved_brackets(values, max_iterations=calibration._MAX_ITERATIONS):
+    """Each (score, lo, hi, root, iterations, converged) the fit of
+    ``values`` solves in at most ``max_iterations`` scored steps a root. The
+    cap is set by hand, since hypothesis runs every example inside one
+    function-scoped monkeypatch."""
     solved, solve, cap = [], calibration._bracketed_root, calibration._MAX_ITERATIONS
 
-    def spy(score, lo, hi, cap):
-        root, iterations, converged = solve(score, lo, hi, cap)
-        solved.append((score, lo, hi, root, converged))
+    def spy(score, lo, hi):
+        root, iterations, converged = solve(score, lo, hi)
+        solved.append((score, lo, hi, root, iterations, converged))
         return root, iterations, converged
 
     calibration._bracketed_root, calibration._MAX_ITERATIONS = spy, max_iterations
@@ -252,20 +252,27 @@ def solved_brackets(values, max_iterations=500):
 ], ids=["b_at_most_1", "b_above_1", "series"])
 @settings(max_examples=15, deadline=None)
 @given(where=st.floats(0.0, 1.0), size=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(where=1.0, size=0.0, seed=3147354)  # one scored step converges at 1.8:1
 def test_root_matches_brent_oracle(ratios, sizes, branch, where, size, seed):
     n = int(sizes[0] + size * (sizes[1] - sizes[0]))
     values = synthetic_samples(0.10, 0.10 / (ratios[0] + where * (ratios[1] - ratios[0])), n, seed)
     fit, solved = solved_brackets(values)
     assert fit.converged
-    for score, lo, hi, root, _ in solved:
+    for score, lo, hi, root, _, _ in solved:
         assert lo <= root <= hi
         assert root == pytest.approx(root_by_brentq(lambda b: score(b)[0], lo, hi), rel=1e-12)
-    if solved:
-        capped, solved_once = solved_brackets(values, max_iterations=1)
-        assert not capped.converged and not any(done for *_, done in solved_once)
+    # Capped at 1 scored step, a bracket converges exactly where its uncapped
+    # solve needed at most one, and then at the same root.
+    capped, solved_once = solved_brackets(values, max_iterations=1)
+    assert len(solved_once) == len(solved)
+    for (*_, root, used, _), (*_, capped_root, _, done) in zip(solved, solved_once):
+        assert done == (used <= 1)
+        if done:
+            assert capped_root == root
+    assert capped.converged == all(done for *_, done in solved_once)
     # Count the example only where a root is on the branch under test.
     t = scale_free(values)
-    assume(any(branch(root, t) for *_, root, _ in solved))
+    assume(any(branch(root, t) for _, _, _, root, _, _ in solved))
 
 
 def counted(score, calls):
@@ -285,12 +292,12 @@ def counted(score, calls):
 def test_unscored_last_step_matches_scored_newton_oracle(log_ratio, n, seed):
     values = synthetic_samples(0.10, 0.10 / 10.0**log_ratio, n, seed)
     _, solved = solved_brackets(values)
-    for score, lo, hi, root, converged in solved:
+    for score, lo, hi, root, _, converged in solved:
         calls, oracle_calls = [], []
-        assert calibration._bracketed_root(counted(score, calls), lo, hi, 500) == (
+        assert calibration._bracketed_root(counted(score, calls), lo, hi) == (
             root, len(calls) - 2, converged)
         oracle_root, _, oracle_converged = root_by_scored_newton(
-            counted(score, oracle_calls), lo, hi, 500)
+            counted(score, oracle_calls), lo, hi, calibration._MAX_ITERATIONS)
         assert len(calls) <= len(oracle_calls)
         assert converged == oracle_converged
         assert lo <= root <= hi
@@ -305,8 +312,9 @@ def test_unscored_step_is_taken_only_inside_the_bracket():
         slope = -1.0 / (1.0 - 4e-6) if beta == 1.0 else (1e3 if 1.2 < beta < 1.25 else -1.0)
         return 1.25 - beta, slope
 
-    solved = calibration._bracketed_root(score, 1.0, 2.0, 500)
-    assert solved == root_by_scored_newton(score, 1.0, 2.0, 500) == (1.25, 4, True)
+    solved = calibration._bracketed_root(score, 1.0, 2.0)
+    assert solved == root_by_scored_newton(score, 1.0, 2.0, calibration._MAX_ITERATIONS) == (
+        1.25, 4, True)
 
 
 def assert_matches_oracle(values):

@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "PathSeries", "CrashReport", "BookLevel", "simulate_path", "simulate_ensemble",
     "simulate_crash", "effective_levels", "q_of_i", "imbalance_summary",
     # the spread law
-    "Histogram", "SpreadCdfCache", "bessel_i0_scaled", "spread_pdf", "spread_log_pdf",
+    "Histogram", "bessel_i0_scaled", "spread_pdf", "spread_log_pdf",
     "spread_cdf", "sample_spread", "ks_distance",
     # ingest and calibration
     "IngestResult", "FitResult", "read_quotes_csv", "read_ohlc_csv", "spreads_from_quotes",
@@ -53,6 +53,18 @@ def test_readme_and_oracle_imports_are_exported():
         names = {n for group in imports for n in re.split(r"[\s,]+", "".join(group)) if n}
         assert names, source
         assert names <= PUBLIC_NAMES, (source, names - PUBLIC_NAMES)
+
+
+def test_readme_api_sketch_runs(tmp_path):
+    # Checking its imports alone would pass a sketch that calls deleted API.
+    readme = (ROOT / "README.md").read_text()
+    sketch = re.search(r"## Python API sketch\n+```python\n(.*?)```", readme, re.S).group(1)
+    done = subprocess.run(
+        [sys.executable, "-c", sketch],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded at the end.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qcw import (
     Histogram,
-    SpreadCdfCache,
     SpreadLaw,
     ValidationError,
     bessel_i0_scaled,
@@ -19,6 +18,7 @@ from qcw import (
     spread_log_pdf,
     spread_pdf,
 )
+from qcw import spread_stats
 
 from oracles import (
     cdf_by_simpson,
@@ -206,17 +206,6 @@ def test_cdf_against_rayleigh_oracle():
         assert spread_cdf(d, law) == pytest.approx(float(rayleigh_cdf(d, s)), abs=1e-8)
 
 
-def test_cdf_cache_matches_scalar_quadrature():
-    law = SpreadLaw(xi1=0.15, kappa1=0.04)
-    cache = SpreadCdfCache(law)
-    xs = np.linspace(0.0, law.tail_cutoff(), 37)
-    for x in xs:
-        assert float(cache(x)) == pytest.approx(spread_cdf(float(x), law), abs=2e-5)
-    full = cache(np.array([law.tail_cutoff(), 10 * law.tail_cutoff()]))
-    assert np.all(np.abs(full - 1.0) < 1e-6)
-    assert np.all(np.diff(cache.cdf) >= 0.0)
-
-
 def test_cdf_input_validation():
     law = SpreadLaw(xi1=0.1, kappa1=0.1)
     assert spread_cdf(-1.0, law) == 0.0
@@ -285,12 +274,6 @@ def test_cdf_scale_equivariant(law, frac, c):
     assert spread_cdf(c * r, scaled) == pytest.approx(spread_cdf(r, law), abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(laws)
-def test_cdf_cache_nondecreasing(law):
-    assert np.all(np.diff(SpreadCdfCache(law).cdf) >= 0.0)
-
-
 # ---------------------------------------------------------------------------
 # sampling and KS distance
 # ---------------------------------------------------------------------------
@@ -345,13 +328,12 @@ def test_ks_distance_degenerate_and_empty():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("cached", [False, True], ids=["closed_form", "cache"])
-def test_ks_distance_rejects_non_finite_samples(bad, cached):
+def test_ks_distance_rejects_non_finite_samples(bad):
     law = SpreadLaw(xi1=0.1, kappa1=0.05)
     samples = sample_spread(law, np.random.default_rng(127), 1000)
     samples[500] = bad
     with pytest.raises(ValidationError, match="finite"):
-        ks_distance(samples, law, SpreadCdfCache(law) if cached else None)
+        ks_distance(samples, law)
 
 
 # Laws with ratios up to 1e3:1, log-uniform, either way round.
@@ -369,32 +351,31 @@ wide_laws = st.builds(
     st.floats(min_value=0.5, max_value=2.0),
     st.sampled_from([1, 3, 1000]),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.booleans(),
 )
-@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 1, 0, False)
-@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 3, 0, True)
-def test_ks_distance_is_bitwise_the_full_evaluation(law, n, f_xi, f_kappa, copies, seed, cached):
+@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 1, 0)
+@example(SpreadLaw(xi1=1.0, kappa1=1e-3), 20_000, 1.0, 1.0, 3, 0)
+def test_ks_distance_is_bitwise_the_full_evaluation(law, n, f_xi, f_kappa, copies, seed):
     # The samples come from a law off by up to 2x in each scale, so the sup
     # can sit anywhere; `copies` > 1 makes duplicate samples.
     rng = np.random.default_rng(seed)
     drawn = sample_spread(SpreadLaw(f_xi * law.xi1, f_kappa * law.kappa1), rng, -(-n // copies))
     samples = rng.permutation(np.repeat(drawn, copies)[:n])
-    cdf = SpreadCdfCache(law) if cached else None
-    assert ks_distance(samples, law, cdf) == ks_by_full_evaluation(samples, law, cdf)
+    assert ks_distance(samples, law) == ks_by_full_evaluation(samples, law)
 
 
 @pytest.mark.parametrize("ratio", [2.0, 20.0])
-def test_ks_distance_evaluates_a_tenth_of_the_samples(ratio):
+def test_ks_distance_evaluates_a_tenth_of_the_samples(ratio, monkeypatch):
     law = SpreadLaw(xi1=0.1, kappa1=0.1 / ratio)
     samples = sample_spread(law, np.random.default_rng(131), 100_000)
     evaluated = []
 
-    def counting_cdf(x):
+    def counting_cdf(x, law):
         evaluated.append(x.size)
         return spread_cdf(x, law)
 
-    assert ks_distance(samples, law, counting_cdf) == ks_by_full_evaluation(samples, law)
-    assert sum(evaluated) <= 10_000
+    monkeypatch.setattr(spread_stats, "spread_cdf", counting_cdf)
+    assert ks_distance(samples, law) == ks_by_full_evaluation(samples, law)
+    assert 0 < sum(evaluated) <= 10_000
 
 
 # ---------------------------------------------------------------------------
