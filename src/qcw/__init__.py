@@ -21,14 +21,10 @@ from .calibration import (
 )
 from .errors import PricePositivityError, ValidationError
 from .market_sim import (
-    BookLevel,
-    CrashReport,
     PathSeries,
     SimConfig,
-    effective_levels,
     imbalance_summary,
     q_of_i,
-    simulate_crash,
     simulate_ensemble,
     simulate_path,
 )
@@ -37,7 +33,6 @@ from .operator_core import (
     PriceOperator2,
     eigenprices,
     eigenprices_batch,
-    eigenvectors,
 )
 from .spread_stats import (
     Histogram,

@@ -1,4 +1,4 @@
-"""Trade engine: level selection, path simulation, crash mode, imbalance stats.
+"""Trade engine: level selection, path and ensemble simulation, imbalance stats.
 
 One step is one trade opportunity of duration dt: draw fresh operator
 elements around the last trade price, decompose into bid/ask levels,
@@ -43,12 +43,8 @@ __all__ = [
     "POST_TRADE_COLLAPSE",
     "SimConfig",
     "PathSeries",
-    "BookLevel",
-    "CrashReport",
     "simulate_path",
     "simulate_ensemble",
-    "simulate_crash",
-    "effective_levels",
     "q_of_i",
     "imbalance_summary",
 ]
@@ -143,32 +139,6 @@ class PathSeries:
 
     def net_log_return(self) -> float:
         return float(math.log(float(self.s_trade[-1]) / self.initial_price))
-
-
-@dataclass(frozen=True)
-class BookLevel:
-    """One order-book level: price and resting size (share count > 0)."""
-
-    price: float
-    size: float
-
-    def __post_init__(self):
-        if not is_finite_number(self.price):
-            raise ValidationError("level price must be a finite number")
-        if not is_finite_number(self.size) or self.size <= 0:
-            raise ValidationError("level size must be a finite number > 0")
-        object.__setattr__(self, "price", float(self.price))
-        object.__setattr__(self, "size", float(self.size))
-
-
-@dataclass(frozen=True)
-class CrashReport:
-    """A crash-scenario path plus the summary statistics of its mechanism."""
-
-    path: PathSeries
-    bid_fraction: float
-    net_log_return: float
-    q_hist: Histogram
 
 
 def _child_seed(ss: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -684,53 +654,6 @@ def _abort(step: int, ask, bid, finite_angle, price, path: int | None = None) ->
     if not finite_angle:
         raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
     raise PricePositivityError(step, float(price), path=path)
-
-
-def simulate_crash(config: SimConfig, params: ModelParams, bins: int = 41) -> CrashReport:
-    """Run an imbalance-coupled path and summarize its directional mechanism.
-
-    Meant for initial states far from balance (|I(0)| near 1) that mix
-    slowly: the state stays near I(0), so executions concentrate on one
-    side, and the coupling tied to the imbalance widens the spread, so the
-    price drifts without any exogenous force. The report carries the
-    bid-execution fraction, the net log price change and the Q(I) histogram.
-    """
-    if config.mode != MODE_IMBALANCE_COUPLED:
-        raise ValidationError("crash scenario requires mode='imbalance-coupled'")
-    path = simulate_path(config, params)
-    return CrashReport(
-        path=path,
-        bid_fraction=path.bid_fraction(),
-        net_log_return=path.net_log_return(),
-        q_hist=q_of_i([path], bins=bins),
-    )
-
-
-def effective_levels(
-    asks: list[BookLevel], bids: list[BookLevel], n: int
-) -> tuple[float, float]:
-    """Size-weighted effective ask/bid over the top ``n`` book levels.
-
-    Collapses multilevel books onto a single effective level per side so the
-    two-level machinery applies to deep orders. Levels are ranked best-first
-    (lowest ask, highest bid); if a side is shallower than ``n`` the whole
-    side is used. Raises on an empty side: with no counterparty there is no
-    effective level to quote.
-    """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be an integer >= 1")
-    if not asks:
-        raise ValidationError("no ask levels: cannot form an effective ask")
-    if not bids:
-        raise ValidationError("no bid levels: cannot form an effective bid")
-
-    def weighted(levels: list[BookLevel], best_first) -> float:
-        top = sorted(levels, key=best_first)[:n]
-        sizes = np.array([lv.size for lv in top])
-        prices = np.array([lv.price for lv in top])
-        return float(np.dot(prices, sizes) / sizes.sum())
-
-    return weighted(asks, lambda lv: lv.price), weighted(bids, lambda lv: -lv.price)
 
 
 def q_of_i(ensemble: list[PathSeries], bins: int = 41) -> Histogram:

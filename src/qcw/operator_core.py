@@ -1,8 +1,8 @@
-"""The 2x2 Hermitian price operator and its closed-form eigen-decomposition.
+"""The 2x2 Hermitian price operator and its closed-form eigenvalues.
 
 The operator's two real eigenvalues are the ask and bid prices attainable at
 the next trade. Their half-sum is the mid price and their difference the
-bid-ask spread, so the decomposition is the bridge from matrix elements to
+bid-ask spread, so the eigenvalues are the bridge from matrix elements to
 quoted levels.
 """
 
@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_number
-from .wave_dynamics import StateVector, _modulus, _norm2, _norm2_array
+from .errors import finite_number
+from .wave_dynamics import _modulus, _norm2, _norm2_array
 
 __all__ = [
     "PriceOperator2",
     "PriceLevels",
     "eigenprices",
     "eigenprices_batch",
-    "eigenvectors",
 ]
 
 
@@ -43,12 +42,6 @@ class PriceOperator2:
         object.__setattr__(self, "s11", finite_number(float, self.s11, "s11"))
         object.__setattr__(self, "s22", finite_number(float, self.s22, "s22"))
         object.__setattr__(self, "s12", finite_number(complex, self.s12, "s12"))
-
-    def matrix(self) -> np.ndarray:
-        """Dense complex form [[s11, s12], [conj(s12), s22]]."""
-        return np.array(
-            [[self.s11, self.s12], [self.s12.conjugate(), self.s22]], dtype=complex
-        )
 
 
 @dataclass(frozen=True)
@@ -113,50 +106,3 @@ def eigenprices_batch(s11, s22, s12):
         if past.any():
             s_mid = np.where(past, 0.5 * s11 + 0.5 * s22, s_mid)
         return s_mid + half_delta, s_mid - half_delta, s_mid, 2.0 * half_delta
-
-
-def _unit_eigenvector(op: PriceOperator2, s: float) -> StateVector:
-    """Normalized eigenvector of ``op`` for eigenvalue ``s``.
-
-    Two candidate null vectors of (op - s*I) exist, one per matrix row; the
-    larger one is kept for numerical stability. Phase convention: the first
-    component is made real and nonnegative (second component, if the first
-    vanishes), which pins the otherwise arbitrary overall phase.
-    """
-    v1 = (op.s12, complex(s - op.s11))
-    v2 = (complex(s - op.s22), op.s12.conjugate())
-    moduli = [_modulus(z) for z in (*v1, *v2)]
-    if not math.isfinite(max(moduli)):
-        raise ValidationError("eigenvectors need s12 and the levels within float range")
-    # Moduli within 2^+-500 square to normal floats and are used as they
-    # are; past that all is scaled by 2^-e, which leaves the unit vector as
-    # it is.
-    e = math.frexp(max(moduli))[1]
-    e = 0 if abs(e) <= 500 else e
-    m1, m2, m3, m4 = (math.ldexp(m, -e) for m in moduli)
-    n1 = m1**2 + m2**2
-    n2 = m3**2 + m4**2
-    a, b = (
-        complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
-        for z in (v1 if n1 >= n2 else v2)
-    )
-    norm = math.sqrt(max(n1, n2))
-    a /= norm
-    b /= norm
-    anchor = a if abs(a) > 1e-12 else b
-    phase = anchor / abs(anchor)
-    return StateVector(a / phase, b / phase)
-
-
-def eigenvectors(op: PriceOperator2) -> tuple[StateVector, StateVector]:
-    """Unit eigenvectors (ask first) of the price operator.
-
-    The two vectors are orthogonal; on the degenerate single-price operator
-    (delta = 0) any orthonormal pair qualifies, so the canonical basis
-    ((1,0), (0,1)) is returned for determinism. Raises
-    :class:`ValidationError` where |s12| or a level passes float range.
-    """
-    levels = eigenprices(op)
-    if levels.delta == 0.0:
-        return StateVector(1.0, 0.0), StateVector(0.0, 1.0)
-    return _unit_eigenvector(op, levels.s_ask), _unit_eigenvector(op, levels.s_bid)

@@ -19,16 +19,13 @@ from oracles import (
 
 import qcw.market_sim
 from qcw import (
-    BookLevel,
     ModelParams,
     PricePositivityError,
     SimConfig,
     StateVector,
     ValidationError,
-    effective_levels,
     imbalance_summary,
     q_of_i,
-    simulate_crash,
     simulate_ensemble,
     simulate_path,
 )
@@ -716,16 +713,11 @@ def test_ensemble_reports_first_level_overflow_at_every_chunk_size(monkeypatch):
 # crash scenario
 # ---------------------------------------------------------------------------
 
-def test_crash_requires_coupled_mode():
-    with pytest.raises(ValidationError):
-        simulate_crash(balanced_config(), BALANCED_PARAMS)
-
-
 def test_crash_mechanism_small_ensemble():
     hits = 0
     for seed in range(20):
-        report = simulate_crash(crash_config(seed=seed), CRASH_PARAMS)
-        if report.bid_fraction > 0.5 and report.net_log_return < 0.0:
+        path = simulate_path(crash_config(seed=seed), CRASH_PARAMS)
+        if path.bid_fraction() > 0.5 and path.net_log_return() < 0.0:
             hits += 1
     assert hits >= 19
 
@@ -781,6 +773,64 @@ def test_collapse_imbalance_follows_the_one_step_law(name):
         assert np.abs(path.imbalance[1:] - sign * law).max() <= bound
 
 
+@pytest.mark.parametrize("name, tau", [("imbalance_balanced.json", 0.02),
+                                       ("imbalance_crash.json", 0.003)])
+def test_phase_scramble_imbalance_follows_the_one_step_law_in_mean(name, tau):
+    # The scramble after trade k-1 makes the relative phase uniform, so for
+    # k >= 1 the step's rotation gives, in the mean over that phase,
+    # E[I_k | I_{k-1}, draws_k] = I_{k-1} * (1 - 2*(kappa_k/delta_k)^2 * sin^2(phi_k)).
+    # No scramble precedes step 0. tau is cut from the shipped value so that
+    # a step moves I by a measurable amount.
+    config, params = shipped(name)
+    params = replace(params, tau=tau)
+    config = replace(config, n_steps=60, seed=3, initial_state=StateVector.from_imbalance(-0.9))
+    paths = simulate_ensemble(config, params, 4000)
+    imbalances, xi, kappa = (np.stack([getattr(p, f) for p in paths])
+                             for f in ("imbalance", "xi", "kappa"))
+    xi, kappa = xi[:, 1:], kappa[:, 1:]
+    delta = np.sqrt(xi * xi + kappa * kappa)
+    phi = delta * params.dt / (2.0 * params.tau * params.s0)
+    factor = 1.0 - 2.0 * (kappa / delta) ** 2 * np.sin(phi) ** 2
+    residual = (imbalances[:, 1:] - imbalances[:, :-1] * factor).ravel()
+    raw = (imbalances[:, 1:] - imbalances[:, :-1]).ravel()
+
+    def z_score(values):
+        # The residuals are martingale differences, uncorrelated across steps
+        # and paths, so the standard error is that of independent samples.
+        return values.mean() / (values.std(ddof=1) / math.sqrt(values.size))
+
+    # Over seeds 3-32 the residual z-scores had sd 0.95 and at most |2.45|.
+    assert abs(z_score(residual)) <= 4.0
+    # Power: the law without the rotation (I_k = I_{k-1} in the mean) is
+    # off by 14.6-18.6 (balanced) and 57-60 (crash) standard errors.
+    assert abs(z_score(raw)) >= 10.0
+
+
+def test_phase_scramble_balanced_imbalance_is_uniform():
+    # In balanced mode with phase-scramble each step is an SU(2) rotation and
+    # a z-rotation, which both keep the uniform measure on the Bloch sphere,
+    # so the stationary I is uniform on [-1, 1] (Archimedes): variance 1/3.
+    # The pooled samples are correlated along a path, so the bounds come from
+    # the spread over seeds 100-139 of the shipped config: the variance gap
+    # had RMS 0.00165 and the KS distance mean 0.0044, sd 0.00165.
+    var_gap_bound = 5 * 0.00165
+    ks_bound = 0.0044 + 5 * 0.00165
+    config, params = shipped("imbalance_balanced.json")
+
+    def pooled(config, params):
+        paths = simulate_ensemble(config, params, 100)
+        values = np.concatenate([p.imbalance for p in paths])
+        return values, scipy.stats.kstest(values, "uniform", args=(-1.0, 2.0)).statistic
+
+    values, ks = pooled(config, params)
+    assert values.size == 200_000
+    assert abs(values.var() - 1.0 / 3.0) <= var_gap_bound
+    assert ks <= ks_bound
+    # Power: collapse (KS 0.26) and the crash config (KS 0.95) break the law.
+    assert pooled(replace(config, post_trade="collapse"), params)[1] > ks_bound
+    assert pooled(*shipped("imbalance_crash.json"))[1] > ks_bound
+
+
 # ---------------------------------------------------------------------------
 # Q(I) histogram and moments
 # ---------------------------------------------------------------------------
@@ -802,8 +852,8 @@ def test_q_of_i_balanced_symmetry_and_crash_asymmetry():
     assert abs(summary["skewness"]) < 0.1
 
     # a crash ensemble leans hard onto the bid side and is clearly asymmetric
-    crash_reports = [simulate_crash(crash_config(seed=s), CRASH_PARAMS) for s in range(5)]
-    crash_summary = imbalance_summary([r.path for r in crash_reports])
+    crash = [simulate_path(crash_config(seed=s), CRASH_PARAMS) for s in range(5)]
+    crash_summary = imbalance_summary(crash)
     assert crash_summary["mean"] < -0.5
     assert crash_summary["negative_fraction"] > 0.5
     assert abs(crash_summary["skewness"]) > 0.1
@@ -811,10 +861,10 @@ def test_q_of_i_balanced_symmetry_and_crash_asymmetry():
     # the asymmetry direction tracks the imbalance: flipping I(0) mirrors the
     # distribution, so the mass lean and the skewness both change sign
     mirrored = [
-        simulate_crash(crash_config(seed=s, initial_imbalance=0.9), CRASH_PARAMS)
+        simulate_path(crash_config(seed=s, initial_imbalance=0.9), CRASH_PARAMS)
         for s in range(5)
     ]
-    mirrored_summary = imbalance_summary([m.path for m in mirrored])
+    mirrored_summary = imbalance_summary(mirrored)
     assert mirrored_summary["negative_fraction"] < 0.5
     assert mirrored_summary["mean"] > 0.5
     assert mirrored_summary["skewness"] * crash_summary["skewness"] < 0.0
@@ -921,74 +971,6 @@ def test_q_of_i_and_crash_require_integer_bins(bins):
     path = simulate_path(balanced_config(n_steps=10), BALANCED_PARAMS)
     with pytest.raises(ValidationError):
         q_of_i([path], bins=bins)
-    with pytest.raises(ValidationError):
-        simulate_crash(crash_config(n_steps=10), CRASH_PARAMS, bins=bins)
-
-
-# ---------------------------------------------------------------------------
-# effective multilevel prices
-# ---------------------------------------------------------------------------
-
-def test_effective_levels_single_level_is_identity():
-    asks = [BookLevel(27.87, 100)]
-    bids = [BookLevel(27.83, 100)]
-    ask_eff, bid_eff = effective_levels(asks, bids, 1)
-    assert (ask_eff, bid_eff) == (27.87, 27.83)
-
-
-def test_effective_levels_weighted_example():
-    asks = [BookLevel(27.87, 100), BookLevel(27.90, 300), BookLevel(27.95, 100)]
-    bids = [BookLevel(27.83, 100), BookLevel(27.82, 400)]
-    ask_eff, bid_eff = effective_levels(asks, bids, 3)
-    assert ask_eff == pytest.approx(27.904, abs=1e-12)  # 13952 / 500
-    assert bid_eff == pytest.approx((27.83 * 100 + 27.82 * 400) / 500, abs=1e-12)
-    assert ask_eff >= 27.87 >= 27.83 >= bid_eff
-
-
-def test_effective_levels_equal_sizes_plain_average():
-    asks = [BookLevel(10.0, 5), BookLevel(11.0, 5), BookLevel(12.0, 5)]
-    bids = [BookLevel(9.0, 5), BookLevel(8.0, 5)]
-    ask_eff, bid_eff = effective_levels(asks, bids, 3)
-    assert ask_eff == pytest.approx(11.0, abs=1e-12)
-    assert bid_eff == pytest.approx(8.5, abs=1e-12)
-
-
-def test_effective_levels_ranks_best_first():
-    # shuffled input: best ask is the lowest price, best bid the highest
-    asks = [BookLevel(27.95, 100), BookLevel(27.87, 100)]
-    bids = [BookLevel(27.75, 300), BookLevel(27.83, 100)]
-    ask_eff, bid_eff = effective_levels(asks, bids, 1)
-    assert (ask_eff, bid_eff) == (27.87, 27.83)
-
-
-def test_effective_levels_errors():
-    bids = [BookLevel(27.83, 100)]
-    with pytest.raises(ValidationError):
-        effective_levels([], bids, 1)
-    with pytest.raises(ValidationError):
-        effective_levels(bids, [], 1)
-    with pytest.raises(ValidationError):
-        effective_levels(bids, bids, 0)
-    with pytest.raises(ValidationError):
-        effective_levels(bids, bids, True)
-    with pytest.raises(ValidationError):
-        BookLevel(27.83, 0)
-
-
-@pytest.mark.parametrize(
-    "price, size",
-    [(10**400, 1.0), (1.0, 10**400), ("1", 1), (1.0, "1"), (True, 1), (1.0, True), (math.nan, 1)],
-    ids=["huge_price", "huge_size", "text_price", "text_size", "bool_price", "bool_size", "nan"],
-)
-def test_book_level_requires_finite_numbers(price, size):
-    with pytest.raises(ValidationError):
-        BookLevel(price, size)
-
-
-def test_book_level_stores_floats():
-    level = BookLevel(27, 100)
-    assert (level.price, level.size) == (27.0, 100.0)
-    assert type(level.price) is type(level.size) is float
 
 
 # ---------------------------------------------------------------------------

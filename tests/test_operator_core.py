@@ -10,7 +10,6 @@ from qcw import (
     ValidationError,
     eigenprices,
     eigenprices_batch,
-    eigenvectors,
 )
 from qcw.wave_dynamics import _modulus, _norm2
 
@@ -198,66 +197,3 @@ def test_coupling_modulus_past_float_range_matches_batch():
     )
     assert levels.s_ask == levels.delta == -levels.s_bid == math.inf
 
-
-def test_eigenvectors_at_extreme_magnitudes():
-    # The squared moduli of 1e200 pass float range, and those of 1e-200
-    # underflow to 0; the vectors do neither.
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(1.0, 1.0, 1e200))
-    r = math.sqrt(0.5)
-    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((r, r), rel=1e-15)
-    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((r, -r), rel=1e-15)
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(1e-200, -1e-200, 1e-200))
-    c, s = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
-    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((c, s), rel=1e-15)
-    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((s, -c), rel=1e-15)
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(1.0, 1.0, complex(1.27e308, 1.27e308)))
-    assert (ask_vec.psi_ask, ask_vec.psi_bid) == pytest.approx((r, 0.5 - 0.5j), rel=1e-15)
-    assert (bid_vec.psi_ask, bid_vec.psi_bid) == pytest.approx((r, -0.5 + 0.5j), rel=1e-15)
-
-
-def test_eigenvectors_of_levels_past_float_range_raise_validation_error():
-    with pytest.raises(ValidationError, match="float range"):
-        eigenvectors(PriceOperator2(1.0, 1.0, complex(1.28e308, 1.28e308)))
-
-
-def test_eigenvectors_diagonal_operator():
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(28.0, 27.0, 0.0))
-    assert ask_vec.psi_ask == 1.0 and ask_vec.psi_bid == 0.0
-    assert bid_vec.psi_ask == 0.0 and bid_vec.psi_bid == 1.0
-
-
-def test_eigenvectors_symmetric_coupling():
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(27.9, 27.9, 0.04))
-    r = math.sqrt(0.5)
-    assert ask_vec.psi_ask == pytest.approx(r, rel=1e-14)
-    assert ask_vec.psi_bid == pytest.approx(r, rel=1e-14)
-    assert bid_vec.psi_ask == pytest.approx(r, rel=1e-14)
-    assert bid_vec.psi_bid == pytest.approx(-r, rel=1e-14)
-
-
-def test_eigenvectors_degenerate_returns_canonical_basis():
-    ask_vec, bid_vec = eigenvectors(PriceOperator2(50.0, 50.0, 0.0))
-    assert (ask_vec.psi_ask, ask_vec.psi_bid) == (1.0, 0.0)
-    assert (bid_vec.psi_ask, bid_vec.psi_bid) == (0.0, 1.0)
-
-
-def test_eigenvector_residuals_orthogonality_and_phase():
-    rng = np.random.default_rng(23)
-    for _ in range(500):
-        s11, s22, s12 = (x[0] for x in random_operator_elements(rng, 1))
-        op = PriceOperator2(float(s11), float(s22), complex(s12))
-        levels = eigenprices(op)
-        mat = op.matrix()
-        scale = max(abs(levels.s_ask), abs(levels.s_bid))
-        for vec, value in ((eigenvectors(op)[0], levels.s_ask), (eigenvectors(op)[1], levels.s_bid)):
-            v = np.array([vec.psi_ask, vec.psi_bid])
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-            residual = np.linalg.norm(mat @ v - value * v) / scale
-            assert residual < 1e-12
-            # phase convention: leading component real and nonnegative
-            lead = v[0] if abs(v[0]) > 1e-12 else v[1]
-            assert abs(lead.imag) < 1e-12 and lead.real >= 0.0
-        ask_vec, bid_vec = eigenvectors(op)
-        a = np.array([ask_vec.psi_ask, ask_vec.psi_bid])
-        b = np.array([bid_vec.psi_ask, bid_vec.psi_bid])
-        assert abs(np.vdot(a, b)) < 1e-12

@@ -14,21 +14,22 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcw
+from qcw import SpreadLaw, sample_spread
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     # parameters, configs and errors
     "ModelParams", "SimConfig", "SpreadLaw", "ValidationError", "PricePositivityError",
-    # the scalar API: the price operator, its eigenprices and eigenstates, the amplitude pair
-    "PriceOperator2", "PriceLevels", "eigenprices", "eigenprices_batch", "eigenvectors",
+    # the scalar API: the price operator, its eigenvalues, the amplitude pair
+    "PriceOperator2", "PriceLevels", "eigenprices", "eigenprices_batch",
     "StateVector", "propagate", "randomize_phase", "probabilities", "imbalance",
     # simulation and its reductions
-    "PathSeries", "CrashReport", "BookLevel", "simulate_path", "simulate_ensemble",
-    "simulate_crash", "effective_levels", "q_of_i", "imbalance_summary",
+    "PathSeries", "simulate_path", "simulate_ensemble", "q_of_i", "imbalance_summary",
     # the spread law
     "Histogram", "bessel_i0_scaled", "spread_pdf", "spread_log_pdf",
     "spread_cdf", "sample_spread", "ks_distance",
@@ -55,16 +56,35 @@ def test_readme_and_oracle_imports_are_exported():
         assert names <= PUBLIC_NAMES, (source, names - PUBLIC_NAMES)
 
 
-def test_readme_api_sketch_runs(tmp_path):
-    # Checking its imports alone would pass a sketch that calls deleted API.
+def run_readme_block(after, cwd):
+    """Run the first python block of the README after the text ``after``."""
     readme = (ROOT / "README.md").read_text()
-    sketch = re.search(r"## Python API sketch\n+```python\n(.*?)```", readme, re.S).group(1)
-    done = subprocess.run(
-        [sys.executable, "-c", sketch],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    block = re.search(re.escape(after) + r".*?```python\n(.*?)```", readme, re.S).group(1)
+    return subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True,
     )
+
+
+def test_readme_api_sketch_runs(tmp_path):
+    # Checking its imports alone would pass a sketch that calls deleted API.
+    done = run_readme_block("## Python API sketch", tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_array_ingest_sketch_runs(tmp_path):
+    # The block reads quotes.csv and bars.csv from the working directory.
+    spreads = sample_spread(SpreadLaw(0.1, 0.05), np.random.default_rng(3), 500).tolist()
+    quotes = "".join(f"{k},100.0,{100.0 + d!r}\n" for k, d in enumerate(spreads))
+    (tmp_path / "quotes.csv").write_text("timestamp,bid,ask\n" + quotes)
+    # high >= low, and close > 0 for the relative mode
+    bars = "".join(f"{k},100.0,{100.0 + d!r},100.0,{100.0 + d / 2!r}\n"
+                   for k, d in enumerate(spreads))
+    (tmp_path / "bars.csv").write_text("timestamp,open,high,low,close\n" + bars)
+    done = run_readme_block("The same ingest is available on arrays", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[0] == str(len(spreads))
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded at the end.
