@@ -40,6 +40,7 @@ from .calibration import (
     spreads_from_quotes,
 )
 from .errors import PricePositivityError, ValidationError, is_finite_number
+from .float_text import _fmt_column, _path_rows
 from .market_sim import (
     MODE_BALANCED,
     MODE_IMBALANCE_COUPLED,
@@ -186,36 +187,11 @@ def _load_config(path: str) -> dict:
 _FORMAT_ROWS = 4096
 
 
-def _fmt_column(values) -> list[str]:
-    """Full-precision, round-trippable text of each float: ``repr(float(v))``.
-
-    One ``repr`` of the whole list, split at its separators, gives the same
-    strings as one ``repr`` per float at a fraction of the calls.
-    """
-    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
-
-
 def _float_rows(*columns):
     """CSV text of equal-length float columns, one piece of rows per chunk."""
     for k0 in range(0, len(columns[0]), _FORMAT_ROWS):
         span = slice(k0, k0 + _FORMAT_ROWS)
         yield "\n".join(map(",".join, zip(*(_fmt_column(c[span]) for c in columns)))) + "\n"
-
-
-def _path_rows(chunks):
-    """``path.csv`` text of a simulated path, one piece of rows per ``(k0, block)`` chunk.
-
-    ``s_trade`` is bitwise the executed level, so its text is that level's.
-    """
-    for k0, block in chunks:
-        bids, asks, imbs = (_fmt_column(c) for c in (block.s_bid, block.s_ask, block.imbalance))
-        rows = []
-        for t, bid, ask, at_ask, imb in zip(
-            itertools.count(k0), bids, asks, block.at_ask.tolist(), imbs
-        ):
-            trade, side = (ask, "ask") if at_ask else (bid, "bid")
-            rows.append(f"{t},{bid},{ask},{trade},{side},{imb}\n")
-        yield "".join(rows)
 
 
 def _atomic_write(path: Path, pieces) -> None:

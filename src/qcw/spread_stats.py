@@ -180,6 +180,8 @@ def spread_cdf(delta, law: SpreadLaw):
 
 def sample_spread(law: SpreadLaw, rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. spread draws sqrt(xi^2 + kappa^2) with centered normal parts."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"sample count must be an integer, got {n!r}")
     if n < 0:
         raise ValidationError("sample count must be >= 0")
     xi = rng.normal(0.0, law.xi1, size=n)

@@ -22,6 +22,7 @@ from qcw import (
     SpreadLaw,
     ValidationError,
     cli,
+    float_text,
     imbalance_summary,
     market_sim,
     q_of_i,
@@ -186,6 +187,63 @@ def test_column_formatting_matches_repr_per_float(rows):
         assert "".join(cli._float_rows(bid, ask, imb)) == lines(
             ",".join(map(repr, row)) for row in zip(bid.tolist(), ask.tolist(), imb.tolist())
         )
+
+
+def fast_texts(values):
+    """The numpy formatter's text of each value, and where it is its own."""
+    ok, fields = float_text._float_fields(np.asarray(values, dtype=float))
+    rows = np.vstack([fields, np.full((1, fields.shape[1]), ord("\n"), dtype=np.uint8)])
+    return ok, rows.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def neighbours(values, steps=1):
+    """``values`` and their ``steps`` nearest doubles on either side."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        x = out[0]
+        for _ in range(steps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def test_numpy_formatter_matches_repr():
+    rng = np.random.default_rng(2026)
+    n = 200_000
+    spread = np.ldexp(rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n),
+                      rng.integers(-20, 61, n))
+    short = np.array([f"{k}e{e}" for k, e in zip(rng.integers(1, 10**5, 3000).tolist(),
+                                                   rng.integers(-9, 16, 3000).tolist())])
+    powers = np.ldexp(1.0, np.arange(-20, 61))
+    values = np.concatenate([
+        spread,
+        neighbours(short.astype(float)),
+        neighbours(np.concatenate([powers, -powers])),
+        neighbours([1e-4, 1e16, -1e-4, -1e16], steps=40),
+        EDGE_FLOATS,
+    ])
+    ok, texts = fast_texts(values)
+    wrong = [(v, t) for v, fast, t in zip(values.tolist(), ok, texts) if fast and t != repr(v)]
+    assert wrong == []
+    in_fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
+    assert not ok[~in_fixed].any()
+    # Only powers of two, exact ties and near ties go to repr: above 2^40, a
+    # double has few enough fractional bits that its 10^s multiple can tie.
+    assert ok[in_fixed].mean() > 0.98
+    assert ok[in_fixed & (np.abs(values) < 2.0**40)].mean() > 0.999
+
+
+def test_numpy_formatter_takes_benchmark_like_values():
+    # Prices near 100 and imbalances in [-1, 1], as a simulated path holds
+    # them: a formatter that sends them all to repr fails here.
+    cfg = json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text(encoding="utf-8"))
+    series = simulate_path(_sim_config(cfg, cfg["seed"]), _model_params(cfg))
+    rng = np.random.default_rng(7)
+    values = np.concatenate([series.s_bid, series.s_ask, series.imbalance,
+                             100.0 + rng.normal(0.0, 1.0, 50_000), rng.uniform(-1, 1, 50_000)])
+    ok, texts = fast_texts(values)
+    assert ok.mean() >= 0.999
+    assert [t for fast, t in zip(ok, texts) if fast] == [repr(v) for v in values[ok].tolist()]
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

@@ -128,6 +128,17 @@ def test_import_and_simulation_load_no_scipy(code, tmp_path):
     assert scipy_modules_after(code, tmp_path) == set()
 
 
+def test_import_qcw_does_not_load_the_command_line(tmp_path):
+    # qcw.cli builds the tables of its path.csv writer at import; only the
+    # commands need them.
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qcw; print('qcw.cli' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["False"]
+
+
 def test_fit_loads_scipy_special_but_not_optimize(tmp_path):
     loaded = scipy_modules_after(FIT, tmp_path)
     assert "scipy.special" in loaded

@@ -363,6 +363,19 @@ def test_ks_distance_is_bitwise_the_full_evaluation(law, n, f_xi, f_kappa, copie
     assert ks_distance(samples, law) == ks_by_full_evaluation(samples, law)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.True_, "3", None, -1])
+def test_sample_spread_rejects_a_bad_count(n):
+    with pytest.raises(ValidationError, match="sample count"):
+        sample_spread(SpreadLaw(0.1, 0.05), np.random.default_rng(0), n)
+
+
+def test_sample_spread_takes_numpy_integer_counts():
+    law = SpreadLaw(0.1, 0.05)
+    for n in (np.int64(7), np.uint8(7)):
+        drawn = sample_spread(law, np.random.default_rng(5), n)
+        assert np.array_equal(drawn, sample_spread(law, np.random.default_rng(5), 7))
+
+
 @pytest.mark.parametrize("ratio", [2.0, 20.0])
 def test_ks_distance_evaluates_a_tenth_of_the_samples(ratio, monkeypatch):
     law = SpreadLaw(xi1=0.1, kappa1=0.1 / ratio)
