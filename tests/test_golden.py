@@ -36,12 +36,46 @@ def _shipped(name: str, **overrides) -> dict:
     return dict(cfg, **overrides)
 
 
+def _write_rows(path: Path, header: str, columns) -> None:
+    lines = [header] + [",".join(map(repr, row)) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_quotes(path: Path) -> None:
     """``quotes.csv`` as the CI smoke step writes it."""
     draws = sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), np.random.default_rng(1), 5000)
     lines = ["timestamp,bid,ask"] + [f"t{k},100.0,{100.0 + float(d)!r}" for k, d in enumerate(draws)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+
+def _mid_prices(rng: np.random.Generator, n: int) -> np.ndarray:
+    return 100.0 * np.exp(np.cumsum(0.0005 * rng.standard_normal(n)))
+
+
+def _write_repr_quotes(path: Path, n: int = 20_000) -> None:
+    """A quote file of 17-digit ``repr`` prices around a random walk, with
+    integer timestamps: the shape of the benchmark's ``quotes.csv``."""
+    rng = np.random.default_rng(2)
+    spreads = sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), rng, n)
+    bid = _mid_prices(rng, n) - 0.5 * spreads
+    _write_rows(path, "timestamp,bid,ask",
+                (range(1_577_836_800, 1_577_836_800 + n), bid.tolist(), (bid + spreads).tolist()))
+
+
+def _write_bars(path: Path, n: int = 20_000) -> None:
+    """OHLC bars whose relative range follows the 20:1 law, in ``repr`` prices."""
+    rng = np.random.default_rng(3)
+    spreads = sample_spread(SpreadLaw(xi1=0.002, kappa1=0.0001), rng, n)
+    close = _mid_prices(rng, n)
+    high = close + spreads * close * rng.random(n)
+    low = high - spreads * close
+    open_ = low + (high - low) * rng.random(n)
+    _write_rows(path, "timestamp,open,high,low,close",
+                (range(1_577_836_800, 1_577_836_800 + n), open_.tolist(), high.tolist(),
+                 low.tolist(), close.tolist()))
+
+
+_BARS = {"input": "bars.csv", "format": "ohlc", "ohlc_mode": "relative"}
 
 #: Run name -> (command, config). Each run writes into a directory of its name.
 RUNS = {
@@ -51,6 +85,15 @@ RUNS = {
     "imbalance_balanced_36": ("imbalance", _shipped("imbalance_balanced", n_paths=36)),
     "imbalance_crash_36": ("imbalance", _shipped("imbalance_crash", n_paths=36)),
     "fit_quotes": ("fit", _shipped("fit_quotes")),
+    "fit_quotes_repr17": ("fit", _shipped("fit_quotes")),
+    "fit_ohlc_relative": ("fit", _shipped("fit_quotes", **_BARS)),
+}
+
+#: Run name -> the writer of its input file, named as its config's ``input``.
+INPUTS = {
+    "fit_quotes": _write_quotes,
+    "fit_quotes_repr17": _write_repr_quotes,
+    "fit_ohlc_relative": _write_bars,
 }
 
 
@@ -60,8 +103,8 @@ def output_digests(work: Path) -> dict:
     for name, (command, cfg) in RUNS.items():
         run_dir = work / name
         run_dir.mkdir(parents=True)
-        if command == "fit":
-            _write_quotes(run_dir / "quotes.csv")
+        if name in INPUTS:
+            INPUTS[name](run_dir / cfg["input"])
         config = run_dir / "config.json"
         config.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
         out = run_dir / "out"
