@@ -13,20 +13,24 @@ the canonical order xi1_hat >= kappa1_hat.
 
 Spread samples come from quote rows (ask - bid) or OHLC bars, where the bar
 high plays the role of the ask and the low the role of the bid; relative
-mode divides the high-low range by the close.
+mode divides the high-low range by the close. The CSV files are read by one
+streaming reader, ``_read_csv``, which also words every error; the price
+columns of a fit input are read in numpy where that provably gives the
+same arrays.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .float_text import _WIDTH, _float_cells
 
 __all__ = [
     "MIN_FIT_SAMPLES",
@@ -546,26 +550,68 @@ def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
     }
 
 
-# The fast path reads a body in chunks of this many bytes. A cell longer
-# than csv's default field limit (131072 characters), which ``_read_csv``
-# rejects, spans at least one whole chunk.
-_CHUNK_BYTES = 1 << 16
+# csv's default field size limit: ``_read_csv`` rejects a longer cell.
+_FIELD_LIMIT = 131072
+
+# The fast path reads a body in chunks of this many bytes, into one buffer
+# that grows only for a line longer than it.
+_CHUNK_BYTES = 1 << 18
 
 # The bytes the fast path lets into a body: printable ASCII except '#' (a
-# comment line or cell) and '"' (a quoted cell), plus tab and line ends.
-# Beyond these np.loadtxt and float() disagree: loadtxt strips \x1c-\x1f as
-# whitespace and float() reads non-ASCII digits.
+# comment line or cell) and '"' (a quoted cell), plus tab and line ends. On
+# these csv splits a line at its commas, and a cell's bytes are its text:
+# float() reads non-ASCII digits and strips \x1c-\x1f, which are kept out.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
 
 
-def _loadtxt_columns(path, expected_header: list[str], names) -> list | None:
-    """The float columns ``names`` of a CSV, parsed in C by ``np.loadtxt``,
-    or None where they might differ from what ``_read_csv`` returns.
+def _rows(text: np.ndarray, n_fields: int, indexes):
+    """The float cells of the columns ``indexes``, one row each, of the lines
+    in ``text[24:]``, which each end in LF; None where a line has not
+    ``n_fields`` fields, a field reaches csv's limit, or float() raises."""
+    body = text[_WIDTH:]
+    seps = body == ord(",")
+    seps |= body == ord("\n")
+    seps = np.flatnonzero(seps)
+    rows = seps.size // n_fields
+    line_ends = body[seps] == ord("\n")
+    gaps = np.diff(seps, prepend=-1)  # each field's length, plus one
+    if (
+        seps.size != rows * n_fields
+        or np.count_nonzero(line_ends) != rows
+        or not line_ends[n_fields - 1::n_fields].all()
+        or gaps.max(initial=0) > _FIELD_LIMIT
+    ):
+        return None
+    length = gaps.reshape(rows, n_fields)[:, indexes].ravel()
+    length -= 1
+    values = _float_cells(text, seps.reshape(rows, n_fields)[:, indexes].ravel(), length)
+    return None if values is None else values.reshape(rows, len(indexes))
+
+
+def _chunk_rows(buf: bytearray, end: int, n_fields: int, indexes):
+    """:func:`_rows` of the lines in ``buf[24:end]``, as csv reads them:
+    CRLF is a line end and blank lines are skipped; None on a bare CR."""
+    if buf[end - 1] == ord("\n") and buf.find(b"\r", _WIDTH, end) < 0:
+        rows = _rows(np.frombuffer(buf, np.uint8, end), n_fields, indexes)
+        if rows is not None:
+            return rows
+    # CRLF, a blank line, no LF at the end, or a row to refuse: once more, by line
+    text = bytes(buf[_WIDTH:end]).replace(b"\r\n", b"\n")
+    if b"\r" in text:
+        return None
+    lines = b"".join(line + b"\n" for line in text.split(b"\n") if line)
+    return _rows(np.frombuffer(bytes(_WIDTH) + lines, np.uint8), n_fields, indexes)
+
+
+def _plain_columns(path, expected_header: list[str], names) -> list | None:
+    """The float columns ``names`` of a CSV, parsed in numpy, or None where
+    they might differ from what ``_read_csv`` returns.
 
     The header is found under ``_read_csv``'s rules, on lines without a
-    quote, a NUL or a bare CR. The last column must be among ``names``: then
-    loadtxt raises on a short row, and a comma count of (fields - 1) x rows
-    proves that no row has extra fields, which ``usecols`` lets through.
+    quote, a NUL or a bare CR. The body is read in chunks of
+    :data:`_CHUNK_BYTES` into one buffer after :data:`_WIDTH` zeros, each
+    chunk cut after its last LF, and the rest held for the next; a byte
+    outside :data:`_PLAIN_BYTES` gives None.
     """
     wanted_header = [name.lower() for name in expected_header]
     try:
@@ -574,9 +620,9 @@ def _loadtxt_columns(path, expected_header: list[str], names) -> list | None:
         return None
     with handle:
         while True:
-            line = handle.readline(_CHUNK_BYTES)
+            line = handle.readline(_FIELD_LIMIT)
             raw = line.removesuffix(b"\n").removesuffix(b"\r")
-            if not line or len(line) == _CHUNK_BYTES or any(
+            if not line or len(line) == _FIELD_LIMIT or any(
                 byte in raw for byte in (b'"', b"\0", b"\r")
             ):
                 return None
@@ -589,39 +635,47 @@ def _loadtxt_columns(path, expected_header: list[str], names) -> list | None:
             if [cell.strip().lower() for cell in text.split(",")] != wanted_header:
                 return None
             break
-        body = handle.tell()
-        commas = 0
-        for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""):
-            if chunk.translate(None, _PLAIN_BYTES) or (
-                len(chunk) == _CHUNK_BYTES
-                and not any(byte in chunk for byte in (b",", b"\n", b"\r"))
-            ):
+        n_fields, indexes = len(expected_header), [expected_header.index(name) for name in names]
+        buf = bytearray(_WIDTH + _CHUNK_BYTES)
+        columns = [np.empty(0) for _ in names]
+        held, filled, got = 0, 0, True
+        while got:
+            if _WIDTH + held == len(buf):  # a line longer than the buffer
+                if held > n_fields * _FIELD_LIMIT:
+                    return None
+                buf = buf + bytes(len(buf))
+            with memoryview(buf) as view:
+                got = handle.readinto(view[_WIDTH + held:])
+            size = _WIDTH + held + got
+            if buf[size - got:size].translate(None, _PLAIN_BYTES):
                 return None
-            commas += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 0x2C))
-        if not commas:
-            return None  # no rows, on which loadtxt warns
-        handle.seek(body)
-        with io.TextIOWrapper(handle, encoding="utf-8") as stream:
-            try:
-                data = np.loadtxt(
-                    stream,
-                    delimiter=",",
-                    comments=None,
-                    usecols=[expected_header.index(name) for name in names],
-                    ndmin=2,
-                )
-            except ValueError:
+            end = buf.rfind(b"\n", _WIDTH, size) + 1 if got else size
+            if end <= _WIDTH:
+                held += got
+                continue
+            rows = _chunk_rows(buf, end, n_fields, indexes)
+            if rows is None:
                 return None
-    if commas != (len(expected_header) - 1) * len(data):
-        return None
-    return list(np.ascontiguousarray(data.T))
+            if filled + len(rows) > columns[0].size:
+                # room for the whole file at this chunk's bytes per row, grown in place
+                room = int(1.1 * os.fstat(handle.fileno()).st_size * len(rows) / (end - _WIDTH))
+                for column in columns:
+                    column.resize(max(room, 2 * column.size, filled + len(rows)), refcheck=False)
+            for column, cells in zip(columns, rows.T):
+                column[filled:filled + len(rows)] = cells
+            filled += len(rows)
+            held = size - end
+            buf[_WIDTH:_WIDTH + held] = buf[end:size]
+    for column in columns:
+        column.resize(filled, refcheck=False)
+    return columns
 
 
 def _read_floats(path, expected_header: list[str], names) -> list[np.ndarray]:
     """The float columns ``names`` of a CSV, bitwise as ``_read_csv`` reads
-    them: from ``np.loadtxt`` where that provably agrees, else from
+    them: from :func:`_plain_columns` where that provably agrees, else from
     ``_read_csv`` itself, which also raises every error."""
-    columns = _loadtxt_columns(path, expected_header, names)
+    columns = _plain_columns(path, expected_header, names)
     if columns is None:
         cols = _read_csv(path, expected_header, dict.fromkeys(names, float))
         columns = [cols[name] for name in names]

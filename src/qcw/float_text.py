@@ -1,8 +1,11 @@
-"""Text of floats for the CSV outputs: ``repr``'s, written in bulk.
+"""Text of floats in bulk: ``repr``'s for the CSV outputs, ``float()``'s
+for the fit inputs.
 
 ``_fmt_column`` writes a column by one ``repr`` of its list. ``_path_rows``
 writes the rows of ``path.csv`` in numpy, by shortest round-trip decimals
 it proves equal to ``repr``'s, and leaves the rest to ``repr``.
+``_float_cells`` reads decimal cells in numpy where it proves the value
+equal to ``float()``'s, and leaves the rest to ``float()``.
 """
 
 from __future__ import annotations
@@ -190,3 +193,117 @@ def _path_rows(chunks):
                 start = row + 1
             raw = b"".join(pieces) + raw[start * width :]
         yield raw.translate(None, b"\0").decode("ascii")
+
+
+# Decimal cells in numpy. A cell -?d*.?d* of 1-19 digits is the integer M of
+# its digits (M < 10^19 < 2^64) over 10^f, f its digits after the dot. In an
+# x87 long double (64-bit significand) both are exact, so their quotient is
+# rounded once (W. D. Clinger, PLDI 1990). Rounding it again to float64 gives
+# float()'s correctly rounded value unless the long double lies exactly
+# halfway between two float64s, where its significand ends in a 1 and ten
+# 0s; the midpoint below a power of two lies in the binade below and ends
+# so too. Without such long doubles, Clinger's fast path (M < 2^53, 10^f
+# exact in float64) rounds once. Every other cell is left to float().
+_WIDTH = 24  # bytes of a cell's window, and of the zeros before a text that hold it
+_LONG_DIVISION = bool(
+    np.finfo(np.longdouble).nmant == 63
+    and np.longdouble(1).tobytes()[:8] == (1 << 63).to_bytes(8, "little")
+)
+#: 10^f for f = 0..23 digits after a dot, and 1 at 24, for no dot.
+_DIVISOR_LONG = np.cumprod(np.full(_WIDTH + 1, 10, dtype=np.longdouble)) / 10
+_DIVISOR_LONG[_WIDTH] = 1
+_DIVISOR = _DIVISOR_LONG.astype(np.float64)
+
+
+def _repeat(byte: int) -> np.uint64:
+    return np.uint64(int.from_bytes(bytes([byte]) * 8, "little"))
+
+
+#: Row w, column c: word w of a 24-byte window masked to its last c bytes.
+_KEEP = np.ascontiguousarray(
+    (np.arange(_WIDTH)[::-1] < np.arange(_WIDTH + 1)[:, None]).astype(np.uint8) * np.uint8(255)
+).view("<u8").T.copy()
+#: Gathers the low bits of a word's bytes into its top byte.
+_GATHER = np.uint64(0x0102040810204080)
+
+
+def _decimal_cells(text: np.ndarray, end: np.ndarray, length: np.ndarray):
+    """``(values, fast)``: float() of each cell of ``length`` bytes that ends
+    at ``text[24 + end]``, where ``fast`` is set; elsewhere only float() knows.
+
+    Each cell is read as the 24 bytes before its end, three little-endian
+    words XORed with '0' so that digits read 0-9, with the bytes before the
+    cell (and its sign) cleared. A non-digit byte is flagged by + 0x76; one
+    flag at most is allowed, on a '.', and the bytes before it then move up
+    by one. Three SWAR steps per word give the digits' integer (D. Lemire,
+    Softw. Pract. Exp. 51, 2021).
+    """
+    negative = text.take(end + _WIDTH - length) == ord("-")
+    length = length - negative
+    x = np.ascontiguousarray(sliding_window_view(text, _WIDTH)[end].view("<u8").T)
+    work = _KEEP.take(np.minimum(length, _WIDTH), axis=1)
+    x ^= _repeat(0x30)
+    x &= work
+    np.add(x, _repeat(0x76), out=work)
+    work &= _repeat(0x80)
+    work >>= np.uint64(7)
+    work *= _GATHER
+    work >>= np.uint64(56)
+    work[1] <<= np.uint64(8)
+    work[2] <<= np.uint64(16)
+    marks = work[0] | work[1]
+    marks |= work[2]  # bit p: byte p of the window is no digit
+    fast = (marks & (marks - np.uint64(1))) == 0
+    dot = marks != 0
+    # bytes after the one flag (from its float exponent), or 24 if none
+    after = marks.astype(np.float64).view(np.int64)
+    after >>= 52
+    np.subtract(1046, after, out=after)
+    np.minimum(after, _WIDTH, out=after)
+    fast &= ~dot | (text.take(end + (_WIDTH - 1) - after) == ord("."))
+    length -= dot
+    fast &= (length >= 1) & (length <= 19)
+    # the bytes before the dot move up one, to the window that ends a byte earlier
+    np.left_shift(x, np.uint64(8), out=work)
+    work[1:] |= x[:-1] >> np.uint64(56)
+    x ^= work
+    for row, keep in zip(x, _KEEP):
+        row &= keep.take(after)
+    x ^= work
+    x *= np.uint64(10 * 256 + 1)
+    x >>= np.uint64(8)
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x *= np.uint64(100 * 65536 + 1)
+    x >>= np.uint64(16)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x *= np.uint64(10000 * 2**32 + 1)
+    x >>= np.uint64(32)
+    x[0] *= np.uint64(10**16)
+    x[1] *= np.uint64(10**8)
+    mantissa = x[0] + x[1]
+    mantissa += x[2]
+    del x, work
+    if _LONG_DIVISION:
+        quotient = mantissa.astype(np.longdouble)
+        quotient /= _DIVISOR_LONG.take(after)
+        fast &= quotient.view(np.uint64)[::2] & np.uint64(0x7FF) != 0x400
+        values = quotient.astype(np.float64)
+    else:
+        values = mantissa.astype(np.float64)
+        values /= _DIVISOR.take(after)
+        fast &= mantissa < np.uint64(2**53)
+    np.negative(values, out=values, where=negative)
+    return values, fast
+
+
+def _float_cells(text: np.ndarray, end: np.ndarray, length: np.ndarray):
+    """float() of each cell, as :func:`_decimal_cells` takes them: in numpy
+    where that is exact, else one by one; None where float() raises."""
+    values, fast = _decimal_cells(text, end, length)
+    body = text[_WIDTH:]
+    try:
+        for i in np.flatnonzero(~fast).tolist():
+            values[i] = float(body[end[i] - length[i]:end[i]].tobytes())
+    except ValueError:
+        return None
+    return values

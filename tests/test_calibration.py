@@ -2,6 +2,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qcw import (
     spreads_from_ohlc,
     spreads_from_quotes,
 )
-from qcw import calibration
+from qcw import calibration, float_text
 from qcw.calibration import (
     _I0_SERIES,
     _PHI_EXCESS_SERIES,
@@ -529,8 +530,8 @@ def test_read_csv_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "quotes.csv"
     for content in (
         b"timestamp,bid,ask\nt0,1.0,\xff2.0\n",
-        # in the header line or a comment before it, where the loadtxt path
-        # hands the file to the line reader
+        # in the header line or a comment before it, where the numpy path
+        # hands the file to the streaming reader
         b"timestamp,bid,ask\xff\n1,100.0,100.1\n",
         b"# c\xff\ntimestamp,bid,ask\n1,100.0,100.1\n",
     ):
@@ -563,7 +564,7 @@ def test_csv_round_trip_is_bit_exact(rows):
         assert got.tobytes() == want.tobytes()
 
 
-# The fast path (np.loadtxt) against its oracle, _read_csv.
+# The numpy path against its oracle, _read_csv.
 
 _READERS = (
     (read_quotes_csv, ["timestamp", "bid", "ask"], ("bid", "ask")),
@@ -626,12 +627,18 @@ _QUOTES = _READERS[0]
 @example((_QUOTES, '# x,"a\ntimestamp,bid,ask\nt,1,2\n'))  # quote before the header
 @example((_QUOTES, "#c\rtimestamp,bid,ask\rt,9,9\ntimestamp,bid,ask\nt,1,2\n"))  # bare CR
 @example((_QUOTES, "timestamp,bid,ask\nt,1,2\rt,3,4\r\n\rt,5,6"))  # mixed line ends
-@example((_QUOTES, "timestamp,bid,ask\nt,1\x1f,2\n"))  # whitespace to loadtxt only
+@example((_QUOTES, "timestamp,bid,ask\nt,1\x1f,2\n"))  # whitespace to float(str) only
 @example((_QUOTES, "timestamp,bid,ask\nt,1,2,3\n"))  # extra field
+@example((_QUOTES, "timestamp,bid,ask\nt,1\n1,1,2,3\n"))  # a short and a long row
+@example((_QUOTES, "timestamp,bid,ask\nt\n1,2\n"))  # two short rows with a row's commas
+@example((_QUOTES, "timestamp,bid,ask\nt,1\r,2\n"))  # a bare CR that float() strips
 @example((_QUOTES, "timestamp,bid,ask\n#1,2,3\nt,1,2\n"))  # comment line in the body
 @example((_QUOTES, "timestamp,bid,ask\n\n"))  # no rows
 @example((_QUOTES, "timestamp,bid,ask\nt," + "0" * 140_000 + "1.5,2\n"))  # csv field limit
 @example((_QUOTES, "#" * 140_000 + "\ntimestamp,bid,ask\nt,1,2\n"))
+@example((_QUOTES, "timestamp,bid,ask\n" + "1577836800,100.5,100.75\n" * 12_000))  # past a chunk
+@example((_QUOTES, "timestamp,bid,ask\nt,12345678901234567890,2\n"))  # 20 digits
+@example((_QUOTES, "timestamp,bid,ask\nt,1,.\n"))  # a lone dot
 def test_readers_equal_the_streaming_oracle(case):
     (reader, header, names), text = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -654,7 +661,10 @@ def _no_oracle(*args, **kwargs):
     "timestamp,bid,ask\r\nt0,27.83,27.87\r\nt1,27.84,27.88\r\n",
     "# source: test\n\n  # more, with commas\nTimestamp, Bid ,ASK\nt0,27.83,27.87\nt1,27.84,27.88\n",
     "timestamp,bid,ask\nt0,27.83,27.87\nt1,27.84,27.88",
-], ids=["numeric-time", "iso-time", "crlf", "comments-before-header", "no-final-newline"])
+    "timestamp,bid,ask\nt0,2.783e1,2787E-2\nt1,2.784E+01,27.88e0\n",
+    "timestamp,bid,ask\nt0, 27.83,27.87 \nt1,  27.84\t,\t27.88\n",
+], ids=["numeric-time", "iso-time", "crlf", "comments-before-header", "no-final-newline",
+        "exponents", "space-padded"])
 def test_fast_path_is_taken(tmp_path, monkeypatch, text):
     path = tmp_path / "quotes.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -677,3 +687,119 @@ def test_header_only_file_reads_empty_without_warning(tmp_path):
         bid, ask = read_quotes_csv(path)
     assert bid.dtype == ask.dtype == np.float64
     assert bid.size == ask.size == 0
+
+
+def _benchmark_shaped(path, rows=2000, seed=5):
+    """A quote file shaped like the benchmark's: integer timestamps and the
+    17-digit ``repr`` of prices around a random walk."""
+    rng = np.random.default_rng(seed)
+    spreads = sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), rng, rows)
+    bid = 100.0 * np.exp(np.cumsum(0.0005 * rng.standard_normal(rows))) - 0.5 * spreads
+    lines = ["timestamp,bid,ask"] + [
+        f"{1_577_836_800 + k},{b!r},{a!r}"
+        for k, (b, a) in enumerate(zip(bid.tolist(), (bid + spreads).tolist()))
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 4096])
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_READERS).flatmap(lambda r: st.tuples(st.just(r), _csv_text(r[1]))))
+@example(case=(_QUOTES, "timestamp,bid,ask\r\nt,1.25,2.5\r\nt,3.5,4.75\r\n\r\nt,5,6\r\n"))
+@example(case=(_QUOTES, "timestamp,bid,ask\nt,1.25,2.5\n\nt,3.5,4.75"))  # no final LF
+@example(case=(_QUOTES, "timestamp,bid,ask\n" + "t" * 140_000 + ",1,2\n"))  # csv's field limit
+def test_reading_does_not_depend_on_the_chunk_size(chunk, case):
+    (reader, _, _), text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _columns_or_error(lambda: reader(path))
+        with mock.patch.object(calibration, "_CHUNK_BYTES", chunk):
+            got = _columns_or_error(lambda: reader(path))
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 4096])
+def test_chunks_are_cut_at_line_ends_in_numpy(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "quotes.csv"
+    _benchmark_shaped(path)
+    want = _read_csv(path, ["timestamp", "bid", "ask"], {"bid": float, "ask": float})
+    monkeypatch.setattr(calibration, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(calibration, "_read_csv", _no_oracle)
+    for body in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")[:-2]):
+        path.write_bytes(body)  # LF, then CRLF with no line end at the end
+        bid, ask = read_quotes_csv(path)
+        assert (bid.tobytes(), ask.tobytes()) == (want["bid"].tobytes(), want["ask"].tobytes())
+
+
+@pytest.mark.parametrize("chunk", [7, 4096, 1 << 18])
+def test_over_limit_timestamp_raises_the_streaming_error(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "quotes.csv"
+    path.write_text("timestamp,bid,ask\nt,1,2\n" + "9" * 140_000 + ",1,2\n", encoding="utf-8")
+    monkeypatch.setattr(calibration, "_CHUNK_BYTES", chunk)
+    with pytest.raises(ValidationError, match="field larger than field limit"):
+        read_quotes_csv(path)
+
+
+# The numpy cell parser against float(), cell by cell.
+
+def _cells_text(cells):
+    """``cells`` one to a line after the 24 zero bytes that pad each chunk,
+    with the end and the length of each."""
+    body = "".join(cell + "\n" for cell in cells).encode("ascii")
+    text = np.frombuffer(bytes(24) + body, np.uint8)
+    end = np.flatnonzero(text[24:] == ord("\n"))
+    return text, end, np.diff(end, prepend=-1) - 1
+
+
+_DIGITS = st.text("0123456789", max_size=21)
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=0.0).map(lambda x: "%.17g" % x),
+    st.tuples(st.sampled_from(["", "-", "+"]), _DIGITS, st.sampled_from(["", "."]),
+              _DIGITS).map("".join),
+    st.text("0123456789.-+eE_ \t", max_size=26),
+)
+_FLOAT_CELLS = [
+    "9007199254740993", "9007199254740993.0", "0.5", "0.125", "1024.0", "1234567890123456789",
+    "12345678901234567890", ".5", "5.", ".", "-", "-0", "-0.0", "007.5", "1e-05", " 27.83",
+    "94.76572718746066215", "-945.3254248583684216",  # a long double rounds to a midpoint
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELL, min_size=1, max_size=40), st.booleans())
+@example(_FLOAT_CELLS, True)
+@example(_FLOAT_CELLS, False)
+@example(["0.1000000000000000055511151231257827", "100.02954940902025", "-99.9"], True)
+def test_numpy_cells_are_bitwise_float(cells, long_division):
+    text, end, length = _cells_text(cells)
+    with mock.patch.object(float_text, "_LONG_DIVISION",
+                           long_division and float_text._LONG_DIVISION):
+        values, fast = float_text._decimal_cells(text, end, length)
+        read = float_text._float_cells(text, end, length)
+    for cell, value, taken in zip(cells, values.tolist(), fast.tolist()):
+        if taken:
+            assert np.float64(value).tobytes() == np.float64(float(cell)).tobytes(), cell
+    try:
+        want = np.array([float(cell) for cell in cells])
+    except ValueError:
+        assert read is None
+    else:
+        assert read.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("long_division", [True, False])
+def test_numpy_cells_leave_only_the_unproven_to_float(monkeypatch, long_division):
+    monkeypatch.setattr(float_text, "_LONG_DIVISION", long_division and float_text._LONG_DIVISION)
+    text, end, length = _cells_text(_FLOAT_CELLS)
+    _, fast = float_text._decimal_cells(text, end, length)
+    one_by_one = {cell for cell, taken in zip(_FLOAT_CELLS, fast.tolist()) if not taken}
+    unproven = {"12345678901234567890", ".", "-", "1e-05", " 27.83"}
+    # 2^53 + 1 is a float64 midpoint, and so are the long double quotients
+    # of the last two; M >= 2^53 is past Clinger's fast path too
+    unproven |= {"9007199254740993", "9007199254740993.0", "94.76572718746066215",
+                 "-945.3254248583684216"}
+    if not float_text._LONG_DIVISION:
+        unproven.add("1234567890123456789")
+    assert one_by_one == unproven
