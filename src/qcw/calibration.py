@@ -611,7 +611,8 @@ def _plain_columns(path, expected_header: list[str], names) -> list | None:
     quote, a NUL or a bare CR. The body is read in chunks of
     :data:`_CHUNK_BYTES` into one buffer after :data:`_WIDTH` zeros, each
     chunk cut after its last LF, and the rest held for the next; a byte
-    outside :data:`_PLAIN_BYTES` gives None.
+    outside :data:`_PLAIN_BYTES` gives None. The cells go into one table
+    with a row per column, so that no chunk's arrays outlive it.
     """
     wanted_header = [name.lower() for name in expected_header]
     try:
@@ -637,7 +638,7 @@ def _plain_columns(path, expected_header: list[str], names) -> list | None:
             break
         n_fields, indexes = len(expected_header), [expected_header.index(name) for name in names]
         buf = bytearray(_WIDTH + _CHUNK_BYTES)
-        columns = [np.empty(0) for _ in names]
+        table = np.empty((len(names), 0))
         held, filled, got = 0, 0, True
         while got:
             if _WIDTH + held == len(buf):  # a line longer than the buffer
@@ -656,19 +657,18 @@ def _plain_columns(path, expected_header: list[str], names) -> list | None:
             rows = _chunk_rows(buf, end, n_fields, indexes)
             if rows is None:
                 return None
-            if filled + len(rows) > columns[0].size:
-                # room for the whole file at this chunk's bytes per row, grown in place
+            if filled + len(rows) > table.shape[1]:
+                # room for the whole file at this chunk's bytes per row; the
+                # columns are views, and pages past their end are never written
                 room = int(1.1 * os.fstat(handle.fileno()).st_size * len(rows) / (end - _WIDTH))
-                for column in columns:
-                    column.resize(max(room, 2 * column.size, filled + len(rows)), refcheck=False)
-            for column, cells in zip(columns, rows.T):
-                column[filled:filled + len(rows)] = cells
+                grown = np.empty((len(names), max(room, 2 * table.shape[1], filled + len(rows))))
+                grown[:, :filled] = table[:, :filled]
+                table = grown
+            table[:, filled:filled + len(rows)] = rows.T
             filled += len(rows)
             held = size - end
             buf[_WIDTH:_WIDTH + held] = buf[end:size]
-    for column in columns:
-        column.resize(filled, refcheck=False)
-    return columns
+    return list(table[:, :filled])
 
 
 def _read_floats(path, expected_header: list[str], names) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ from oracles import (
     score_is_negative_by_bessel,
     spreads_by_row,
 )
+from test_golden import _write_repr_quotes
 from qcw import (
     FitResult,
     SpreadLaw,
@@ -689,19 +690,6 @@ def test_header_only_file_reads_empty_without_warning(tmp_path):
     assert bid.size == ask.size == 0
 
 
-def _benchmark_shaped(path, rows=2000, seed=5):
-    """A quote file shaped like the benchmark's: integer timestamps and the
-    17-digit ``repr`` of prices around a random walk."""
-    rng = np.random.default_rng(seed)
-    spreads = sample_spread(SpreadLaw(xi1=0.10, kappa1=0.05), rng, rows)
-    bid = 100.0 * np.exp(np.cumsum(0.0005 * rng.standard_normal(rows))) - 0.5 * spreads
-    lines = ["timestamp,bid,ask"] + [
-        f"{1_577_836_800 + k},{b!r},{a!r}"
-        for k, (b, a) in enumerate(zip(bid.tolist(), (bid + spreads).tolist()))
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 @pytest.mark.parametrize("chunk", [7, 64, 4096])
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(_READERS).flatmap(lambda r: st.tuples(st.just(r), _csv_text(r[1]))))
@@ -722,7 +710,7 @@ def test_reading_does_not_depend_on_the_chunk_size(chunk, case):
 @pytest.mark.parametrize("chunk", [7, 64, 4096])
 def test_chunks_are_cut_at_line_ends_in_numpy(tmp_path, monkeypatch, chunk):
     path = tmp_path / "quotes.csv"
-    _benchmark_shaped(path)
+    _write_repr_quotes(path, 2000)
     want = _read_csv(path, ["timestamp", "bid", "ask"], {"bid": float, "ask": float})
     monkeypatch.setattr(calibration, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(calibration, "_read_csv", _no_oracle)
