@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .float_text import _WIDTH, _float_cells
 
 __all__ = [
     "MIN_FIT_SAMPLES",
@@ -550,9 +549,6 @@ def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
     }
 
 
-# csv's default field size limit: ``_read_csv`` rejects a longer cell.
-_FIELD_LIMIT = 131072
-
 # The fast path reads a body in chunks of this many bytes, into one buffer
 # that grows only for a line longer than it.
 _CHUNK_BYTES = 1 << 18
@@ -564,56 +560,20 @@ _CHUNK_BYTES = 1 << 18
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
 
 
-def _rows(text: np.ndarray, n_fields: int, indexes):
-    """The float cells of the columns ``indexes``, one row each, of the lines
-    in ``text[24:]``, which each end in LF; None where a line has not
-    ``n_fields`` fields, a field reaches csv's limit, or float() raises."""
-    body = text[_WIDTH:]
-    seps = body == ord(",")
-    seps |= body == ord("\n")
-    seps = np.flatnonzero(seps)
-    rows = seps.size // n_fields
-    line_ends = body[seps] == ord("\n")
-    gaps = np.diff(seps, prepend=-1)  # each field's length, plus one
-    if (
-        seps.size != rows * n_fields
-        or np.count_nonzero(line_ends) != rows
-        or not line_ends[n_fields - 1::n_fields].all()
-        or gaps.max(initial=0) > _FIELD_LIMIT
-    ):
-        return None
-    length = gaps.reshape(rows, n_fields)[:, indexes].ravel()
-    length -= 1
-    values = _float_cells(text, seps.reshape(rows, n_fields)[:, indexes].ravel(), length)
-    return None if values is None else values.reshape(rows, len(indexes))
-
-
-def _chunk_rows(buf: bytearray, end: int, n_fields: int, indexes):
-    """:func:`_rows` of the lines in ``buf[24:end]``, as csv reads them:
-    CRLF is a line end and blank lines are skipped; None on a bare CR."""
-    if buf[end - 1] == ord("\n") and buf.find(b"\r", _WIDTH, end) < 0:
-        rows = _rows(np.frombuffer(buf, np.uint8, end), n_fields, indexes)
-        if rows is not None:
-            return rows
-    # CRLF, a blank line, no LF at the end, or a row to refuse: once more, by line
-    text = bytes(buf[_WIDTH:end]).replace(b"\r\n", b"\n")
-    if b"\r" in text:
-        return None
-    lines = b"".join(line + b"\n" for line in text.split(b"\n") if line)
-    return _rows(np.frombuffer(bytes(_WIDTH) + lines, np.uint8), n_fields, indexes)
-
-
 def _plain_columns(path, expected_header: list[str], names) -> list | None:
     """The float columns ``names`` of a CSV, parsed in numpy, or None where
     they might differ from what ``_read_csv`` returns.
 
     The header is found under ``_read_csv``'s rules, on lines without a
     quote, a NUL or a bare CR. The body is read in chunks of
-    :data:`_CHUNK_BYTES` into one buffer after :data:`_WIDTH` zeros, each
-    chunk cut after its last LF, and the rest held for the next; a byte
-    outside :data:`_PLAIN_BYTES` gives None. The cells go into one table
-    with a row per column, so that no chunk's arrays outlive it.
+    :data:`_CHUNK_BYTES` into one buffer after 24 zeros, each chunk cut
+    after its last LF, and the rest held for the next; a byte outside
+    :data:`_PLAIN_BYTES` gives None. The cells go into one table with a row
+    per column, so that no chunk's arrays outlive it.
     """
+    # deferred: only the fit inputs need the numpy reader
+    from .float_text import _FIELD_LIMIT, _WIDTH, _csv_floats
+
     wanted_header = [name.lower() for name in expected_header]
     try:
         handle = open(path, "rb")
@@ -654,7 +614,7 @@ def _plain_columns(path, expected_header: list[str], names) -> list | None:
             if end <= _WIDTH:
                 held += got
                 continue
-            rows = _chunk_rows(buf, end, n_fields, indexes)
+            rows = _csv_floats(buf, end, n_fields, indexes)
             if rows is None:
                 return None
             if filled + len(rows) > table.shape[1]:

@@ -4,8 +4,9 @@ for the fit inputs.
 ``_fmt_column`` writes a column by one ``repr`` of its list. ``_path_rows``
 writes the rows of ``path.csv`` in numpy, by shortest round-trip decimals
 it proves equal to ``repr``'s, and leaves the rest to ``repr``.
-``_float_cells`` reads decimal cells in numpy where it proves the value
-equal to ``float()``'s, and leaves the rest to ``float()``.
+``_csv_floats`` reads the float cells of comma-separated lines: in numpy
+where it proves the value equal to ``float()``'s, and by ``float()`` for
+the rest.
 """
 
 from __future__ import annotations
@@ -307,3 +308,46 @@ def _float_cells(text: np.ndarray, end: np.ndarray, length: np.ndarray):
     except ValueError:
         return None
     return values
+
+
+# csv's default field size limit: the streaming reader rejects a longer cell.
+_FIELD_LIMIT = 131072
+
+
+def _line_floats(text: np.ndarray, n_fields: int, indexes):
+    """The float cells of the columns ``indexes``, one row each, of the lines
+    in ``text[24:]``, which each end in LF; None where a line has not
+    ``n_fields`` fields, a field reaches csv's limit, or float() raises."""
+    body = text[_WIDTH:]
+    seps = body == ord(",")
+    seps |= body == ord("\n")
+    seps = np.flatnonzero(seps)
+    rows = seps.size // n_fields
+    line_ends = body[seps] == ord("\n")
+    gaps = np.diff(seps, prepend=-1)  # each field's length, plus one
+    if (
+        seps.size != rows * n_fields
+        or np.count_nonzero(line_ends) != rows
+        or not line_ends[n_fields - 1::n_fields].all()
+        or gaps.max(initial=0) > _FIELD_LIMIT
+    ):
+        return None
+    length = gaps.reshape(rows, n_fields)[:, indexes].ravel()
+    length -= 1
+    values = _float_cells(text, seps.reshape(rows, n_fields)[:, indexes].ravel(), length)
+    return None if values is None else values.reshape(rows, len(indexes))
+
+
+def _csv_floats(buf: bytearray, end: int, n_fields: int, indexes):
+    """:func:`_line_floats` of the lines in ``buf[24:end]``, as csv reads them:
+    CRLF is a line end and blank lines are skipped; None on a bare CR."""
+    if buf[end - 1] == ord("\n") and buf.find(b"\r", _WIDTH, end) < 0:
+        rows = _line_floats(np.frombuffer(buf, np.uint8, end), n_fields, indexes)
+        if rows is not None:
+            return rows
+    # CRLF, a blank line, no LF at the end, or a row to refuse: once more, by line
+    text = bytes(buf[_WIDTH:end]).replace(b"\r\n", b"\n")
+    if b"\r" in text:
+        return None
+    lines = b"".join(line + b"\n" for line in text.split(b"\n") if line)
+    return _line_floats(np.frombuffer(bytes(_WIDTH) + lines, np.uint8), n_fields, indexes)

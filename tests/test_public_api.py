@@ -129,14 +129,15 @@ def test_import_and_simulation_load_no_scipy(code, tmp_path):
 
 
 def test_import_qcw_does_not_load_the_command_line(tmp_path):
-    # qcw.cli builds the tables of its path.csv writer at import; only the
-    # commands need them.
+    # qcw.float_text builds the tables of the path.csv writer at import, and
+    # qcw.cli imports it; only the commands and the fit inputs need them.
+    code = "import sys, qcw; print('qcw.cli' in sys.modules, 'qcw.float_text' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, qcw; print('qcw.cli' in sys.modules)"],
+        [sys.executable, "-c", code],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_fit_loads_scipy_special_but_not_optimize(tmp_path):
