@@ -205,7 +205,7 @@ def _path_rows(chunks):
 # 0s; the midpoint below a power of two lies in the binade below and ends
 # so too. Without such long doubles, Clinger's fast path (M < 2^53, 10^f
 # exact in float64) rounds once. Every other cell is left to float().
-_WIDTH = 24  # bytes of a cell's window, and of the zeros before a text that hold it
+_WIDTH = 24  # bytes of a cell's window, and of the zeros that precede each text
 _LONG_DIVISION = bool(
     np.finfo(np.longdouble).nmant == 63
     and np.longdouble(1).tobytes()[:8] == (1 << 63).to_bytes(8, "little")
