@@ -76,6 +76,7 @@ def _write_bars(path: Path, n: int = 20_000) -> None:
 
 
 _BARS = {"input": "bars.csv", "format": "ohlc", "ohlc_mode": "relative"}
+_CRASH_PATH = {k: v for k, v in _shipped("imbalance_crash").items() if k not in ("n_paths", "bins")}
 
 #: Run name -> (command, config). Each run writes into a directory of its name.
 RUNS = {
@@ -84,6 +85,8 @@ RUNS = {
     "simulate_10k_seed4242": ("simulate", _shipped("simulate_balanced", n_steps=10_000, seed=4242)),
     "imbalance_balanced_36": ("imbalance", _shipped("imbalance_balanced", n_paths=36)),
     "imbalance_crash_36": ("imbalance", _shipped("imbalance_crash", n_paths=36)),
+    "simulate_crash_coupled": ("simulate", _CRASH_PATH),
+    "simulate_crash_collapse": ("simulate", dict(_CRASH_PATH, post_trade="collapse")),
     "fit_quotes": ("fit", _shipped("fit_quotes")),
     "fit_quotes_repr17": ("fit", _shipped("fit_quotes")),
     "fit_ohlc_relative": ("fit", _shipped("fit_quotes", **_BARS)),
