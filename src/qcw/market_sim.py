@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -311,16 +311,17 @@ def _path_chunks(config: SimConfig, params: ModelParams):
     k0 + 1, ..., its :class:`_Block` rows of shape (steps,), as
     :func:`_lockstep_chunks` yields them for an array of paths.
 
-    A step runs over the draws and rotations of :func:`_chunk`, so it
-    computes only what depends on the state; in ``imbalance-coupled`` mode
-    kappa follows the state, and the rotation is formed step by step,
-    rounded as :func:`_rotations` rounds it. The amplitudes are stepped in
-    the frame of the mid: the global phase of
+    A step runs over the draws and rotations of :func:`_chunk` and keeps
+    what the next step reads: the mid, the half-spread, the side and the
+    imbalance, and in ``imbalance-coupled`` mode kappa, which follows the
+    state, delta, the angle's finiteness and the rotation, rounded as
+    :func:`_rotations` rounds them. The rest goes to :func:`_settle` once per
+    chunk, as in :func:`_lockstep_chunk`. The amplitudes are stepped in the
+    frame of the mid: the global phase of
     :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is not
     computed. The mid and the half-difference come from the halves of the
     diagonal: bitwise :func:`~qcw.operator_core.eigenprices`' wherever the
-    halves are exact (|s11|, |s22| >= 2^-1021 or 0). A step that fails a
-    check goes to :func:`_abort` once its trade price is known.
+    halves are exact (|s11|, |s22| >= 2^-1021 or 0).
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -341,70 +342,72 @@ def _path_chunks(config: SimConfig, params: ModelParams):
         m = min(_CHUNK_STEPS, n - k0)
         with np.errstate(all="ignore"):
             dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
-        kappas = [0.0] * m  # filled where kappa follows the state
-        bids, asks, sides, imbs, half_deltas, deltas = ([0.0] * m for _ in range(6))
-        steps = (dz, xi, uniforms, *(rotations or [None] * 6), *(scramble or [None] * 2),
-                 kappa if coupled else None)
-
-        for j, (dz_j, xi_j, u, half_k, delta, finite_angle, c, x, p,
-                sc, ss, k_noise) in enumerate(zip(*map(column, steps))):
-            if coupled:
-                i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
-                kappa = c_i * min(1.0, max(-1.0, i_now)) + k_noise
-                kappas[j] = kappa
-                half_k = abs(0.5 * kappa)
-                delta = _norm2(xi_j, abs(kappa))
-                phi = 0.5 * delta * dt / scale
-                finite_angle = isfinite(phi)
-
-            # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
-            # from the halves h11, h22 of the diagonal
-            common = s_trade + s_trade * sigma * dz_j
-            h11 = 0.5 * (common + 0.5 * xi_j)
-            h22 = 0.5 * (common - 0.5 * xi_j)
-            half_delta = _norm2(h11 - h22, half_k)
-            s_mid = h11 + h22
-            ask = s_mid + half_delta
-            bid = s_mid - half_delta
-
-            if coupled:  # as _rotations rounds it; the identity where delta = 0
-                c, x, p = 1.0, 0.0, 0.0
-                if delta != 0.0 and finite_angle:  # an infinite angle aborts below
-                    s = sin(phi)
-                    c = cos(phi)
-                    x = xi_j / delta * s
-                    p = kappa / delta * s
-            # the bracket in propagate's order, in the frame of the mid: the global
-            # phase exp(-1j*s_mid*dt/scale) is left out, since no probability sees it
-            # (the coupling products with the zero imaginary part of kappa only add +-0)
-            ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
-                              p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
-            norm = ar * ar + ai * ai + br * br + bi * bi
-            if abs(norm - 1.0) > RENORM_TRIGGER and delta != 0.0:
-                r = 1.0 / sqrt(norm)
-                ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
-
-            p_ask = ar * ar + ai * ai
-            side = u < p_ask
-            price = ask if side else bid
-            if not (price > 0.0 and isfinite(ask) and isfinite(bid) and finite_angle):
-                _abort(k0 + j, ask, bid, finite_angle, price)
-            bids[j] = bid
-            asks[j] = ask
-            sides[j] = side
-            imbs[j] = p_ask - (br * br + bi * bi)
-            half_deltas[j] = half_delta
-            deltas[j] = delta
-            if collapse:
-                ar, ai, br, bi = (1.0, 0.0, 0.0, 0.0) if side else (0.0, 0.0, 1.0, 0.0)
+            if coupled:  # kappa is the noise; the coupling follows the state
+                noise, rotations = kappa, [None] * 6
+                kappa, deltas, finite_angles = ([0.0] * m for _ in range(3))
             else:
-                ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
-            s_trade = price
+                noise, (deltas, finite_angles) = None, rotations[1:3]
+            mids, half_deltas, sides, imbs = ([0.0] * m for _ in range(4))
+            steps = (dz, 0.5 * xi, uniforms, rotations[0], *rotations[3:],
+                     *(scramble or [None] * 2), xi if coupled else None, noise)
 
-        bids, asks, sides = np.array(bids), np.array(asks), np.array(sides, dtype=bool)
-        yield k0, _Block(bids, asks, np.where(sides, asks, bids), sides, np.clip(imbs, -1.0, 1.0),
-                         xi, np.array(kappas) if coupled else kappa,
-                         np.array(half_deltas), np.array(deltas))
+            for j, (dz_j, half_xi, u, k2, c, x, p, sc, ss, xi_j,
+                    k_noise) in enumerate(zip(*map(column, steps))):
+                if coupled:  # the rotation as _rotations rounds it; the identity where delta = 0
+                    i_now = (ar * ar + ai * ai) - (br * br + bi * bi)
+                    kappa_j = kappa[j] = c_i * min(1.0, max(-1.0, i_now)) + k_noise
+                    k2 = 0.5 * kappa_j
+                    k2 *= k2
+                    delta = sqrt(xi_j * xi_j + kappa_j * kappa_j)
+                    if not _NORM2_LO <= delta < _NORM2_HI:
+                        delta = _norm2(xi_j, abs(kappa_j))
+                    deltas[j] = delta
+                    phi = 0.5 * delta * dt / scale
+                    finite_angle = finite_angles[j] = isfinite(phi)
+                    c, x, p = 1.0, 0.0, 0.0
+                    if delta != 0.0 and finite_angle:  # an infinite angle aborts in the settle
+                        s = sin(phi)
+                        c = cos(phi)
+                        x = xi_j / delta * s
+                        p = kappa_j / delta * s
+
+                # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
+                # from the halves h11, h22 of the diagonal
+                common = s_trade + s_trade * sigma * dz_j
+                h11 = 0.5 * (common + half_xi)
+                h22 = 0.5 * (common - half_xi)
+                d = h11 - h22
+                half_delta = sqrt(d * d + k2)
+                if not _NORM2_LO <= half_delta < _NORM2_HI:
+                    half_delta = _norm2(d, abs(0.5 * kappa[j]))
+                s_mid = mids[j] = h11 + h22
+                half_deltas[j] = half_delta
+
+                # the bracket in propagate's order, in the frame of the mid: the global
+                # phase exp(-1j*s_mid*dt/scale) is left out, since no probability sees it
+                # (the coupling products with the zero imaginary part of kappa only add +-0)
+                ar, ai, br, bi = ((c * ar + x * ai) + p * bi, (c * ai - x * ar) - p * br,
+                                  p * ai + (c * br - x * bi), (c * bi + x * br) - p * ar)
+                p_ask = ar * ar + ai * ai  # the norm's first partial sum
+                norm = p_ask + br * br + bi * bi
+                if abs(norm - 1.0) > RENORM_TRIGGER and deltas[j] != 0.0:
+                    r = 1.0 / sqrt(norm)
+                    ar, ai, br, bi = ar * r, ai * r, br * r, bi * r
+                    p_ask = ar * ar + ai * ai
+
+                side = sides[j] = u < p_ask
+                imbs[j] = p_ask - (br * br + bi * bi)
+                if collapse:
+                    ar, ai, br, bi = (1.0, 0.0, 0.0, 0.0) if side else (0.0, 0.0, 1.0, 0.0)
+                else:
+                    ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
+                s_trade = s_mid + half_delta if side else s_mid - half_delta
+
+            mids, half_deltas, sides, imbs, kappa, deltas, finite_angles = map(
+                np.asarray, (mids, half_deltas, sides, imbs, kappa, deltas, finite_angles))
+            bids, asks = mids - half_deltas, mids + half_deltas
+            prices = _settle(k0, bids, asks, sides, finite_angles, imbs)
+        yield k0, _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
 
 
 class _Block(NamedTuple):
@@ -426,8 +429,8 @@ class _Block(NamedTuple):
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     """The step unitary of :func:`~qcw.wave_dynamics.propagate` for arrays of draws.
 
-    Returns ``(half_k, delta, finite_angle, c, x, p)``: ``half_k`` =
-    abs(kappa/2) for the levels, delta = sqrt(xi^2 + kappa^2) rounded as
+    Returns ``(half_k2, delta, finite_angle, c, x, p)``: ``half_k2`` =
+    (kappa/2)^2 for the half-spread, delta = sqrt(xi^2 + kappa^2) rounded as
     ``propagate`` and the levels round it (:func:`_norm2_array`), whether
     the angle phi = delta*dt/(2*scale) is finite, and the bracket
     [[c - i*x, -i*p], [-i*p, c + i*x]] rounded as ``propagate`` rounds it
@@ -446,7 +449,7 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
             e[idle] = 0.0
         return e
 
-    return np.abs(0.5 * kappa), delta, np.isfinite(phi), np.cos(phi), entry(xi), entry(kappa)
+    return np.square(0.5 * kappa), delta, np.isfinite(phi), np.cos(phi), entry(xi), entry(kappa)
 
 
 def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collapse: bool):
@@ -527,20 +530,17 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
     them. The amplitude pair is propagated in the frame of the mid: the
     global phase exp(-1j*s_mid*dt/scale) of
     :func:`~qcw.wave_dynamics.propagate` is not computed, since no
-    probability sees it. What no later step reads is settled once per chunk:
-    the trade prices, taken from the sides, the abort test, whose first
-    failing step and lowest failing path there go to :func:`_abort`, and the
-    imbalance clip. Steps after an abort in the same chunk run on whatever
+    probability sees it. What no later step reads goes to :func:`_settle`
+    once per chunk. Steps after an abort in the same chunk run on whatever
     values it left, and nothing of them is kept.
 
     A step makes few numpy calls over the paths, each rounding as
     :func:`simulate_path` does, and writes every kept row through ``out=``.
-    The half-spread is sqrt(d*d + k^2), k^2 squared once per chunk outside
-    ``imbalance-coupled`` mode; :func:`_norm2_array` scales it only when the
-    row's least or largest value leaves that function's window. The four
-    squares of the amplitudes serve the norm, p_ask and the imbalance, and
-    one maximum of |norm - 1| decides whether any path may need
-    renormalizing.
+    The half-spread is sqrt(d*d + k^2), k^2 from :func:`_rotations`;
+    :func:`_norm2_array` scales it only when the row's least or largest
+    value leaves that function's window. The four squares of the amplitudes
+    serve the norm, p_ask and the imbalance, and one maximum of |norm - 1|
+    decides whether any path may need renormalizing.
     """
     coupled = config.mode == MODE_IMBALANCE_COUPLED
     collapse = config.post_trade == POST_TRADE_COLLAPSE
@@ -559,7 +559,6 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
             finite_angles = np.empty((m, n_paths), dtype=bool)
         else:
             deltas, finite_angles = rotations[1:3]
-            np.square(rotations[0], out=rotations[0])  # |kappa/2|^2 in place
         half_xi = 0.5 * xi
 
         for j in range(m):
@@ -572,7 +571,6 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 half_k2, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
                 deltas[j] = delta
                 finite_angles[j] = finite_angle
-                half_k2 *= half_k2
             else:
                 half_k2, delta, _, c, x, p = (r[j] for r in rotations)
 
@@ -628,32 +626,33 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 sc, ss = (r[j] for r in scramble)
                 ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
-        prices = np.where(sides, asks, bids)
-        ok = np.isfinite(asks) & np.isfinite(bids)
-        ok &= finite_angles
-        ok &= prices > 0.0
-        steps_ok = ok.all(axis=1)
-        if not steps_ok.all():
-            j = int(steps_ok.argmin())
-            k = int(ok[j].argmin())
-            _abort(k0 + j, *(r[j, k] for r in (asks, bids, finite_angles, prices)), path=k)
-        np.clip(imbs, -1.0, 1.0, out=imbs)
+        prices = _settle(k0, bids, asks, sides, finite_angles, imbs)
     block = _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
     return block, (ar, ai, br, bi, s_trade)
 
 
-def _abort(step: int, ask, bid, finite_angle, price, path: int | None = None) -> NoReturn:
-    """Raise the abort of one path at a ``step`` that fails a check: the
-    first it fails of finite levels, finite rotation angle and positive trade
-    price. Both kernels raise every abort here; the message names ``path``
-    if given.
-    """
-    where = f"step {step}" if path is None else f"step {step} of path {path}"
-    if not (math.isfinite(ask) and math.isfinite(bid)):
-        raise ValidationError(f"price levels are not finite at {where}")
-    if not finite_angle:
-        raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
-    raise PricePositivityError(step, float(price), path=path)
+def _settle(k0: int, bids, asks, sides, finite_angles, imbs) -> np.ndarray:
+    """What no later step reads, once per chunk of rows (steps,) or (steps,
+    paths): the trade prices, returned, and the imbalance clip, in place. The
+    first failing step, at its lowest failing path, raises the first check it
+    fails of finite levels, finite angle and positive price; the message
+    names the path for an array of paths."""
+    prices = np.where(sides, asks, bids)
+    ok = np.isfinite(asks) & np.isfinite(bids)
+    ok &= finite_angles
+    ok &= prices > 0.0
+    if not ok.all():
+        j = int(ok.reshape(len(ok), -1).all(axis=1).argmin())
+        path = int(ok[j].argmin()) if ok.ndim > 1 else None
+        at, step = (j if path is None else (j, path)), k0 + j
+        where = f"step {step}" if path is None else f"step {step} of path {path}"
+        if not (np.isfinite(asks[at]) and np.isfinite(bids[at])):
+            raise ValidationError(f"price levels are not finite at {where}")
+        if not finite_angles[at]:
+            raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
+        raise PricePositivityError(step, float(prices[at]), path=path)
+    np.clip(imbs, -1.0, 1.0, out=imbs)
+    return prices
 
 
 def q_of_i(ensemble: list[PathSeries], bins: int = 41) -> Histogram:
