@@ -177,14 +177,36 @@ def test_ask_frequency_tracks_mean_ask_probability():
     assert abs(ask_fraction - p_ask.mean()) < 3.0 * se
 
 
-def test_positivity_guard_aborts_with_step_index():
+COUPLED_FROM_BID = dict(mode="imbalance-coupled", c_i=1.0,
+                        initial_state=StateVector.from_imbalance(-0.5))
+
+
+def test_positivity_guard_aborts_with_step_index(monkeypatch):
     params = ModelParams(
         sigma=0.0, xi0=0.0, xi1=2.0, kappa0=0.0, kappa1=0.0, tau=1.0, s0=100.0, dt=1.0
     )
-    with pytest.raises(PricePositivityError) as err:
-        simulate_path(balanced_config(n_steps=5000, initial_price=0.5, seed=11), params)
-    assert err.value.step >= 0
-    assert err.value.price <= 0.0
+    # (seed, chunk steps, config overrides, aborting step): step 0 of one
+    # chunk; in 7-step chunks, inside a later chunk (17 = 2*7 + 3) and on a
+    # chunk's last step (853 = 121*7 + 6); in imbalance-coupled mode on a
+    # chunk's last step under collapse (468 = 66*7 + 6) and inside the second
+    # chunk under phase-scramble (9 = 7 + 2)
+    cases = [
+        (11, qcw.market_sim._CHUNK_STEPS, {}, 0),
+        (35, 7, {}, 17),
+        (38, 7, {}, 853),
+        (48, 7, dict(COUPLED_FROM_BID, post_trade="collapse"), 468),
+        (37, 7, COUPLED_FROM_BID, 9),
+    ]
+    for seed, chunk_steps, overrides, step in cases:
+        config = balanced_config(n_steps=5000, initial_price=0.5, seed=seed, **overrides)
+        with pytest.raises(PricePositivityError) as ref:
+            simulate_path_by_steps(config, params)
+        monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", chunk_steps)
+        with pytest.raises(PricePositivityError) as err:
+            simulate_path(config, params)
+        assert err.value.step == ref.value.step == step
+        assert np.float64(err.value.price).tobytes() == np.float64(ref.value.price).tobytes()
+        assert err.value.price <= 0.0 and err.value.path is None
 
 
 def test_collapse_mode_pins_state_to_executed_level():
@@ -804,6 +826,33 @@ def test_phase_scramble_imbalance_follows_the_one_step_law_in_mean(name, tau):
     # Power: the law without the rotation (I_k = I_{k-1} in the mean) is
     # off by 14.6-18.6 (balanced) and 57-60 (crash) standard errors.
     assert abs(z_score(raw)) >= 10.0
+
+
+def test_bid_fraction_falls_across_the_ergodicity_crossover():
+    # The mean imbalance decays like exp(-M), M = -sum_k log(1 - 2*(kappa_k/delta_k)^2
+    # * sin^2(phi_k)). A crash path starts far on the bid side and keeps
+    # trading there while M is small; past M ~ 1 it mixes, and its bid
+    # fraction nears 1/2. On the crash config at tau = 1 (shipped), 0.01 and
+    # 0.001 the median M over paths is about 4e-5, 0.31 and 2.1, and the
+    # median bid fraction must fall at each step. Over seeds 100-139 the two
+    # falls had mean 0.059 and 0.371, sd 0.0090 and 0.0097, and the median M
+    # at tau = 0.01 and 0.001 mean 0.315 and 2.08, sd 0.013 and 0.18; each
+    # bound is its mean -+ 5 sd.
+    config, params = shipped("imbalance_crash.json")
+    medians, decay = [], []
+    for tau in (1.0, 0.01, 0.001):
+        params = replace(params, tau=tau)
+        paths = simulate_ensemble(config, params, 100)
+        medians.append(np.median([path.bid_fraction() for path in paths]))
+        xi, kappa = (np.stack([getattr(path, f) for path in paths]) for f in ("xi", "kappa"))
+        delta = np.sqrt(xi * xi + kappa * kappa)
+        phi = delta * params.dt / (2.0 * params.tau * params.s0)
+        factor = 1.0 - 2.0 * (kappa / delta) ** 2 * np.sin(phi) ** 2
+        decay.append(np.median(-np.log(factor).sum(axis=1)))
+    assert decay[1] <= 0.315 + 5 * 0.013 < 1.0 < 2.08 - 5 * 0.18 <= decay[2]
+    falls = -np.diff(medians)
+    assert falls[0] >= 0.059 - 5 * 0.0090
+    assert falls[1] >= 0.371 - 5 * 0.0097
 
 
 def test_phase_scramble_balanced_imbalance_is_uniform():
