@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from array import array
 from itertools import repeat
 from typing import NamedTuple
 
@@ -335,8 +336,8 @@ def _path_chunks(config: SimConfig, params: ModelParams):
     s_trade = config.initial_price
     unused = repeat(None)  # stands in for a column that a mode does not use
 
-    def column(values):  # the Python values of a chunk's column, one per step
-        return unused if values is None else values.tolist()
+    def column(values):  # the Python values of a chunk's column, made one step at a time
+        return unused if values is None else array("d", values.tobytes())
 
     for k0 in range(0, n, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, n - k0)
@@ -403,8 +404,9 @@ def _path_chunks(config: SimConfig, params: ModelParams):
                     ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
                 s_trade = s_mid + half_delta if side else s_mid - half_delta
 
-            mids, half_deltas, sides, imbs, kappa, deltas, finite_angles = map(
-                np.asarray, (mids, half_deltas, sides, imbs, kappa, deltas, finite_angles))
+            mids, half_deltas, imbs, kappa, deltas = (
+                np.asarray(v, dtype=float) for v in (mids, half_deltas, imbs, kappa, deltas))
+            sides, finite_angles = (np.asarray(v, dtype=bool) for v in (sides, finite_angles))
             bids, asks = mids - half_deltas, mids + half_deltas
             prices = _settle(k0, bids, asks, sides, finite_angles, imbs)
         yield k0, _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
@@ -642,9 +644,8 @@ def _settle(k0: int, bids, asks, sides, finite_angles, imbs) -> np.ndarray:
     ok &= finite_angles
     ok &= prices > 0.0
     if not ok.all():
-        j = int(ok.reshape(len(ok), -1).all(axis=1).argmin())
-        path = int(ok[j].argmin()) if ok.ndim > 1 else None
-        at, step = (j if path is None else (j, path)), k0 + j
+        at = np.unravel_index(ok.argmin(), ok.shape)  # row-major: the first step, then path
+        step, path = k0 + int(at[0]), (int(at[1]) if ok.ndim > 1 else None)
         where = f"step {step}" if path is None else f"step {step} of path {path}"
         if not (np.isfinite(asks[at]) and np.isfinite(bids[at])):
             raise ValidationError(f"price levels are not finite at {where}")
