@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from array import array
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 

@@ -76,6 +76,7 @@ def _write_bars(path: Path, n: int = 20_000) -> None:
 
 
 _BARS = {"input": "bars.csv", "format": "ohlc", "ohlc_mode": "relative"}
+#: one path of the crash config: ``qcw simulate`` takes no ``n_paths`` or ``bins``
 _CRASH_PATH = {k: v for k, v in _shipped("imbalance_crash").items() if k not in ("n_paths", "bins")}
 
 #: Run name -> (command, config). Each run writes into a directory of its name.

@@ -177,14 +177,12 @@ def test_ask_frequency_tracks_mean_ask_probability():
     assert abs(ask_fraction - p_ask.mean()) < 3.0 * se
 
 
-COUPLED_FROM_BID = dict(mode="imbalance-coupled", c_i=1.0,
-                        initial_state=StateVector.from_imbalance(-0.5))
-
-
 def test_positivity_guard_aborts_with_step_index(monkeypatch):
     params = ModelParams(
         sigma=0.0, xi0=0.0, xi1=2.0, kappa0=0.0, kappa1=0.0, tau=1.0, s0=100.0, dt=1.0
     )
+    coupled = dict(mode="imbalance-coupled", c_i=1.0,
+                   initial_state=StateVector.from_imbalance(-0.5))
     # (seed, chunk steps, config overrides, aborting step): step 0 of one
     # chunk; in 7-step chunks, inside a later chunk (17 = 2*7 + 3) and on a
     # chunk's last step (853 = 121*7 + 6); in imbalance-coupled mode on a
@@ -194,8 +192,8 @@ def test_positivity_guard_aborts_with_step_index(monkeypatch):
         (11, qcw.market_sim._CHUNK_STEPS, {}, 0),
         (35, 7, {}, 17),
         (38, 7, {}, 853),
-        (48, 7, dict(COUPLED_FROM_BID, post_trade="collapse"), 468),
-        (37, 7, COUPLED_FROM_BID, 9),
+        (48, 7, dict(coupled, post_trade="collapse"), 468),
+        (37, 7, coupled, 9),
     ]
     for seed, chunk_steps, overrides, step in cases:
         config = balanced_config(n_steps=5000, initial_price=0.5, seed=seed, **overrides)
