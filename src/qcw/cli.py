@@ -20,7 +20,6 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import os
 import reprlib
 import sys
@@ -48,10 +47,10 @@ from .market_sim import (
     POST_TRADE_SCRAMBLE,
     SimConfig,
     _lockstep_chunks,
+    _log_return,
     _path_chunks,
     _pooled_q_of_i,
     _pooled_summary,
-    _residual_max,
 )
 from .spread_stats import Histogram, SpreadLaw, spread_pdf
 from .stochastic_model import ModelParams
@@ -280,12 +279,12 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed) -> None:
         bids, resid_max = 0, 0.0
         for k0, block in _path_chunks(sim, params):
             bids += block.at_ask.size - int(np.count_nonzero(block.at_ask))
-            resid_max = max(resid_max, float(_residual_max(block)))
+            resid_max = max(resid_max, float(block.residual_max))
             final_price = float(block.s_trade[-1])
             yield k0, block
         summary.update(
             final_price=final_price,
-            net_log_return=math.log(final_price / sim.initial_price),
+            net_log_return=_log_return(final_price, sim.initial_price),
             bid_fraction=bids / sim.n_steps,
             spread_residual_max=resid_max,
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -61,8 +62,8 @@ _CHUNK_STEPS = 4096
 #: Elements (steps x paths) of one lockstep chunk, which takes
 #: max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // n_paths)) steps: a full
 #: chunk of up to 256 paths, fewer steps beyond, so that its working memory
-#: does not grow with the path count: 118-158 B a path-step by mode and
-#: post-trade rule, about 165 MB (README, "How an ensemble runs"). Outputs
+#: does not grow with the path count: 107-147 B a path-step by mode and
+#: post-trade rule, about 154 MB (README, "How an ensemble runs"). Outputs
 #: do not depend on it.
 _CHUNK_ELEMENTS = 2**20
 
@@ -139,7 +140,14 @@ class PathSeries:
         return float(np.mean(~self.at_ask))
 
     def net_log_return(self) -> float:
-        return float(math.log(float(self.s_trade[-1]) / self.initial_price))
+        return _log_return(float(self.s_trade[-1]), self.initial_price)
+
+
+def _log_return(final: float, initial: float) -> float:
+    """log(final/initial); from the two logs where the quotient is not a normal float."""
+    ratio = final / initial
+    normal = sys.float_info.min <= ratio <= sys.float_info.max
+    return math.log(ratio) if normal else math.log(final) - math.log(initial)
 
 
 def _child_seed(ss: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -290,7 +298,7 @@ def _collect(chunks, config: SimConfig, seeds: list) -> list[PathSeries]:
         span = slice(k0, k0 + len(block.xi))
         for column, rows in zip(columns, block):
             column[:, span] = rows.T
-        np.maximum(resid_max, _residual_max(block), out=resid_max)
+        np.maximum(resid_max, block.residual_max, out=resid_max)
         del block, rows  # free the chunk before the kernel draws the next
 
     t = np.arange(n, dtype=np.int64)
@@ -301,12 +309,6 @@ def _collect(chunks, config: SimConfig, seeds: list) -> list[PathSeries]:
     ]
 
 
-def _residual_max(block) -> np.ndarray:
-    """Per path, the largest |2*half_delta - delta| of a block: ``spread_residual_max``."""
-    with np.errstate(all="ignore"):
-        return np.abs(2.0 * block.half_delta - block.delta).max(axis=0)
-
-
 def _path_chunks(config: SimConfig, params: ModelParams):
     """One path on plain floats: ``(k0, block)`` for each chunk of steps k0,
     k0 + 1, ..., its :class:`_Block` rows of shape (steps,), as
@@ -315,10 +317,10 @@ def _path_chunks(config: SimConfig, params: ModelParams):
     A step runs over the draws and rotations of :func:`_chunk` and keeps
     what the next step reads: the mid, the half-spread, the side and the
     imbalance, and in ``imbalance-coupled`` mode kappa, which follows the
-    state, delta, the angle's finiteness and the rotation, rounded as
-    :func:`_rotations` rounds them. The rest goes to :func:`_settle` once per
-    chunk, as in :func:`_lockstep_chunk`. The amplitudes are stepped in the
-    frame of the mid: the global phase of
+    state, delta and the rotation, rounded as :func:`_rotations` rounds
+    them. The rest, angle test and spread residual included, goes to
+    :func:`_settle` once per chunk, as in :func:`_lockstep_chunk`. The
+    amplitudes are stepped in the frame of the mid: the global phase of
     :func:`~qcw.wave_dynamics.propagate`, which no probability sees, is not
     computed. The mid and the half-difference come from the halves of the
     diagonal: bitwise :func:`~qcw.operator_core.eigenprices`' wherever the
@@ -344,12 +346,12 @@ def _path_chunks(config: SimConfig, params: ModelParams):
         with np.errstate(all="ignore"):
             dz, xi, kappa, rotations, uniforms, scramble = _chunk(rngs, m, params, coupled, collapse)
             if coupled:  # kappa is the noise; the coupling follows the state
-                noise, rotations = kappa, [None] * 6
-                kappa, deltas, finite_angles = ([0.0] * m for _ in range(3))
+                noise, rotations = kappa, [None] * 5
+                kappa, deltas = [0.0] * m, [0.0] * m
             else:
-                noise, (deltas, finite_angles) = None, rotations[1:3]
+                noise, deltas = None, rotations[1]
             mids, half_deltas, sides, imbs = ([0.0] * m for _ in range(4))
-            steps = (dz, 0.5 * xi, uniforms, rotations[0], *rotations[3:],
+            steps = (dz, 0.5 * xi, uniforms, rotations[0], *rotations[2:],
                      *(scramble or [None] * 2), xi if coupled else None, noise)
 
             for j, (dz_j, half_xi, u, k2, c, x, p, sc, ss, xi_j,
@@ -364,9 +366,8 @@ def _path_chunks(config: SimConfig, params: ModelParams):
                         delta = _norm2(xi_j, abs(kappa_j))
                     deltas[j] = delta
                     phi = 0.5 * delta * dt / scale
-                    finite_angle = finite_angles[j] = isfinite(phi)
                     c, x, p = 1.0, 0.0, 0.0
-                    if delta != 0.0 and finite_angle:  # an infinite angle aborts in the settle
+                    if delta != 0.0 and isfinite(phi):  # an infinite angle aborts in the settle
                         s = sin(phi)
                         c = cos(phi)
                         x = xi_j / delta * s
@@ -406,16 +407,16 @@ def _path_chunks(config: SimConfig, params: ModelParams):
 
             mids, half_deltas, imbs, kappa, deltas = (
                 np.asarray(v, dtype=float) for v in (mids, half_deltas, imbs, kappa, deltas))
-            sides, finite_angles = (np.asarray(v, dtype=bool) for v in (sides, finite_angles))
             bids, asks = mids - half_deltas, mids + half_deltas
-            prices = _settle(k0, bids, asks, sides, finite_angles, imbs)
-        yield k0, _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
+            block = _settle(k0, params, bids, asks, np.asarray(sides, dtype=bool), imbs, xi, kappa,
+                            half_deltas, deltas)
+        yield k0, block
 
 
 class _Block(NamedTuple):
-    """The rows of one chunk, each a (steps, paths) array, or (steps,) from
-    :func:`_path_chunks`: the columns of :class:`PathSeries` and the two
-    spreads of its residual."""
+    """The rows of one chunk, each (steps, paths), or (steps,) from
+    :func:`_path_chunks`: the columns of :class:`PathSeries`; and per path
+    the largest spread residual |2*half_delta - delta| over the chunk."""
 
     s_bid: np.ndarray
     s_ask: np.ndarray
@@ -424,20 +425,18 @@ class _Block(NamedTuple):
     imbalance: np.ndarray
     xi: np.ndarray
     kappa: np.ndarray
-    half_delta: np.ndarray
-    delta: np.ndarray
+    residual_max: np.ndarray
 
 
 def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
     """The step unitary of :func:`~qcw.wave_dynamics.propagate` for arrays of draws.
 
-    Returns ``(half_k2, delta, finite_angle, c, x, p)``: ``half_k2`` =
-    (kappa/2)^2 for the half-spread, delta = sqrt(xi^2 + kappa^2) rounded as
-    ``propagate`` and the levels round it (:func:`_norm2_array`), whether
-    the angle phi = delta*dt/(2*scale) is finite, and the bracket
-    [[c - i*x, -i*p], [-i*p, c + i*x]] rounded as ``propagate`` rounds it
-    (zero signs aside, which no output sees). Where delta = 0 the bracket is
-    the identity.
+    Returns ``(half_k2, delta, c, x, p)``: ``half_k2`` = (kappa/2)^2 for the
+    half-spread, delta = sqrt(xi^2 + kappa^2) rounded as ``propagate`` and
+    the levels round it (:func:`_norm2_array`), and the bracket
+    [[c - i*x, -i*p], [-i*p, c + i*x]] of the angle phi = delta*dt/(2*scale)
+    rounded as ``propagate`` rounds it (zero signs aside, which no output
+    sees): the identity where delta = 0. :func:`_settle` tests phi.
     """
     delta = _norm2_array(xi, np.abs(kappa))
     phi = 0.5 * delta * dt / scale
@@ -451,7 +450,7 @@ def _rotations(xi: np.ndarray, kappa: np.ndarray, dt: float, scale: float):
             e[idle] = 0.0
         return e
 
-    return np.square(0.5 * kappa), delta, np.isfinite(phi), np.cos(phi), entry(xi), entry(kappa)
+    return np.square(0.5 * kappa), delta, np.cos(phi), entry(xi), entry(kappa)
 
 
 def _chunk(rngs: np.ndarray, m: int, params: ModelParams, coupled: bool, collapse: bool):
@@ -532,9 +531,10 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
     them. The amplitude pair is propagated in the frame of the mid: the
     global phase exp(-1j*s_mid*dt/scale) of
     :func:`~qcw.wave_dynamics.propagate` is not computed, since no
-    probability sees it. What no later step reads goes to :func:`_settle`
-    once per chunk. Steps after an abort in the same chunk run on whatever
-    values it left, and nothing of them is kept.
+    probability sees it. What no later step reads, angle test and spread
+    residual included, goes to :func:`_settle` once per chunk, after the
+    draws are dropped. Steps after an abort in the same chunk run on
+    whatever values it left, and nothing of them is kept.
 
     A step makes few numpy calls over the paths, each rounding as
     :func:`simulate_path` does, and writes every kept row through ``out=``.
@@ -558,9 +558,8 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
         if coupled:  # kappa is the noise; the coupling follows the state
             noise = kappa
             kappa, deltas = np.empty((m, n_paths)), np.empty((m, n_paths))
-            finite_angles = np.empty((m, n_paths), dtype=bool)
         else:
-            deltas, finite_angles = rotations[1:3]
+            deltas = rotations[1]
         half_xi = 0.5 * xi
 
         for j in range(m):
@@ -570,11 +569,10 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 np.minimum(i_now, 1.0, out=i_now)
                 i_now *= c_i
                 np.add(i_now, noise[j], out=kappa[j])
-                half_k2, delta, finite_angle, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
+                half_k2, delta, c, x, p = _rotations(xi[j], kappa[j], dt, scale)
                 deltas[j] = delta
-                finite_angles[j] = finite_angle
             else:
-                half_k2, delta, _, c, x, p = (r[j] for r in rotations)
+                half_k2, delta, c, x, p = (r[j] for r in rotations)
 
             # levels: the eigenvalues of [[common + xi/2, kappa/2], [., common - xi/2]],
             # from the halves h11, h22 of the diagonal
@@ -628,18 +626,21 @@ def _lockstep_chunk(config: SimConfig, params: ModelParams, rngs: np.ndarray, k0
                 sc, ss = (r[j] for r in scramble)
                 ar, ai = ar * sc - ai * ss, ar * ss + ai * sc
 
-        prices = _settle(k0, bids, asks, sides, finite_angles, imbs)
-    block = _Block(bids, asks, prices, sides, imbs, xi, kappa, half_deltas, deltas)
+        del dz, uniforms, scramble, rotations  # the settle then stays below the loop's peak
+        block = _settle(k0, params, bids, asks, sides, imbs, xi, kappa, half_deltas, deltas)
     return block, (ar, ai, br, bi, s_trade)
 
 
-def _settle(k0: int, bids, asks, sides, finite_angles, imbs) -> np.ndarray:
-    """What no later step reads, once per chunk of rows (steps,) or (steps,
-    paths): the trade prices, returned, and the imbalance clip, in place. The
-    first failing step, at its lowest failing path, raises the first check it
-    fails of finite levels, finite angle and positive price; the message
-    names the path for an array of paths."""
+def _settle(k0: int, params: ModelParams, bids, asks, sides, imbs, xi, kappa, half_deltas,
+            deltas) -> _Block:
+    """The :class:`_Block` of a chunk's rows (steps,) or (steps, paths), with
+    what no later step reads: the trade prices, the imbalance clip (in place)
+    and each path's largest |2*half_delta - delta|. The first failing step,
+    at its lowest failing path, raises the first check it fails of finite
+    levels, finite angle delta*dt/(2*tau*s0) (rounded as the steps round it)
+    and positive price; the message names the path for an array of paths."""
     prices = np.where(sides, asks, bids)
+    finite_angles = np.isfinite(0.5 * deltas * params.dt / (params.tau * params.s0))
     ok = np.isfinite(asks) & np.isfinite(bids)
     ok &= finite_angles
     ok &= prices > 0.0
@@ -653,7 +654,8 @@ def _settle(k0: int, bids, asks, sides, finite_angles, imbs) -> np.ndarray:
             raise ValidationError(f"rotation angle delta*dt/(2*tau*s0) is not finite at {where}")
         raise PricePositivityError(step, float(prices[at]), path=path)
     np.clip(imbs, -1.0, 1.0, out=imbs)
-    return prices
+    residual_max = np.abs(2.0 * half_deltas - deltas).max(axis=0)
+    return _Block(bids, asks, prices, sides, imbs, xi, kappa, residual_max)
 
 
 def q_of_i(ensemble: list[PathSeries], bins: int = 41) -> Histogram:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -176,7 +177,7 @@ def test_column_formatting_matches_repr_per_float(rows):
         seed=0,
         spread_residual_max=0.0,
     )
-    columns = (bid, ask, series.s_trade, at_ask, imb, series.xi, series.kappa, bid, bid)
+    columns = (bid, ask, series.s_trade, at_ask, imb, series.xi, series.kappa, bid)
     blocks = [  # several chunks per example
         (k0, market_sim._Block(*(c[k0 : k0 + 7] for c in columns)))
         for k0 in range(0, len(rows), 7)
@@ -305,6 +306,40 @@ def test_simulate_outputs_do_not_depend_on_chunking(tmp_path, monkeypatch, capsy
     collected = [float(series.s_trade[-1]), series.net_log_return(), series.bid_fraction(),
                  series.spread_residual_max]
     assert list(map(float.hex, folded)) == list(map(float.hex, collected))
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and the infinities, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_simulate_summary_is_strict_json_past_the_float_quotient(tmp_path, capsys):
+    # final_price / initial_price overflows at a subnormal initial price
+    config = shipped_config(tmp_path, "simulate_balanced.json", initial_price=5e-324, n_steps=1,
+                            seed=1)
+    code, _, files = run_simulate(config, tmp_path / "out", capsys)
+    assert code == 0
+    summary = strict_json(files["summary.json"])
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    series = simulate_path(_sim_config(cfg, cfg["seed"]), _model_params(cfg))
+    assert summary["final_price"] / 5e-324 == math.inf
+    assert math.isfinite(summary["net_log_return"])
+    assert summary["net_log_return"] == series.net_log_return()
+
+
+@pytest.mark.parametrize("final, initial", [
+    (0.013893325798238838, 5e-324),  # the quotient overflows
+    (5e-324, 1e300),  # it underflows to 0
+    (1e-300, 1e10),  # it is subnormal
+])
+def test_log_return_past_the_normal_quotients_matches_exact_logs(final, initial):
+    # a normal quotient keeps math.log(final / initial), which the golden outputs hold
+    with decimal.localcontext() as context:
+        context.prec = 40
+        exact = decimal.Decimal(final).ln() - decimal.Decimal(initial).ln()
+    assert market_sim._log_return(final, initial) == pytest.approx(float(exact), rel=1e-15, abs=0)
 
 
 def test_simulate_abort_in_a_later_chunk_leaves_no_table(tmp_path, monkeypatch, capsys):

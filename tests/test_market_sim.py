@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -427,6 +428,37 @@ def test_lockstep_chunks_hold_one_chunk_at_a_time(name, monkeypatch):
     assert peak(5) <= 1.05 * peak(1)
 
 
+# README, "How an ensemble runs": a chunk's working memory, bytes a path-step
+CHUNK_BYTES_PER_PATH_STEP = {
+    ("balanced", "phase-scramble"): 147,
+    ("balanced", "collapse"): 131,
+    ("imbalance-coupled", "phase-scramble"): 124,
+    ("imbalance-coupled", "collapse"): 108,
+}
+
+
+@pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
+@pytest.mark.parametrize("name", ["imbalance_balanced.json", "imbalance_crash.json"])
+def test_lockstep_chunk_working_memory_is_within_the_readme_figure(name, post_trade, monkeypatch):
+    # the README's measurement on two 256-step chunks of 64 paths, the
+    # generators built before tracing starts
+    n_paths, rows = 64, 256
+    monkeypatch.setattr(qcw.market_sim, "_CHUNK_ELEMENTS", n_paths * rows)
+    config, params = shipped(name)
+    config = replace(config, n_steps=2 * rows, post_trade=post_trade)
+    rngs = _child_rngs(np.random.SeedSequence(config.seed), n_paths,
+                       2 if post_trade == "collapse" else 3)
+    monkeypatch.setattr(qcw.market_sim, "_child_rngs", lambda *sizes: rngs)
+    tracemalloc.start()
+    try:
+        for _, block in _lockstep_chunks(config, params, n_paths):
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_paths * rows) <= CHUNK_BYTES_PER_PATH_STEP[config.mode, post_trade]
+
+
 def test_kernel_rejects_non_finite_propagation_phase():
     # finite levels near 1e300, whose global phase s_mid*dt/(tau*s0) would
     # overflow: neither kernel computes it, and both run to the end as the
@@ -449,6 +481,48 @@ def test_kernel_rejects_non_finite_rotation_angle():
         simulate_path(config, params)
     with pytest.raises(ValidationError, match="rotation angle .* at step 0 of path 0$"):
         simulate_ensemble(config, params, 3)
+
+
+# (post-trade rule, threshold, seed, first abort as (step, path)): in 7-step
+# chunks, in a later chunk (27 is one's last step), and not at the lowest
+# path that aborts
+@pytest.mark.parametrize("post_trade, threshold, seed, first", [
+    ("phase-scramble", 0.05, 1, (40, 1)),
+    ("phase-scramble", 0.05, 2, (14, 3)),
+    ("collapse", 0.055, 8, (27, 3)),
+])
+def test_kernels_reject_non_finite_rotation_angle_past_step_0(post_trade, threshold, seed, first,
+                                                             monkeypatch):
+    # the crash model with phi = delta*dt/(2*tau*s0) past float range wherever
+    # delta exceeds the threshold, as the coupling c_i*I(t) grows along a path
+    config, params = shipped("imbalance_crash.json")
+    params = replace(params, dt=1e300, s0=1.0, tau=threshold * 1e300 / 2 / sys.float_info.max)
+    config = replace(config, n_steps=60, seed=seed, post_trade=post_trade)
+    monkeypatch.setattr(qcw.market_sim, "_CHUNK_STEPS", 7)
+
+    def oracle_raises(path_config, n_steps):
+        try:
+            simulate_path_by_steps(replace(path_config, n_steps=n_steps), params)
+        except ValidationError:
+            return True
+        return False
+
+    root = np.random.SeedSequence(seed)
+    aborts = []
+    for k in range(4):
+        path_config = replace(config, seed=_child_seed(root, k))
+        # the oracle's first abort: one step before the shortest run that raises
+        step = next((n - 1 for n in range(1, 61) if oracle_raises(path_config, n)), None)
+        if step is None:
+            simulate_path(path_config, params)
+            continue
+        with pytest.raises(ValidationError, match=f"rotation angle .* at step {step}$"):
+            simulate_path(path_config, params)
+        aborts.append((step, k))
+    assert min(aborts) == first
+    with pytest.raises(ValidationError,
+                       match=f"rotation angle .* at step {first[0]} of path {first[1]}$"):
+        simulate_ensemble(config, params, 4)
 
 
 @pytest.mark.parametrize("post_trade", ["phase-scramble", "collapse"])
