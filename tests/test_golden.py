@@ -1,4 +1,5 @@
-"""Golden outputs: the sha256 of every file a set of command runs writes.
+"""Golden outputs: the sha256 of every file a set of command runs writes,
+and of every file the benchmark's own operations write at full size.
 
 Determinism within one tree is criterion 10; this checks it across trees.
 A change that moves any output bit fails here. If the change is meant, it
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -29,6 +31,8 @@ from qcw.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS_DIR = ROOT / "configs"
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
+#: The seed at which the benchmark's own operations are run, at full size.
+BENCH_SEED = 1201
 
 
 def _shipped(name: str, **overrides) -> dict:
@@ -101,8 +105,27 @@ INPUTS = {
 }
 
 
+def _bench_inputs():
+    """``perfbench/inputs.py``, loaded by path: ``perfbench`` is no package."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(name: str, command: str, config: Path, out: Path, digests: dict) -> None:
+    """Run ``qcw command`` on ``config`` into ``out``; record the sha256 of each output."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(out)])
+    assert code == 0, f"{name}: qcw {command} exited with {code}"
+    for path in sorted(out.iterdir()):
+        digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def output_digests(work: Path) -> dict:
-    """Run every entry of :data:`RUNS` under ``work``; sha256 of each output file."""
+    """Run every entry of :data:`RUNS`, then every operation of the
+    benchmark's workloads at :data:`BENCH_SEED`, under ``work``; sha256 of
+    each output file."""
     digests = {}
     for name, (command, cfg) in RUNS.items():
         run_dir = work / name
@@ -111,12 +134,13 @@ def output_digests(work: Path) -> dict:
             INPUTS[name](run_dir / cfg["input"])
         config = run_dir / "config.json"
         config.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
-        out = run_dir / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(config), "--out", str(out)])
-        assert code == 0, f"{name}: qcw {command} exited with {code}"
-        for path in sorted(out.iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        _run(name, command, config, run_dir / "out", digests)
+    bench = _bench_inputs()
+    for workload in bench.WORKLOADS:
+        inputs = work / f"bench_{workload}"
+        for op in bench.generate(workload, BENCH_SEED, inputs, CONFIGS_DIR)["ops"]:
+            name = f"bench_{workload}_{Path(op['config']).stem}"
+            _run(name, op["command"], inputs / op["config"], work / name, digests)
     return digests
 
 
