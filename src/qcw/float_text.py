@@ -2,8 +2,9 @@
 for the fit inputs.
 
 ``_fmt_column`` writes a column by one ``repr`` of its list. ``_path_rows``
-writes the rows of ``path.csv`` in numpy, by shortest round-trip decimals
-it proves equal to ``repr``'s, and leaves the rest to ``repr``.
+writes the rows of ``path.csv`` from one byte matrix: each float by the
+shortest round-trip decimals it proves equal to ``repr``'s, and by
+``repr`` where it cannot.
 ``_csv_floats`` reads the float cells of comma-separated lines: in numpy
 where it proves the value equal to ``float()``'s, and by ``float()`` for
 the rest.
@@ -113,9 +114,10 @@ def _shortest_digits(v: np.ndarray):
 
 
 def _float_fields(v: np.ndarray):
-    """``(ok, fields)``: ``repr`` of each ``v`` where ``ok``, in the NUL-padded
-    rows of column ``fields[:, i]``: the sign, the integer part ending at one
-    row for all, '.', then the fraction."""
+    """``(ok, fields)``: ``repr`` of each ``v``, down the NUL-padded rows of
+    column ``fields[:, i]``. Where ``ok`` the digit proof wrote it: the sign,
+    the integer part ending at one row for all, '.', then the fraction.
+    Elsewhere ``repr`` wrote it, from the top row."""
     ok, digits, scale, zeros = _shortest_digits(v)
     n_int = np.maximum(16 + (digits >= 10**16) + (digits >= 10**17) - scale, 1)
     n_frac = np.maximum(scale - zeros, 1)
@@ -131,31 +133,24 @@ def _float_fields(v: np.ndarray):
     body = sliding_window_view(padded.view(np.uint8).ravel(), width)[starts].T
     rows = np.arange(width)[:, None]
     keep = (rows >= int_width - n_int) & (rows < int_width + n_frac)
-    fields = np.empty((width + 2, len(v)), dtype=np.uint8)
+    bad = np.flatnonzero(~ok)
+    texts = _fmt_column(v[bad]) if bad.size else []
+    height = max([width + 2, *map(len, texts)])
+    fields = np.zeros((height, len(v)), dtype=np.uint8)
     fields[0] = (v < 0) * ord("-")
     np.multiply(body[:int_width], keep[:int_width], out=fields[1 : int_width + 1])
     fields[int_width + 1] = _DOT
-    np.multiply(body[int_width:], keep[int_width:], out=fields[int_width + 2 :])
+    np.multiply(body[int_width:], keep[int_width:], out=fields[int_width + 2 : width + 2])
+    by_repr = "".join(text.ljust(height, "\0") for text in texts).encode("ascii")
+    fields[:, bad] = np.frombuffer(by_repr, np.uint8).reshape(bad.size, height).T
     return ok, fields
 
 
-def _rows_by_repr(t, bid, ask, at_ask, imb) -> list[str]:
-    """The rows of ``path.csv`` by one ``repr`` per float."""
-    rows = []
-    for t, bid, ask, at_ask, imb in zip(
-        t.tolist(), _fmt_column(bid), _fmt_column(ask), at_ask.tolist(), _fmt_column(imb)
-    ):
-        trade, side = (ask, "ask") if at_ask else (bid, "bid")
-        rows.append(f"{t},{bid},{ask},{trade},{side},{imb}\n")
-    return rows
-
-
-def _path_bytes(k0: int, block):
-    """``(ok, raw, width)``: the rows of a chunk as ``raw`` bytes, ``width``
-    each, NUL-padded; rows not ``ok`` hold a float that only ``repr`` writes."""
+def _path_bytes(k0: int, block) -> bytes:
+    """The rows of a chunk, each NUL-padded to one width."""
     n, at_ask = block.at_ask.size, block.at_ask
-    price_ok, prices = _float_fields(np.concatenate((block.s_bid, block.s_ask)))
-    imb_ok, imbs = _float_fields(block.imbalance)
+    _, prices = _float_fields(np.concatenate((block.s_bid, block.s_ask)))
+    _, imbs = _float_fields(block.imbalance)
     t = np.arange(k0, k0 + n, dtype=np.int64)
     t_digits = np.searchsorted(_POW10[1:19], t, side="right") + 1
     t_width = int(t_digits[-1])
@@ -171,29 +166,17 @@ def _path_bytes(k0: int, block):
         mat[b0 : b1 - 1] = field
         mat[b1 - 1] = _COMMA
     mat[-1] = ord("\n")
-    return price_ok[:n] & price_ok[n:] & imb_ok, mat.T.tobytes(), len(mat)
+    return mat.T.tobytes()
 
 
 def _path_rows(chunks):
     """``path.csv`` text of a simulated path, one piece of rows per ``(k0, block)`` chunk.
 
-    A chunk's rows are written from :func:`_path_bytes` without their NULs;
-    the few that hold a float :func:`_shortest_digits` cannot prove are
-    formatted by ``repr`` and spliced in. ``s_trade`` is bitwise the
-    executed level, so its text is that level's.
+    A chunk's rows are :func:`_path_bytes` without their NULs. ``s_trade``
+    is bitwise the executed level, so its text is that level's.
     """
     for k0, block in chunks:
-        ok, raw, width = _path_bytes(k0, block)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            lines = _rows_by_repr(k0 + bad, *(c[bad] for c in (
-                block.s_bid, block.s_ask, block.at_ask, block.imbalance)))
-            pieces, start = [], 0
-            for row, line in zip(bad.tolist(), lines):
-                pieces += [raw[start * width : row * width], line.encode("ascii")]
-                start = row + 1
-            raw = b"".join(pieces) + raw[start * width :]
-        yield raw.translate(None, b"\0").decode("ascii")
+        yield _path_bytes(k0, block).translate(None, b"\0").decode("ascii")
 
 
 # Decimal cells in numpy. A cell -?d*.?d* of 1-19 digits is the integer M of
