@@ -18,9 +18,9 @@ def is_finite_number(value) -> bool:
 
 def finite_number(convert, value, what: str):
     """``convert(value)``, for ``convert`` float or complex, where that is
-    finite and ``value`` is not a bool; :class:`ValidationError` naming
-    ``what`` otherwise, also where the conversion fails or overflows."""
-    if not isinstance(value, (bool, np.bool_)):
+    finite and ``value`` is neither a bool nor text; :class:`ValidationError`
+    naming ``what`` otherwise, also where the conversion fails or overflows."""
+    if not isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
         try:
             number = convert(value)
         except (TypeError, ValueError, OverflowError):

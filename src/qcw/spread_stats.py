@@ -115,7 +115,8 @@ def spread_pdf(delta, law: SpreadLaw):
     scalar = np.ndim(delta) == 0
     u, c, s, abs_b = _unit_frame(delta, law)
     uu = u * u
-    out = (u / s) * np.exp(-0.5 * uu) * bessel_i0_scaled(abs_b * uu) / c
+    with np.errstate(over="ignore"):  # at scales below about 1e-308 the density is inf
+        out = (u / s) * np.exp(-0.5 * uu) * bessel_i0_scaled(abs_b * uu) / c
     out = np.where(u < 0.0, 0.0, out)
     return float(out[0]) if scalar else out
 
@@ -271,15 +272,19 @@ class Histogram:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ValidationError("cannot histogram an empty sample set")
-        counts, edges = np.histogram(values, bins=bins, range=value_range)
+        try:
+            counts, edges = np.histogram(values, bins=bins, range=value_range)
+        except ValueError as exc:  # e.g. too many bins for a subnormal data range
+            raise ValidationError(f"cannot histogram into bins={bins}: {exc}") from None
         total = counts.sum()
         if total == 0:
             raise ValidationError("all samples fall outside the histogram range")
         return cls(edges=edges, masses=counts / total, count=int(values.size))
 
     def densities(self) -> np.ndarray:
-        """Per-bin probability density (mass / bin width)."""
-        return self.masses / np.diff(self.edges)
+        """Per-bin probability density (mass / bin width); inf past float range."""
+        with np.errstate(over="ignore"):
+            return self.masses / np.diff(self.edges)
 
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])

@@ -128,11 +128,14 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
 
-def test_simulate_path_csv_matches_row_by_row_formatter(tmp_path):
-    # the shipped 5000-step path spans two formatting chunks
-    cfg = json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("overrides", [{}, {"initial_price": 1e20}], ids=["shipped", "exponent"])
+def test_simulate_path_csv_matches_row_by_row_formatter(tmp_path, overrides):
+    # The shipped 5000-step path spans two formatting chunks. At 1e20 every
+    # price is in exponent notation, so repr writes each one, across whole chunks.
+    cfg = dict(json.loads((CONFIGS_DIR / "simulate_balanced.json").read_text(encoding="utf-8")),
+               **overrides)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(CONFIGS_DIR / "simulate_balanced.json"),
+    assert main(["simulate", "--config", str(write_config(tmp_path, "simulate.json", cfg)),
                  "--out", str(out)]) == 0
     series = simulate_path(_sim_config(cfg, cfg["seed"]), _model_params(cfg))
     text = (out / "path.csv").read_bytes().decode("utf-8")
@@ -191,7 +194,7 @@ def test_column_formatting_matches_repr_per_float(rows):
 
 
 def fast_texts(values):
-    """The numpy formatter's text of each value, and where it is its own."""
+    """The numpy formatter's text of each value, and where its digit proof wrote it."""
     ok, fields = float_text._float_fields(np.asarray(values, dtype=float))
     rows = np.vstack([fields, np.full((1, fields.shape[1]), ord("\n"), dtype=np.uint8)])
     return ok, rows.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
@@ -224,7 +227,7 @@ def test_numpy_formatter_matches_repr():
         EDGE_FLOATS,
     ])
     ok, texts = fast_texts(values)
-    wrong = [(v, t) for v, fast, t in zip(values.tolist(), ok, texts) if fast and t != repr(v)]
+    wrong = [(v, t) for v, t in zip(values.tolist(), texts) if t != repr(v)]
     assert wrong == []
     in_fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
     assert not ok[~in_fixed].any()
@@ -623,6 +626,24 @@ def test_fit_at_1e200_scale(tmp_path):
     for column in table.values():
         assert np.all(np.isfinite(column))
     assert np.all(table["model_density"] > 0.0)
+
+
+def test_fit_on_subnormal_spreads(tmp_path, capsys):
+    # Spreads of 5e-324 to 2.4e-322: numpy cannot cut their range into 1000
+    # bins, and every density passes float range.
+    m = np.random.default_rng(4).integers(1, 50, 200)
+    lines = ["timestamp,bid,ask"] + [f"{k},5e-324,{(j + 1) * 5e-324!r}"
+                                     for k, j in enumerate(m.tolist())]
+    (tmp_path / "quotes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = {"input": "quotes.csv", "format": "quotes", "bins": 1000}
+    cfg = write_config(tmp_path, "fit.json", config)
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    assert "bins" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "fit.json", dict(config, bins=10))
+    out = tmp_path / "b"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
+    assert 0.0 < fit["xi1_hat"] < math.inf and 0.0 < fit["kappa1_hat"] < math.inf
 
 
 def test_fit_malformed_row_names_line(tmp_path, capsys):

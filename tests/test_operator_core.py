@@ -171,9 +171,10 @@ def test_rejects_non_finite_elements():
     "elements",
     [
         (10**400, 0.0), (1.0, 0.0, 10**400), (True, 0.0), (1.0, 0.0, np.True_),
-        (1.0, None), (1.0, "one"),
+        (1.0, None), (1.0, "one"), ("1", 2.0, "0.5"), (1.0, b"2"),
     ],
-    ids=["huge_int", "huge_int_coupling", "bool", "numpy_bool", "none", "text"],
+    ids=["huge_int", "huge_int_coupling", "bool", "numpy_bool", "none", "text", "numeric_text",
+         "numeric_bytes"],
 )
 def test_rejects_elements_that_are_not_finite_numbers(elements):
     with pytest.raises(ValidationError):

@@ -182,11 +182,11 @@ def test_propagate_coupling_modulus_past_float_range_is_validation_error():
         (10**400, 0.1, 1.0, "xi"), ("1", 0.1, 1.0, "xi"), (True, 0.1, 1.0, "xi"),
         (math.nan, 0.1, 1.0, "xi"),
         (0.1, 10**400, 1.0, "kappa"), (0.1, np.True_, 1.0, "kappa"), (0.1, None, 1.0, "kappa"),
-        (0.1, complex(0.0, math.inf), 1.0, "kappa"),
+        (0.1, complex(0.0, math.inf), 1.0, "kappa"), (0.1, "0.5", 1.0, "kappa"),
         (0.1, 0.1, 10**400, "s_mid"), (0.1, 0.1, "1", "s_mid"), (0.1, 0.1, True, "s_mid"),
     ],
     ids=["huge_int", "text", "bool", "nan", "huge_int_kappa", "bool_kappa", "none_kappa",
-         "inf_kappa", "huge_int_mid", "text_mid", "bool_mid"],
+         "inf_kappa", "text_kappa", "huge_int_mid", "text_mid", "bool_mid"],
 )
 def test_propagate_rejects_inputs_that_are_not_finite_numbers(xi, kappa, s_mid, what):
     with pytest.raises(ValidationError, match=f"{what} must be a finite number"):
@@ -311,7 +311,7 @@ def test_norm2_rounds_alike_on_floats_and_arrays(pairs):
 def test_state_validation():
     with pytest.raises(ValidationError):
         StateVector(math.nan, 0.0)
-    for bad in (10**400, True, np.True_, None, "one"):
+    for bad in (10**400, True, np.True_, None, "one", "1"):
         with pytest.raises(ValidationError):
             StateVector(bad, 0.0)
     state = StateVector(np.float32(0.75), np.complex64(0.5j))
