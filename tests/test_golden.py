@@ -66,6 +66,14 @@ def _write_repr_quotes(path: Path, n: int = 20_000) -> None:
                 (range(1_577_836_800, 1_577_836_800 + n), bid.tolist(), (bid + spreads).tolist()))
 
 
+def _write_crlf_quotes(path: Path) -> None:
+    """The rows of :func:`_write_repr_quotes` with CRLF line ends, after a
+    ``#`` line."""
+    _write_repr_quotes(path)
+    body = path.read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(b"# source: a random walk, CRLF line ends\r\n" + body)
+
+
 def _write_bars(path: Path, n: int = 20_000) -> None:
     """OHLC bars whose relative range follows the 20:1 law, in ``repr`` prices."""
     rng = np.random.default_rng(3)
@@ -94,6 +102,7 @@ RUNS = {
     "simulate_crash_collapse": ("simulate", dict(_CRASH_PATH, post_trade="collapse")),
     "fit_quotes": ("fit", _shipped("fit_quotes")),
     "fit_quotes_repr17": ("fit", _shipped("fit_quotes")),
+    "fit_quotes_crlf": ("fit", _shipped("fit_quotes")),
     "fit_ohlc_relative": ("fit", _shipped("fit_quotes", **_BARS)),
 }
 
@@ -101,6 +110,7 @@ RUNS = {
 INPUTS = {
     "fit_quotes": _write_quotes,
     "fit_quotes_repr17": _write_repr_quotes,
+    "fit_quotes_crlf": _write_crlf_quotes,
     "fit_ohlc_relative": _write_bars,
 }
 
