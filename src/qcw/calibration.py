@@ -494,8 +494,9 @@ _COLUMN_STORES = {float: lambda: array("d"), int: lambda: array("q"), str: list}
 
 
 def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
-    """The package's CSV reader: UTF-8, comma-separated, '#' comment lines
-    and blank lines skipped, header matched after strip/lower.
+    """The package's CSV reader: UTF-8 with or without a byte order mark,
+    comma-separated, '#' comment lines and blank lines skipped, header
+    matched after strip/lower. Errors name the file's line.
 
     ``columns`` maps the names of the columns to keep to their type (float,
     int or str). Rows are streamed, so only the kept columns are held: float
@@ -509,14 +510,15 @@ def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
         for name, kind in columns.items()
     ]
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot open input file: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
         header_seen = False
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
+                lineno = reader.line_num  # a quoted cell can span lines
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 if not header_seen:
@@ -553,68 +555,58 @@ def _read_csv(path, expected_header: list[str], columns: dict) -> dict:
 # that grows only for a line longer than it.
 _CHUNK_BYTES = 1 << 18
 
-# The bytes the fast path lets into a body: printable ASCII except '#' (a
-# comment line or cell) and '"' (a quoted cell), plus tab and line ends. On
-# these csv splits a line at its commas, and a cell's bytes are its text:
+# The bytes the fast path lets into a file: printable ASCII except '#' (a
+# comment line or cell) and '"' (a quoted cell), plus tab and LF. On these
+# csv splits a line at its commas, and a cell's bytes are its text:
 # float() reads non-ASCII digits and strips \x1c-\x1f, which are kept out.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n"
 
 
 def _plain_columns(path, expected_header: list[str], names) -> list | None:
     """The float columns ``names`` of a CSV, parsed in numpy, or None where
     they might differ from what ``_read_csv`` returns.
 
-    The header is found under ``_read_csv``'s rules, on lines without a
-    quote, a NUL or a bare CR. The body is read in chunks of
+    numpy reads one layout: the header on the first line, then rows of
+    exactly the header's field count, every line ended by LF and made of
+    :data:`_PLAIN_BYTES`. The body is read in chunks of
     :data:`_CHUNK_BYTES` into one buffer after 24 zeros, each chunk cut
-    after its last LF, and the rest held for the next; a byte outside
-    :data:`_PLAIN_BYTES` gives None. The cells go into one table with a row
-    per column, so that no chunk's arrays outlive it.
+    after its last LF, and the rest held for the next. The cells go into
+    one table with a row per column, so that no chunk's arrays outlive it.
     """
     # deferred: only the fit inputs need the numpy reader
-    from .float_text import _FIELD_LIMIT, _WIDTH, _csv_floats
+    from .float_text import _FIELD_LIMIT, _WIDTH, _line_floats
 
-    wanted_header = [name.lower() for name in expected_header]
     try:
         handle = open(path, "rb")
     except OSError:
         return None
     with handle:
-        while True:
-            line = handle.readline(_FIELD_LIMIT)
-            raw = line.removesuffix(b"\n").removesuffix(b"\r")
-            if not line or len(line) == _FIELD_LIMIT or any(
-                byte in raw for byte in (b'"', b"\0", b"\r")
-            ):
-                return None
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            if not text or text.lstrip().startswith("#"):
-                continue
-            if [cell.strip().lower() for cell in text.split(",")] != wanted_header:
-                return None
-            break
+        line = handle.readline(_FIELD_LIMIT)
+        if not line.endswith(b"\n") or line.translate(None, _PLAIN_BYTES) or [
+            cell.strip().lower() for cell in line[:-1].decode("ascii").split(",")
+        ] != [name.lower() for name in expected_header]:
+            return None
         n_fields, indexes = len(expected_header), [expected_header.index(name) for name in names]
         buf = bytearray(_WIDTH + _CHUNK_BYTES)
         table = np.empty((len(names), 0))
-        held, filled, got = 0, 0, True
-        while got:
+        held, filled = 0, 0
+        while True:
             if _WIDTH + held == len(buf):  # a line longer than the buffer
                 if held > n_fields * _FIELD_LIMIT:
                     return None
                 buf = buf + bytes(len(buf))
             with memoryview(buf) as view:
                 got = handle.readinto(view[_WIDTH + held:])
+            if not got:
+                break
             size = _WIDTH + held + got
             if buf[size - got:size].translate(None, _PLAIN_BYTES):
                 return None
-            end = buf.rfind(b"\n", _WIDTH, size) + 1 if got else size
+            end = buf.rfind(b"\n", _WIDTH, size) + 1
             if end <= _WIDTH:
                 held += got
                 continue
-            rows = _csv_floats(buf, end, n_fields, indexes)
+            rows = _line_floats(np.frombuffer(buf, np.uint8, end), n_fields, indexes)
             if rows is None:
                 return None
             if filled + len(rows) > table.shape[1]:
@@ -628,7 +620,8 @@ def _plain_columns(path, expected_header: list[str], names) -> list | None:
             filled += len(rows)
             held = size - end
             buf[_WIDTH:_WIDTH + held] = buf[end:size]
-    return list(table[:, :filled])
+    # held bytes are a last line with no LF, which csv reads as a row too
+    return None if held else list(table[:, :filled])
 
 
 def _read_floats(path, expected_header: list[str], names) -> list[np.ndarray]:

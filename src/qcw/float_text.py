@@ -5,9 +5,10 @@ for the fit inputs.
 writes the rows of ``path.csv`` from one byte matrix: each float by the
 shortest round-trip decimals it proves equal to ``repr``'s, and by
 ``repr`` where it cannot.
-``_csv_floats`` reads the float cells of comma-separated lines: in numpy
-where it proves the value equal to ``float()``'s, and by ``float()`` for
-the rest.
+``_line_floats`` reads the float cells of comma-separated lines, each
+ended by LF: in numpy where it proves the value equal to ``float()``'s, and
+by ``float()`` for the rest. Any other layout is the streaming CSV
+reader's.
 """
 
 from __future__ import annotations
@@ -320,17 +321,3 @@ def _line_floats(text: np.ndarray, n_fields: int, indexes):
     values = _float_cells(text, seps.reshape(rows, n_fields)[:, indexes].ravel(), length)
     return None if values is None else values.reshape(rows, len(indexes))
 
-
-def _csv_floats(buf: bytearray, end: int, n_fields: int, indexes):
-    """:func:`_line_floats` of the lines in ``buf[24:end]``, as csv reads them:
-    CRLF is a line end and blank lines are skipped; None on a bare CR."""
-    if buf[end - 1] == ord("\n") and buf.find(b"\r", _WIDTH, end) < 0:
-        rows = _line_floats(np.frombuffer(buf, np.uint8, end), n_fields, indexes)
-        if rows is not None:
-            return rows
-    # CRLF, a blank line, no LF at the end, or a row to refuse: once more, by line
-    text = bytes(buf[_WIDTH:end]).replace(b"\r\n", b"\n")
-    if b"\r" in text:
-        return None
-    lines = b"".join(line + b"\n" for line in text.split(b"\n") if line)
-    return _line_floats(np.frombuffer(bytes(_WIDTH) + lines, np.uint8), n_fields, indexes)

@@ -498,6 +498,23 @@ def test_read_quotes_csv_reports_bad_row_number(tmp_path):
         read_quotes_csv(path)
 
 
+def test_bad_row_number_counts_the_lines_of_a_quoted_cell(tmp_path):
+    path = tmp_path / "quotes.csv"
+    path.write_text('timestamp,bid,ask\n"t\n0",27.83,27.87\nt1,27.84\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 4: expected 3 fields"):
+        read_quotes_csv(path)
+
+
+def test_utf8_bom_reads_as_the_file_without_it(tmp_path):
+    text = "timestamp,bid,ask\nt0,27.83,27.87\nt1,27.84,27.88\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = [column.tobytes() for column in read_quotes_csv(plain)]
+    assert [column.tobytes() for column in read_quotes_csv(bom)] == want
+
+
 def test_read_quotes_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "quotes.csv"
     path.write_text("time,bid,ask\nt0,1.0,1.1\n", encoding="utf-8")
@@ -640,6 +657,7 @@ _QUOTES = _READERS[0]
 @example((_QUOTES, "timestamp,bid,ask\n" + "1577836800,100.5,100.75\n" * 12_000))  # past a chunk
 @example((_QUOTES, "timestamp,bid,ask\nt,12345678901234567890,2\n"))  # 20 digits
 @example((_QUOTES, "timestamp,bid,ask\nt,1,.\n"))  # a lone dot
+@example((_QUOTES, "timestamp,bid,ask\n.5"))  # a last line with no LF
 def test_readers_equal_the_streaming_oracle(case):
     (reader, header, names), text = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -659,13 +677,10 @@ def _no_oracle(*args, **kwargs):
 @pytest.mark.parametrize("text", [
     "timestamp,bid,ask\n1577836800,27.83,27.87\n1577836801,27.84,27.88\n",
     "timestamp,bid,ask\n2019-06-03T09:30:00,27.83,27.87\n2019-06-03T09:30:01,27.84,27.88\n",
-    "timestamp,bid,ask\r\nt0,27.83,27.87\r\nt1,27.84,27.88\r\n",
-    "# source: test\n\n  # more, with commas\nTimestamp, Bid ,ASK\nt0,27.83,27.87\nt1,27.84,27.88\n",
-    "timestamp,bid,ask\nt0,27.83,27.87\nt1,27.84,27.88",
+    " Timestamp, Bid ,ASK\nt0,27.83,27.87\nt1,27.84,27.88\n",
     "timestamp,bid,ask\nt0,2.783e1,2787E-2\nt1,2.784E+01,27.88e0\n",
     "timestamp,bid,ask\nt0, 27.83,27.87 \nt1,  27.84\t,\t27.88\n",
-], ids=["numeric-time", "iso-time", "crlf", "comments-before-header", "no-final-newline",
-        "exponents", "space-padded"])
+], ids=["numeric-time", "iso-time", "header-case-and-spaces", "exponents", "space-padded"])
 def test_fast_path_is_taken(tmp_path, monkeypatch, text):
     path = tmp_path / "quotes.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -678,6 +693,37 @@ def test_fast_path_is_taken(tmp_path, monkeypatch, text):
                     encoding="utf-8")
     high, low, close = read_ohlc_csv(path)
     assert (high.tolist(), low.tolist(), close.tolist()) == ([305.0], [298.0], [301.0])
+
+
+_LF_QUOTES = "timestamp,bid,ask\nt0,27.83,27.87\nt1,27.84,27.88\n"
+
+
+@pytest.mark.parametrize("text", [
+    _LF_QUOTES.replace("\n", "\r\n"),
+    _LF_QUOTES.replace("\n", "\r"),
+    "# source: test\n" + _LF_QUOTES,
+    "\n" + _LF_QUOTES,
+    _LF_QUOTES.replace("\nt1", "\n\nt1"),
+    _LF_QUOTES[:-1],
+    "\ufeff" + _LF_QUOTES,
+    "timestamp,bid,ask\r\nt0,27.83,27.87\r\nt1,27.84\r\n",
+    "\ufefftimestamp,bid\nt0,27.83\n",
+], ids=["crlf", "bare-cr", "comment-before-header", "blank-before-header", "blank-body-line",
+        "no-final-newline", "bom", "crlf-short-row", "bom-wrong-header"])
+def test_other_layouts_go_to_the_streaming_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header, names = ["timestamp", "bid", "ask"], ("bid", "ask")
+    want = _columns_or_error(lambda: _read_csv(path, header, dict.fromkeys(names, float)).values())
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _read_csv(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "_read_csv", spy)
+    assert _columns_or_error(lambda: read_quotes_csv(path)) == want
+    assert len(calls) == 1
 
 
 def test_header_only_file_reads_empty_without_warning(tmp_path):
@@ -714,10 +760,8 @@ def test_chunks_are_cut_at_line_ends_in_numpy(tmp_path, monkeypatch, chunk):
     want = _read_csv(path, ["timestamp", "bid", "ask"], {"bid": float, "ask": float})
     monkeypatch.setattr(calibration, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(calibration, "_read_csv", _no_oracle)
-    for body in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")[:-2]):
-        path.write_bytes(body)  # LF, then CRLF with no line end at the end
-        bid, ask = read_quotes_csv(path)
-        assert (bid.tobytes(), ask.tobytes()) == (want["bid"].tobytes(), want["ask"].tobytes())
+    bid, ask = read_quotes_csv(path)
+    assert (bid.tobytes(), ask.tobytes()) == (want["bid"].tobytes(), want["ask"].tobytes())
 
 
 @pytest.mark.parametrize("chunk", [7, 4096, 1 << 18])
