@@ -510,7 +510,6 @@ def test_utf8_bom_reads_as_the_file_without_it(tmp_path):
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     plain.write_text(text, encoding="utf-8")
     bom.write_text(text, encoding="utf-8-sig")
-    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
     want = [column.tobytes() for column in read_quotes_csv(plain)]
     assert [column.tobytes() for column in read_quotes_csv(bom)] == want
 
@@ -622,10 +621,11 @@ def _csv_text(draw, header):
     head = _mostly(st.just(",".join(header)), st.sampled_from([
         " " + ",".join(header).upper() + " ", ",".join(header[:-1]), ",".join(header) + ",x",
     ]), 4)
-    lines = draw(st.lists(_JUNK, max_size=3)) + [draw(head)]
+    # other layouts than numpy's are rarer, so that numpy reads many files
+    lines = draw(_mostly(st.just([]), st.lists(_JUNK, min_size=1, max_size=3), 4)) + [draw(head)]
     lines += draw(st.lists(_mostly(row, _JUNK, 20), max_size=12))
-    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
+    end = draw(_mostly(st.just("\n"), st.sampled_from(["\r\n", "\r"]), 4))
+    return end.join(lines) + draw(_mostly(st.just(end), st.just(""), 4))
 
 
 def _columns_or_error(read):
